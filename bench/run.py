@@ -3,12 +3,14 @@
     python3 bench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Run from the root of a checkout.  ``--workload all`` runs every workload in
-turn, the extra workloads included.  Each measurement runs in a fresh worker process (``worker.py``) with
-BLAS threads pinned to one.
+turn, the extra workloads included.  Each measurement runs in fresh worker
+processes (``worker.py``) with BLAS threads pinned to one.
 
-``--trace 0`` prints the end-to-end metrics; ``setup_s`` is the median over
-SETUP_RUNS fresh processes.  ``--trace 1`` prints the per-layer metrics of a
-traced run and writes its spans to ``bench/out/trace-<workload>.npz``.
+``--trace 0`` prints the end-to-end metrics.  The timed phase is split over
+CHUNKS workers run one after another; each sets up anew, so ``setup_s`` is
+the median of CHUNKS set-ups spread over the whole run, like the ops.
+``--trace 1`` prints the per-layer metrics of one traced worker and writes
+its spans to ``bench/out/trace-<workload>.npz``.
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``; the line before it is
 the full record (environment, tail percentile, sample count, problems).
@@ -46,7 +48,8 @@ END_TO_END = (
 # Reported in the table and the record but not gated: the median flips between
 # the host's speed regimes from run to run (see README), and error_rate is 0.
 REPORTED = (("op_p50_ms", "ms", "lower"), ("error_rate", "fraction", "lower"))
-SETUP_RUNS = 3  # processes whose set-up time is measured; the median is reported
+CHUNKS = 7  # workers of one --trace 0 run; setup_s is the median of their set-ups
+CHUNK_INDICES = 1_000_000  # op indices per worker, so workers see different inputs
 TAIL_BEYOND = 10  # op_tail_ms is the highest percentile with this many samples beyond it
 RUN_DEADLINE_S = 170.0  # every worker of one workload ends within this
 BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -56,16 +59,20 @@ class WorkerFailed(RuntimeError):
     pass
 
 
-def _worker(name: str, mode: str, args, deadline: float, trace_out: Path | None = None) -> dict:
+def _worker(
+    name: str, mode: str, args, deadline: float, seconds: float, chunk: int = 0,
+    trace_out: Path | None = None,
+) -> dict:
     t0 = time.monotonic()
     command = [
         sys.executable,
         str(BENCH / "worker.py"),
         "--workload", name,
         "--seed", str(args.seed),
-        "--seconds", str(args.seconds),
+        "--seconds", repr(seconds),
         "--size", args.size,
         "--mode", mode,
+        "--first-index", str(chunk * CHUNK_INDICES),
         "--t0", repr(t0),
     ]
     if trace_out is not None:
@@ -99,34 +106,41 @@ def run_workload(name: str, args) -> tuple[dict, dict]:
     """Measure one workload; returns (result line, full record)."""
     deadline = time.monotonic() + RUN_DEADLINE_S
     if args.trace:
-        out = _worker(name, "trace", args, deadline, BENCH / "out" / f"trace-{name}.npz")
+        trace_out = BENCH / "out" / f"trace-{name}.npz"
+        outs = [_worker(name, "trace", args, deadline, args.seconds, trace_out=trace_out)]
         units = {metric: unit for metric, unit, _ in per_layer_metrics()}
-        metrics = {k: {"value": out["per_layer"][k], "unit": u} for k, u in units.items()}
-        extra = {k: out[k] for k in ("spans_stored", "spans_dropped", "layers_expected")}
+        metrics = {k: {"value": outs[0]["per_layer"][k], "unit": u} for k, u in units.items()}
+        extra = {k: outs[0][k] for k in ("spans_stored", "spans_dropped", "layers_expected")}
     else:
-        out = _worker(name, "run", args, deadline)
-        setups = [out["setup_s"]]
-        setups += [_worker(name, "probe", args, deadline)["setup_s"] for _ in range(SETUP_RUNS - 1)]
-        lat = out["latencies_ms"]
+        outs = [
+            _worker(name, "run", args, deadline, args.seconds / CHUNKS, chunk)
+            for chunk in range(CHUNKS)
+        ]
+    lat = [ms for out in outs for ms in out["latencies_ms"]]
+    attempted = len(lat)
+    failed = sum(out["failed"] for out in outs)
+    if not args.trace:
+        setups = [out["setup_s"] for out in outs]
         tail_ms, tail_pct = tail(lat)
         values = {
-            "ops_per_s": 1000.0 * len(lat) / sum(lat),
+            # Passing ops per second of op time; input generation and the
+            # benchmark's own checks between ops are left out.
+            "ops_per_s": 1000.0 * (attempted - failed) / sum(lat),
             "op_p50_ms": statistics.median(lat),
             "op_tail_ms": tail_ms,
             "setup_s": statistics.median(setups),
-            "peak_rss_mb": out["peak_rss_mb"],
+            "peak_rss_mb": max(out["peak_rss_mb"] for out in outs),
         }
         metrics = {k: {"value": values[k], "unit": unit} for k, unit, _ in END_TO_END}
         extra = {
             "op_p50_ms": {"value": values["op_p50_ms"], "unit": "ms"},
             "op_tail_percentile": tail_pct,
-            "op_tail_samples_beyond": min(TAIL_BEYOND, max(len(lat) - 1, 0)),
+            "op_tail_samples_beyond": min(TAIL_BEYOND, max(attempted - 1, 0)),
             "setup_s_samples": setups,
         }
-    attempted = len(out["latencies_ms"])
-    failed = out["failed"]
+    warmup_problems = [p for out in outs for p in out["warmup_problems"]]
     result = {
-        "correct": failed == 0 and not out["warmup_problems"] and attempted > 0,
+        "correct": failed == 0 and not warmup_problems and attempted > 0,
         "attempted": attempted,
         "failed": failed,
         "metrics": metrics,
@@ -140,8 +154,8 @@ def run_workload(name: str, args) -> tuple[dict, dict]:
         "samples": attempted,
         "error_rate": {"value": failed / attempted if attempted else 1.0, "unit": "fraction"},
         **extra,
-        "problems": out["warmup_problems"] + out["problems"],
-        "env": out["env"],
+        "problems": warmup_problems + [p for out in outs for p in out["problems"]],
+        "env": outs[0]["env"],
     }
     return result, record
 

@@ -2,12 +2,11 @@
 
 ``run.py`` starts this script in a fresh interpreter for every measurement,
 with BLAS threads pinned to one, and reads the JSON object on the last line
-of its standard output.  Modes:
-
-- ``probe``: set up and warm up, report ``setup_s``, and exit;
-- ``run``: also run the untraced timed phase for ``--seconds``;
-- ``trace``: run the timed phase with ops alternating in pairs between
-  untraced and traced; write the spans to ``--trace-out``.
+of its standard output.  After set-up and warm-up it runs the timed phase
+for ``--seconds``; in ``trace`` mode the ops alternate in pairs between
+untraced and traced, and the spans are written to ``--trace-out``.  Op
+indices start at ``--first-index``, so that the workers of one run see
+different inputs.
 
 ``setup_s`` is measured from ``--t0``, the parent's ``time.monotonic()``
 just before it started this process (a system-wide clock on Linux), to the
@@ -44,31 +43,6 @@ def _import_library():
         raise SystemExit(f"error: imported cstar_fusion from {cstar_fusion.__file__}")
 
 
-def _openblas_threads():
-    """Threads OpenBLAS will use, asked from the library numpy loaded."""
-    import ctypes
-
-    import numpy as np
-
-    libs_dir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs_dir.glob("*openblas*.so*")):
-        try:
-            dll = ctypes.CDLL(str(lib))
-        except OSError:
-            continue
-        for symbol in (
-            "scipy_openblas_get_num_threads64_",
-            "openblas_get_num_threads64_",
-            "openblas_get_num_threads",
-        ):
-            fn = getattr(dll, symbol, None)
-            if fn is not None:
-                fn.argtypes = []
-                fn.restype = ctypes.c_int
-                return int(fn())
-    return None
-
-
 def environment() -> dict:
     import numpy as np
 
@@ -82,7 +56,6 @@ def environment() -> dict:
             key: blas.get(key) for key in ("name", "version", "openblas configuration")
         },
         "blas_thread_pin": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
-        "blas_threads_runtime": _openblas_threads(),
     }
 
 
@@ -115,7 +88,9 @@ def _run_one(workload, index: int, tracer=None) -> tuple[float, list[str]]:
     return elapsed, problems
 
 
-def timed_phase(workload, seconds: float, tracer=None) -> tuple[dict, dict[bool, list[float]]]:
+def timed_phase(
+    workload, first: int, seconds: float, tracer=None
+) -> tuple[dict, dict[bool, list[float]]]:
     """Closed loop: the next op starts when the previous one and its check end.
 
     With a tracer, ops alternate in pairs between untraced and traced (pairs,
@@ -126,10 +101,10 @@ def timed_phase(workload, seconds: float, tracer=None) -> tuple[dict, dict[bool,
     latencies: dict[bool, list[float]] = {False: [], True: []}
     failed = 0
     problems: list[str] = []
-    index = WARMUP_OPS
+    index = first
     deadline = time.monotonic() + seconds
     while time.monotonic() < deadline:
-        traced = tracer is not None and (index // 2) % 2 == 1
+        traced = tracer is not None and ((index - first) // 2) % 2 == 1
         elapsed, found = _run_one(workload, index, tracer if traced else None)
         latencies[traced].append(elapsed)
         if found:
@@ -151,7 +126,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
-    parser.add_argument("--mode", choices=("probe", "run", "trace"), required=True)
+    parser.add_argument("--mode", choices=("run", "trace"), required=True)
+    parser.add_argument("--first-index", type=int, required=True)
     parser.add_argument("--t0", type=float, required=True)
     parser.add_argument("--trace-out", type=Path, default=None)
     args = parser.parse_args(argv)
@@ -162,15 +138,16 @@ def main(argv=None) -> int:
     workload = workloads.build(args.workload, args.seed, args.size)
     try:
         warmup_problems = []
-        for index in range(WARMUP_OPS):
+        first = args.first_index
+        for index in range(first, first + WARMUP_OPS):
             _elapsed, found = _run_one(workload, index)
             warmup_problems += [f"warm-up op {index}: {p}" for p in found]
         setup_s = time.monotonic() - args.t0
         result = {"setup_s": setup_s, "warmup_problems": warmup_problems}
         if args.mode == "run":
-            result.update(timed_phase(workload, args.seconds)[0])
-        elif args.mode == "trace":
-            phase, tracer = trace_run(workload, args.seconds)
+            result.update(timed_phase(workload, first + WARMUP_OPS, args.seconds)[0])
+        else:
+            phase, tracer = trace_run(workload, first + WARMUP_OPS, args.seconds)
             result.update(phase)
     finally:
         workload.close()
@@ -182,11 +159,11 @@ def main(argv=None) -> int:
     return 0
 
 
-def trace_run(workload, seconds: float):
+def trace_run(workload, first: int, seconds: float):
     from tracing import Tracer
 
     tracer = Tracer()
-    phase, latencies = timed_phase(workload, seconds, tracer)
+    phase, latencies = timed_phase(workload, first, seconds, tracer)
     traced, untraced = latencies[True], latencies[False]
     summary = tracer.summary(len(traced), sum(traced))
     summary["trace.op_p50_ms"] = statistics.median(traced)
