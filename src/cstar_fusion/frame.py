@@ -22,6 +22,7 @@ import numpy as np
 
 from .algebra import (
     COMPLEX,
+    QUATERNION,
     AlgebraElement,
     PositivityClass,
     alg_norm,
@@ -29,10 +30,10 @@ from .algebra import (
     positivity_class,
 )
 from .errors import InvalidWeight, LengthMismatch, NotAFrame, ShapeMismatch
-from .hilbert_module import ModuleShape, ModuleVector, inner_product, left_action, module_norm
+from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint
+from .hilbert_module import inner_product, left_action, module_norm
 from .submodule import Submodule, block_submodule, project
 
-_DIRECT_SOLVE_LIMIT = 64
 _FRAME_TOL = 1e-10
 
 
@@ -49,6 +50,8 @@ class WeightSequence:
         for w in weights:
             if w.kind != first.kind or w.fiber_count != first.fiber_count:
                 raise ShapeMismatch("weights must share one kind and fiber count")
+            if not np.all(np.isfinite(w.fibers)):
+                raise InvalidWeight("weights must be finite")
             if not is_central(w):
                 raise InvalidWeight("weights must be central")
             if positivity_class(w) < PositivityClass.STRICTLY_POSITIVE:
@@ -95,46 +98,33 @@ class WeightSequence:
         return [alg_norm(w) ** 2 for w in self.weights]
 
 
-class FrameOperatorFibers:
+class FrameOperatorFibers(FiberBlocks):
     """Per-fiber Hermitian PSD matrices of the frame operator."""
 
-    __slots__ = ("shape", "fibers")
+    __slots__ = ()
 
-    def __init__(self, shape: ModuleShape, fibers: Sequence[np.ndarray]) -> None:
-        object.__setattr__(self, "shape", shape)
-        frozen = []
-        for f in fibers:
-            arr = np.asarray(f).copy()
-            arr.setflags(write=False)
-            frozen.append(arr)
-        object.__setattr__(self, "fibers", tuple(frozen))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FrameOperatorFibers is immutable")
+    def __init__(self, shape: ModuleShape, fibers) -> None:
+        self._store(shape, fibers, matrix=True)
 
     def apply(self, x: ModuleVector) -> ModuleVector:
-        if self.shape != x.shape:
-            raise ShapeMismatch(f"module shapes differ: {self.shape} vs {x.shape}")
+        self._check_same_shape(x)
         if self.shape.kind == COMPLEX:
-            return ModuleVector(x.shape, [s @ f for s, f in zip(self.fibers, x.fibers)])
-        return ModuleVector(x.shape, [float(s[0, 0]) * f for s, f in zip(self.fibers, x.fibers)])
+            blocks = {m: (s @ x.blocks[m][:, :, None])[:, :, 0] for m, s in self.blocks.items()}
+            return ModuleVector(x.shape, blocks)
+        return ModuleVector(x.shape, {1: self.blocks[1][:, 0] * x.blocks[1]})
 
 
 def _assemble_operator(
     shape: ModuleShape, submodules: Sequence[Submodule], wmatrix: np.ndarray
 ) -> FrameOperatorFibers:
-    fibers = []
-    for k, m in enumerate(shape.dims):
-        if shape.kind == COMPLEX:
-            acc = np.zeros((m, m), dtype=complex)
-            for n, sub in enumerate(submodules):
-                acc += wmatrix[n, k] ** 2 * sub.fibers[k]
-            acc = (acc + acc.conj().T) / 2.0
-        else:
-            total = sum(wmatrix[n, k] ** 2 * float(sub.fibers[k][0, 0]) for n, sub in enumerate(submodules))
-            acc = np.array([[total]])
-        fibers.append(acc)
-    return FrameOperatorFibers(shape, fibers)
+    """S = sum_n w_n^2 P_n, summed submodule by submodule over whole blocks
+    (no stacked copy of all projections is made)."""
+    squares = shape.gather((wmatrix**2).T)
+    blocks = {}
+    for m, w2 in squares.items():
+        acc = sum(w2[:, n, None, None] * sub.blocks[m] for n, sub in enumerate(submodules))
+        blocks[m] = (acc + _adjoint(acc)) / 2.0
+    return FrameOperatorFibers(shape, blocks)
 
 
 class WeightedFrame:
@@ -160,19 +150,14 @@ class WeightedFrame:
         if weights.kind != shape.kind or weights.fiber_count != shape.fiber_count:
             raise ShapeMismatch("weights do not match the module shape")
         operator = _assemble_operator(shape, submodules, weights.matrix)
-        extremes = []
-        for s in operator.fibers:
-            if shape.kind == COMPLEX:
-                eigvals = np.linalg.eigvalsh(s)
-                extremes.append((float(eigvals[0]), float(eigvals[-1])))
-            else:
-                v = float(s[0, 0])
-                extremes.append((v, v))
+        eigvals = {m: np.linalg.eigvalsh(s) for m, s in operator.blocks.items()}
+        extremes = shape.scatter({m: lam[:, [0, -1]] for m, lam in eigvals.items()})
+        extremes.setflags(write=False)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "submodules", submodules)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_operator", operator)
-        object.__setattr__(self, "_extremes", tuple(extremes))
+        object.__setattr__(self, "_extremes", extremes)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightedFrame is immutable")
@@ -186,7 +171,7 @@ class WeightedFrame:
 
     @property
     def per_fiber_extremes(self) -> tuple[tuple[float, float], ...]:
-        return self._extremes
+        return tuple(map(tuple, self._extremes.tolist()))
 
 
 class ModuleSequence:
@@ -307,8 +292,7 @@ def frame_bounds(frame: WeightedFrame, tol: float | None = None) -> FrameBounds:
     The family is reported as a frame when the smallest per-fiber eigenvalue
     exceeds ``tol`` (default: 1e-10 relative to the largest eigenvalue).
     """
-    lam_min = np.array([lo for lo, _ in frame.per_fiber_extremes])
-    lam_max = np.array([hi for _, hi in frame.per_fiber_extremes])
+    lam_min, lam_max = frame._extremes.T
     c = float(np.min(lam_min))
     d = float(np.max(lam_max))
     threshold = tol if tol is not None else _FRAME_TOL * max(1.0, d)
@@ -346,46 +330,21 @@ def synthesis_adjoint(frame: WeightedFrame, ys: ModuleSequence) -> ModuleVector:
     return acc
 
 
-def _cg_solve(matrix: np.ndarray, rhs: np.ndarray, tol: float, maxiter: int) -> np.ndarray:
-    """Conjugate gradients for a Hermitian positive definite fiber."""
-    x = np.zeros_like(rhs)
-    r = rhs - matrix @ x
-    p = r.copy()
-    rs = np.vdot(r, r).real
-    target = tol * max(1.0, float(np.linalg.norm(rhs)))
-    for _ in range(maxiter):
-        if np.sqrt(rs) <= target:
-            break
-        ap = matrix @ p
-        alpha = rs / np.vdot(p, ap).real
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_next = np.vdot(r, r).real
-        p = r + (rs_next / rs) * p
-        rs = rs_next
-    return x
-
-
 def _solve_operator(frame: WeightedFrame, x: ModuleVector) -> ModuleVector:
-    fibers = []
-    for k, m in enumerate(frame.shape.dims):
-        s = frame.operator_fibers.fibers[k]
-        if frame.shape.kind == COMPLEX:
-            if m <= _DIRECT_SOLVE_LIMIT:
-                fibers.append(np.linalg.solve(s, x.fibers[k]))
-            else:
-                fibers.append(_cg_solve(s, x.fibers[k], tol=1e-14, maxiter=10 * m))
-        else:
-            fibers.append(x.fibers[k] / float(s[0, 0]))
-    return ModuleVector(frame.shape, fibers)
+    """S^-1 x by one batched LU solve per fiber dimension."""
+    ops = frame.operator_fibers.blocks
+    if frame.shape.kind == QUATERNION:
+        return ModuleVector(x.shape, {1: x.blocks[1] / ops[1][:, 0]})
+    blocks = {m: np.linalg.solve(s, x.blocks[m][:, :, None])[:, :, 0] for m, s in ops.items()}
+    return ModuleVector(x.shape, blocks)
 
 
 def reconstruct(frame: WeightedFrame, x: ModuleVector, tol: float | None = None) -> ReconstructionResult:
     """Exact reconstruction x = sum_n w_n^2 P_n(S^-1 x).
 
-    Solves the frame operator fiber by fiber (direct Hermitian solve for
-    small fibers, conjugate gradients above 64 dimensions), then re-applies
-    the weighted projection sum and reports the relative error.
+    Solves the frame operator directly (LU, batched over the fibers of each
+    dimension), then re-applies the weighted projection sum and reports the
+    relative error.
     """
     bounds = frame_bounds(frame, tol)
     if not bounds.is_frame:
@@ -405,10 +364,10 @@ def tightness(frame: WeightedFrame, tol: float = 1e-10) -> TightnessResult:
     bounds = frame_bounds(frame)
     if not bounds.is_frame:
         raise NotAFrame("tightness is only defined for frames")
-    tight = all(hi - lo <= tol * max(1.0, hi) for lo, hi in frame.per_fiber_extremes)
-    if not tight:
+    lo, hi = frame._extremes.T
+    if not np.all(hi - lo <= tol * np.maximum(1.0, hi)):
         return TightnessResult(tight=False, constant=None, parseval=False)
-    levels = np.array([np.sqrt((lo + hi) / 2.0) for lo, hi in frame.per_fiber_extremes])
+    levels = np.sqrt((lo + hi) / 2.0)
     constant = AlgebraElement.from_real(levels, frame.shape.kind)
     parseval = bool(np.max(np.abs(levels - 1.0)) <= tol)
     return TightnessResult(tight=True, constant=constant, parseval=parseval)

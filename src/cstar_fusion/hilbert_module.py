@@ -5,12 +5,17 @@ any dimension, quaternion fibers are one-dimensional).  The inner product
 is algebra-valued and taken fiber by fiber; the module norm is the algebra
 norm of |x| = <x,x>^(1/2), which here is just the largest Euclidean fiber
 length.  The inner product is linear in its first argument.
+
+Per-fiber data (vectors here, projections, frame-operator fibers and
+rotations elsewhere) is stored as one stacked array per fiber dimension,
+``{m: (count, ...)}`` in the order of ``ModuleShape.groups``, so that every
+fiberwise operation is one numpy call per dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -40,64 +45,121 @@ class ModuleShape:
     def fiber_count(self) -> int:
         return len(self.dims)
 
+    @cached_property
+    def groups(self) -> dict[int, np.ndarray]:
+        """The fiber indices of each fiber dimension, by increasing dimension."""
+        dims = np.asarray(self.dims)
+        return {int(m): np.flatnonzero(dims == m) for m in np.unique(dims)}
 
-class ModuleVector:
+    def gather(self, values: np.ndarray) -> dict[int, np.ndarray]:
+        """Split an array indexed by fiber into one block per dimension."""
+        return {m: values[idx] for m, idx in self.groups.items()}
+
+    def scatter(self, blocks: dict[int, np.ndarray]) -> np.ndarray:
+        """Inverse of ``gather``: blocks back into one array indexed by fiber."""
+        order = np.argsort(np.concatenate(list(self.groups.values())))
+        return np.concatenate([blocks[m] for m in self.groups])[order]
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack."""
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def _fiber(entry, k: int, tail: tuple[int, ...], dtype, exact: bool) -> np.ndarray:
+    arr = np.asarray(entry, dtype=dtype)
+    if arr.shape != tail and (exact or arr.size != np.prod(tail)):
+        raise ShapeMismatch(f"fiber {k} has shape {arr.shape}, expected {tail}")
+    return arr.reshape(tail)
+
+
+class FiberBlocks:
+    """Immutable per-fiber data of one module shape, held as one read-only
+    block per fiber dimension: ``blocks[m]`` stacks the fibers in
+    ``shape.groups[m]``.
+
+    The data is given as such a dict, as one array stacked over the fibers
+    of a module with a single fiber dimension, or with one entry per fiber.
+    A fiber holds an (m, m) matrix or a vector (length m; quaternion: 4); a
+    per-fiber entry is reshaped to that shape, except that complex matrices
+    must already have it.
+    """
+
+    __slots__ = ("shape", "blocks", "_views")
+
+    def _store(self, shape: ModuleShape, fibers, matrix: bool) -> None:
+        dtype = complex if shape.kind == COMPLEX else float
+        vec = 4 if shape.kind == QUATERNION else None
+        tails = {m: (m, m) if matrix else (vec or m,) for m in shape.groups}
+        if isinstance(fibers, np.ndarray) and [fibers.shape[1:]] == list(tails.values()):
+            fibers = {shape.dims[0]: fibers}
+        elif not isinstance(fibers, dict):
+            if len(fibers) != shape.fiber_count:
+                raise ShapeMismatch(f"expected {shape.fiber_count} fibers, got {len(fibers)}")
+            exact = matrix and shape.kind == COMPLEX
+            fibers = {
+                m: [_fiber(fibers[k], k, tails[m], dtype, exact) for k in idx]
+                for m, idx in shape.groups.items()
+            }
+        if fibers.keys() != tails.keys():
+            raise ShapeMismatch(f"blocks for dimensions {sorted(fibers)}, not {sorted(tails)}")
+        blocks = {m: np.array(fibers[m], dtype=dtype) for m in tails}
+        for m, idx in shape.groups.items():
+            if blocks[m].shape != (len(idx), *tails[m]):
+                raise ShapeMismatch(f"dimension-{m} block has shape {blocks[m].shape}")
+            blocks[m].setflags(write=False)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_views", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def fibers(self) -> tuple[np.ndarray, ...]:
+        """Read-only per-fiber views into ``blocks``, in fiber order."""
+        if self._views is None:
+            views = [view for block in self.blocks.values() for view in block]
+            order = np.argsort(np.concatenate(list(self.shape.groups.values())))
+            object.__setattr__(self, "_views", tuple(views[k] for k in order))
+        return self._views
+
+    def _check_same_shape(self, other: "FiberBlocks") -> None:
+        if self.shape != other.shape:
+            raise ShapeMismatch(f"module shapes differ: {self.shape} vs {other.shape}")
+
+
+class ModuleVector(FiberBlocks):
     """One vector per fiber; immutable.
 
     Complex fiber k is a complex array of length dims[k]; a quaternion
     fiber is a single (w, x, y, z) row of length 4.
     """
 
-    __slots__ = ("shape", "fibers")
+    __slots__ = ()
 
-    def __init__(self, shape: ModuleShape, fibers: Sequence[np.ndarray]) -> None:
-        if len(fibers) != shape.fiber_count:
-            raise ShapeMismatch(
-                f"expected {shape.fiber_count} fibers, got {len(fibers)}"
-            )
-        clean = []
-        for k, (m, f) in enumerate(zip(shape.dims, fibers)):
-            if shape.kind == COMPLEX:
-                arr = np.asarray(f, dtype=complex).reshape(-1)
-                if arr.shape[0] != m:
-                    raise ShapeMismatch(f"fiber {k} has length {arr.shape[0]}, expected {m}")
-            else:
-                arr = np.asarray(f, dtype=float).reshape(-1)
-                if arr.shape[0] != 4:
-                    raise ShapeMismatch(f"quaternion fiber {k} needs 4 components")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            clean.append(arr)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "fibers", tuple(clean))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModuleVector is immutable")
+    def __init__(self, shape: ModuleShape, fibers) -> None:
+        self._store(shape, fibers, matrix=False)
 
     @classmethod
     def zeros(cls, shape: ModuleShape) -> "ModuleVector":
-        if shape.kind == COMPLEX:
-            return cls(shape, [np.zeros(m, dtype=complex) for m in shape.dims])
-        return cls(shape, [np.zeros(4) for _ in shape.dims])
-
-    def _check_same_shape(self, other: "ModuleVector") -> None:
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"module shapes differ: {self.shape} vs {other.shape}")
+        width = 4 if shape.kind == QUATERNION else None
+        return cls(shape, {m: np.zeros((len(idx), width or m)) for m, idx in shape.groups.items()})
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         self._check_same_shape(other)
-        return ModuleVector(self.shape, [a + b for a, b in zip(self.fibers, other.fibers)])
+        return ModuleVector(self.shape, {m: b + other.blocks[m] for m, b in self.blocks.items()})
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         self._check_same_shape(other)
-        return ModuleVector(self.shape, [a - b for a, b in zip(self.fibers, other.fibers)])
+        return ModuleVector(self.shape, {m: b - other.blocks[m] for m, b in self.blocks.items()})
 
     def __neg__(self) -> "ModuleVector":
-        return ModuleVector(self.shape, [-f for f in self.fibers])
+        return ModuleVector(self.shape, {m: -b for m, b in self.blocks.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return ModuleVector(self.shape, [f * float(other) for f in self.fibers])
+            return ModuleVector(self.shape, {m: b * float(other) for m, b in self.blocks.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -140,15 +202,15 @@ def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     """
     x._check_same_shape(y)
     if x.shape.kind == COMPLEX:
-        vals = [np.vdot(yf, xf) for xf, yf in zip(x.fibers, y.fibers)]
-        return AlgebraElement(COMPLEX, vals)
-    rows = [_hamilton(xf, _quat_conj(np.asarray(yf))) for xf, yf in zip(x.fibers, y.fibers)]
-    return AlgebraElement(QUATERNION, np.stack(rows))
+        vals = {m: (np.conj(y.blocks[m])[:, None, :] @ b[:, :, None])[:, 0, 0]
+                for m, b in x.blocks.items()}
+        return AlgebraElement(COMPLEX, x.shape.scatter(vals))
+    return AlgebraElement(QUATERNION, _hamilton(x.blocks[1], _quat_conj(y.blocks[1])))
 
 
 def module_norm(x: ModuleVector) -> float:
     """Largest Euclidean fiber length; equals the algebra norm of |x|."""
-    return float(max(np.linalg.norm(f) for f in x.fibers))
+    return float(max(np.linalg.norm(b, axis=-1).max() for b in x.blocks.values()))
 
 
 def left_action(a: AlgebraElement, x: ModuleVector) -> ModuleVector:
@@ -160,6 +222,6 @@ def left_action(a: AlgebraElement, x: ModuleVector) -> ModuleVector:
             f"fiber counts differ: {a.fiber_count} vs {x.shape.fiber_count}"
         )
     if x.shape.kind == COMPLEX:
-        return ModuleVector(x.shape, [a.fibers[k] * f for k, f in enumerate(x.fibers)])
-    rows = [_hamilton(a.fibers[k], np.asarray(f)) for k, f in enumerate(x.fibers)]
-    return ModuleVector(x.shape, rows)
+        scalars = x.shape.gather(a.fibers)
+        return ModuleVector(x.shape, {m: scalars[m][:, None] * b for m, b in x.blocks.items()})
+    return ModuleVector(x.shape, {1: _hamilton(a.fibers, x.blocks[1])})

@@ -13,81 +13,69 @@ nu identity hold; a left factor would do neither.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .algebra import COMPLEX, AlgebraElement, _hamilton, _quat_conj
 from .errors import NotAFrame, ShapeMismatch
 from .frame import WeightedFrame, WeightSequence, frame_bounds
-from .hilbert_module import ModuleShape, ModuleVector
+from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint
 from .submodule import Submodule
 
 _UNITARY_TOL = 1e-10
 
 
-class OrthoMap:
+class OrthoMap(FiberBlocks):
     """Per-fiber positive scale and isometry; immutable and invertible."""
 
-    __slots__ = ("shape", "scales", "rotations")
+    __slots__ = ("scales",)
 
-    def __init__(self, shape: ModuleShape, scales, rotations: Sequence) -> None:
-        scale_arr = np.asarray(scales, dtype=float).reshape(-1)
+    def __init__(self, shape: ModuleShape, scales, rotations) -> None:
+        scale_arr = np.array(scales, dtype=float).reshape(-1)
         if scale_arr.shape[0] != shape.fiber_count:
             raise ShapeMismatch("need one scale per fiber")
-        if np.any(scale_arr <= 0):
-            raise ValueError("scales must be positive")
-        if len(rotations) != shape.fiber_count:
-            raise ShapeMismatch("need one rotation per fiber")
-        clean = []
-        for k, (m, rot) in enumerate(zip(shape.dims, rotations)):
-            if shape.kind == COMPLEX:
-                arr = np.asarray(rot, dtype=complex)
-                if arr.shape != (m, m):
-                    raise ShapeMismatch(f"fiber {k} rotation must be {m}x{m}")
-                defect = np.linalg.norm(arr.conj().T @ arr - np.eye(m), 2)
-                if defect > _UNITARY_TOL:
-                    raise ValueError(f"fiber {k} rotation is not unitary (defect {defect:.2e})")
-            else:
-                arr = np.asarray(rot, dtype=float).reshape(4)
-                if abs(np.linalg.norm(arr) - 1.0) > _UNITARY_TOL:
-                    raise ValueError(f"fiber {k} rotation is not a unit quaternion")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            clean.append(arr)
-        scale_arr = scale_arr.copy()
+        if not np.all((scale_arr > 0) & (scale_arr < np.inf)):
+            raise ValueError("scales must be positive and finite")
+        self._store(shape, rotations, matrix=shape.kind == COMPLEX)
+        if shape.kind == COMPLEX:
+            # Spectral norm of the Hermitian U^H U - I: its largest |eigenvalue|.
+            gram = {m: _adjoint(u) @ u - np.eye(m) for m, u in self.blocks.items()}
+            extremes = {m: np.abs(np.linalg.eigvalsh(g)).max(-1) for m, g in gram.items()}
+            defects = shape.scatter(extremes)
+        else:
+            defects = np.abs(np.linalg.norm(self.blocks[1], axis=-1) - 1.0)
+        k = int(np.argmax(defects))
+        if not defects[k] <= _UNITARY_TOL:
+            raise ValueError(f"fiber {k} rotation is not unitary (defect {defects[k]:.2e})")
         scale_arr.setflags(write=False)
-        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "scales", scale_arr)
-        object.__setattr__(self, "rotations", tuple(clean))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("OrthoMap is immutable")
+    @property
+    def rotations(self) -> tuple[np.ndarray, ...]:
+        """Per-fiber unitary matrices, or unit quaternion rows (w, x, y, z)."""
+        return self.fibers
 
     @classmethod
     def identity(cls, shape: ModuleShape) -> "OrthoMap":
         if shape.kind == COMPLEX:
-            rotations = [np.eye(m, dtype=complex) for m in shape.dims]
+            rotations = {m: np.tile(np.eye(m), (len(idx), 1, 1)) for m, idx in shape.groups.items()}
         else:
-            rotations = [np.array([1.0, 0.0, 0.0, 0.0]) for _ in shape.dims]
+            rotations = {1: np.tile([1.0, 0.0, 0.0, 0.0], (shape.fiber_count, 1))}
         return cls(shape, np.ones(shape.fiber_count), rotations)
 
     def apply(self, x: ModuleVector) -> ModuleVector:
-        if self.shape != x.shape:
-            raise ShapeMismatch(f"module shapes differ: {self.shape} vs {x.shape}")
-        fibers = []
-        for k, f in enumerate(x.fibers):
-            if self.shape.kind == COMPLEX:
-                fibers.append(self.scales[k] * (self.rotations[k] @ f))
-            else:
-                fibers.append(self.scales[k] * _hamilton(np.asarray(f), self.rotations[k]))
-        return ModuleVector(x.shape, fibers)
+        self._check_same_shape(x)
+        scales = self.shape.gather(self.scales)
+        if self.shape.kind == COMPLEX:
+            blocks = {m: (u @ x.blocks[m][:, :, None])[:, :, 0] for m, u in self.blocks.items()}
+        else:
+            blocks = {1: _hamilton(x.blocks[1], self.blocks[1])}
+        return ModuleVector(x.shape, {m: scales[m][:, None] * b for m, b in blocks.items()})
 
     def inverse(self) -> "OrthoMap":
         if self.shape.kind == COMPLEX:
-            rotations = [r.conj().T for r in self.rotations]
+            rotations = {m: _adjoint(u) for m, u in self.blocks.items()}
         else:
-            rotations = [_quat_conj(np.asarray(r)) for r in self.rotations]
+            rotations = {1: _quat_conj(self.blocks[1])}
         return OrthoMap(self.shape, 1.0 / self.scales, rotations)
 
     def nu(self) -> AlgebraElement:
@@ -145,14 +133,13 @@ def transport_frame(mapping: OrthoMap, frame: WeightedFrame) -> WeightedFrame:
         raise NotAFrame("transport requires a frame")
     new_subs = []
     for sub in frame.submodules:
+        blocks = sub.blocks
         if frame.shape.kind == COMPLEX:
-            fibers = []
-            for rot, p in zip(mapping.rotations, sub.fibers):
-                moved = rot @ p @ rot.conj().T
-                fibers.append((moved + moved.conj().T) / 2.0)
-        else:
-            fibers = list(sub.fibers)
-        new_subs.append(Submodule(frame.shape, fibers))
+            blocks = {}
+            for m, u in mapping.blocks.items():
+                moved = u @ sub.blocks[m] @ _adjoint(u)
+                blocks[m] = (moved + _adjoint(moved)) / 2.0
+        new_subs.append(Submodule(frame.shape, blocks))
     scale_element = AlgebraElement.from_real(mapping.scales, frame.shape.kind)
     new_weights = WeightSequence([scale_element * w for w in frame.weights])
     return WeightedFrame(new_subs, new_weights)

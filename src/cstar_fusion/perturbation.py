@@ -16,9 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import COMPLEX, alg_norm
+from .algebra import alg_norm
 from .errors import LengthMismatch, NotAFrame, ShapeMismatch
 from .frame import FrameBounds, WeightedFrame, frame_bounds
+from .hilbert_module import _adjoint
 from .submodule import Submodule
 
 
@@ -33,17 +34,12 @@ def proj_distance(first: Submodule, second: Submodule) -> float:
     exactly 1 (arcsin is infinitely steep there, and the snap keeps the
     angle of an orthogonal pair at exactly pi/2).
     """
-    if first.shape != second.shape:
-        raise ShapeMismatch(f"module shapes differ: {first.shape} vs {second.shape}")
+    first._check_same_shape(second)
     worst = 0.0
-    for p, q in zip(first.fibers, second.fibers):
-        if first.shape.kind == COMPLEX:
-            diff = np.asarray(p) - np.asarray(q)
-            diff = (diff + diff.conj().T) / 2.0
-            eigvals = np.linalg.eigvalsh(diff)
-            worst = max(worst, float(np.max(np.abs(eigvals))))
-        else:
-            worst = max(worst, abs(float(p[0, 0]) - float(q[0, 0])))
+    for m, p in first.blocks.items():
+        diff = p - second.blocks[m]
+        diff = (diff + _adjoint(diff)) / 2.0
+        worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh(diff)))))
     if worst >= 1.0 - _SNAP_TO_ONE:
         return 1.0
     return max(worst, 0.0)
@@ -259,23 +255,30 @@ def randomly_rotated(
 
     The rotation plane is drawn uniformly and the angle uniformly from
     [0, max_angle]; one-dimensional and quaternion fibers are unchanged.
+    The draws are made submodule by submodule, fiber by fiber, in order.
     """
     if max_angle < 0:
         raise ValueError("max_angle must be nonnegative")
     moved = []
     for sub in submodules:
-        fibers = []
-        for m, p in zip(sub.shape.dims, sub.fibers):
-            if sub.shape.kind != COMPLEX or m < 2:
-                fibers.append(p)
-                continue
-            i, j = rng.choice(m, size=2, replace=False)
-            theta = rng.uniform(0.0, max_angle)
-            giv = np.eye(m)
-            giv[i, i] = giv[j, j] = np.cos(theta)
-            giv[i, j] = -np.sin(theta)
-            giv[j, i] = np.sin(theta)
-            rotated = giv @ np.asarray(p) @ giv.T
-            fibers.append((rotated + rotated.conj().T) / 2.0)
-        moved.append(Submodule(sub.shape, fibers))
+        shape = sub.shape
+        planes = np.zeros((shape.fiber_count, 2), dtype=int)
+        thetas = np.zeros(shape.fiber_count)
+        for k, m in enumerate(shape.dims):  # quaternion fibers are one-dimensional
+            if m >= 2:
+                planes[k] = rng.choice(m, size=2, replace=False)
+                thetas[k] = rng.uniform(0.0, max_angle)
+        planes, thetas = shape.gather(planes), shape.gather(thetas)
+        blocks = dict(sub.blocks)
+        for m in blocks.keys() - {1}:
+            i, j = planes[m].T
+            cos, sin = np.cos(thetas[m]), np.sin(thetas[m])
+            giv = np.tile(np.eye(m), (len(cos), 1, 1))
+            rows = np.arange(len(cos))
+            giv[rows, i, i] = giv[rows, j, j] = cos
+            giv[rows, i, j] = -sin
+            giv[rows, j, i] = sin
+            rotated = giv @ blocks[m] @ np.swapaxes(giv, -1, -2)
+            blocks[m] = (rotated + _adjoint(rotated)) / 2.0
+        moved.append(Submodule(shape, blocks))
     return moved

@@ -20,7 +20,7 @@ from .errors import CstarFusionError, ParseError, ValidationError
 from .frame import WeightedFrame, WeightSequence
 from .hilbert_module import ModuleShape, ModuleVector
 from .morphism import OrthoMap
-from .submodule import Submodule, block_submodule, span_submodule
+from .submodule import Submodule, block_submodule, span_submodule, validate_projection
 
 COMMANDS = (
     "check-frame",
@@ -94,7 +94,7 @@ def _build_shape(raw: dict) -> ModuleShape:
     if kind not in (COMPLEX, QUATERNION):
         _fail("algebra.kind", f"unknown kind {kind!r}")
     fibers = _require(algebra, "fibers", "algebra")
-    if not isinstance(fibers, int) or fibers < 1:
+    if isinstance(fibers, bool) or not isinstance(fibers, int) or fibers < 1:
         _fail("algebra.fibers", "fiber count must be a positive integer")
     dims = raw.get("module", {}).get("dims", [1] * fibers)
     if len(dims) != fibers:
@@ -138,10 +138,15 @@ def _build_submodule(name: str, spec: dict, shape: ModuleShape) -> Submodule:
         fibers = []
         for k, m in enumerate(shape.dims):
             if shape.kind == QUATERNION:
+                if mats[k] not in (0, 1):
+                    _fail(f"{path}.projection[{k}]", "a quaternion selector must be 0 or 1")
                 fibers.append(np.array([[float(mats[k])]]))
             else:
                 fibers.append(_complex_matrix(mats[k], m, f"{path}.projection[{k}]"))
-        return Submodule(shape, fibers)
+        sub = Submodule(shape, fibers)
+        if not validate_projection(sub):
+            _fail(f"{path}.projection", "not a Hermitian idempotent matrix in every fiber")
+        return sub
     except ValidationError:
         raise
     except CstarFusionError as exc:
@@ -228,7 +233,7 @@ def _check_command(cmd: dict, index: int, scenario: Scenario) -> None:
             _fail(f"{path}.perturbation", f"unknown perturbation {pname!r}")
     if name == "verify-oracle":
         samples = cmd.get("samples", 200)
-        if not isinstance(samples, int) or samples < 1:
+        if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
             _fail(f"{path}.samples", "samples must be a positive integer")
 
 
@@ -237,7 +242,7 @@ def build_scenario(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ValidationError("scenario: expected a JSON object at top level")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         _fail("seed", "seed must be a nonnegative integer")
     shape = _build_shape(raw)
     scenario = Scenario(raw=raw, seed=seed, shape=shape)

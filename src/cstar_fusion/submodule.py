@@ -13,39 +13,22 @@ import numpy as np
 
 from .algebra import COMPLEX, QUATERNION
 from .errors import IndexOutOfRange, QuaternionUnsupported, ShapeMismatch
-from .hilbert_module import ModuleShape, ModuleVector
+from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint
 
 _MGS_DROP = 1e-10
 
 
-class Submodule:
+class Submodule(FiberBlocks):
     """Per-fiber projection data; immutable.
 
     Complex fiber k stores an (m_k, m_k) complex matrix; a quaternion fiber
     stores a (1, 1) float matrix whose single entry is the selector bit.
     """
 
-    __slots__ = ("shape", "fibers")
+    __slots__ = ()
 
-    def __init__(self, shape: ModuleShape, fibers: Sequence[np.ndarray]) -> None:
-        if len(fibers) != shape.fiber_count:
-            raise ShapeMismatch(f"expected {shape.fiber_count} fibers, got {len(fibers)}")
-        clean = []
-        for k, (m, f) in enumerate(zip(shape.dims, fibers)):
-            if shape.kind == COMPLEX:
-                arr = np.asarray(f, dtype=complex)
-                if arr.shape != (m, m):
-                    raise ShapeMismatch(f"fiber {k} projection must be {m}x{m}")
-            else:
-                arr = np.asarray(f, dtype=float).reshape(1, 1)
-            arr = arr.copy()
-            arr.setflags(write=False)
-            clean.append(arr)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "fibers", tuple(clean))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Submodule is immutable")
+    def __init__(self, shape: ModuleShape, fibers) -> None:
+        self._store(shape, fibers, matrix=True)
 
     def selector_bits(self) -> np.ndarray:
         """Per-fiber 0/1 bits; only meaningful for quaternion submodules."""
@@ -73,7 +56,7 @@ class Submodule:
                 fibers.append(rows[..., 0] + 1j * rows[..., 1])
             elif "span" in spec:
                 vecs = [_complex_vector(v) for v in spec["span"]]
-                fibers.append(_span_projection(vecs, shape.dims[k]))
+                fibers.append(_span_projections(_padded([vecs], [0], shape.dims[k]))[0])
             else:
                 raise ShapeMismatch(f"fiber {k}: unknown projection payload")
         return cls(shape, fibers)
@@ -84,33 +67,41 @@ def _complex_vector(entries) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _orthonormalize(vectors: Iterable[np.ndarray], m: int) -> list[np.ndarray]:
-    """Modified Gram-Schmidt with a drop tolerance relative to the largest
-    input norm; zero and dependent vectors are dropped."""
-    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-    for v in vecs:
-        if v.shape[0] != m:
-            raise ShapeMismatch(f"span vector has length {v.shape[0]}, expected {m}")
-    scale = max((float(np.linalg.norm(v)) for v in vecs), default=0.0)
-    drop = _MGS_DROP * scale
-    basis: list[np.ndarray] = []
-    for v in vecs:
-        u = v.astype(complex)
+def _padded(sets, idx, m: int) -> np.ndarray:
+    """The spanning sets of fibers ``idx`` as one (count, R, m) stack; ragged
+    sets are padded with zero vectors, which Gram-Schmidt drops."""
+    if isinstance(sets, np.ndarray) and sets.ndim == 3 and sets.shape[2] == m:
+        return sets[idx].astype(complex)
+    width = max((len(sets[k]) for k in idx), default=0)
+    out = np.zeros((len(idx), width, m), dtype=complex)
+    for j, k in enumerate(idx):
+        for r, v in enumerate(sets[k]):
+            v = np.asarray(v, dtype=complex).reshape(-1)
+            if v.shape[0] != m:
+                raise ShapeMismatch(f"span vector has length {v.shape[0]}, expected {m}")
+            out[j, r] = v
+    return out
+
+
+def _span_projections(spans: np.ndarray) -> np.ndarray:
+    """Projections onto the spans of a (count, R, m) stack of vectors.
+
+    Modified Gram-Schmidt, two passes, run on all fibers at once: a vector
+    whose remainder is at most 1e-10 times the largest input norm of its
+    fiber (or zero) is dropped, and a dropped vector's zero row leaves the
+    later remainders unchanged.
+    """
+    drop = _MGS_DROP * np.linalg.norm(spans, axis=-1).max(axis=-1, initial=0.0)
+    basis = np.zeros_like(spans)
+    for r in range(spans.shape[1]):
+        u = spans[:, r]
         for _ in range(2):
-            for q in basis:
-                u = u - np.vdot(q, u) * q
-        norm = float(np.linalg.norm(u))
-        if norm > drop and norm > 0.0:
-            basis.append(u / norm)
-    return basis
-
-
-def _span_projection(vectors: Sequence[np.ndarray], m: int) -> np.ndarray:
-    basis = _orthonormalize(vectors, m)
-    proj = np.zeros((m, m), dtype=complex)
-    for q in basis:
-        proj += np.outer(q, np.conj(q))
-    return proj
+            for q in np.moveaxis(basis[:, :r], 1, 0):
+                u = u - (np.conj(q)[:, None, :] @ u[:, :, None])[:, 0] * q
+        norm = np.linalg.norm(u, axis=-1)
+        keep = (norm > drop) & (norm > 0.0)
+        basis[:, r] = np.where(keep[:, None], u / np.where(keep, norm, 1.0)[:, None], 0.0)
+    return np.swapaxes(basis, -1, -2) @ np.conj(basis)
 
 
 def block_submodule(shape: ModuleShape, index_set: Iterable[int]) -> Submodule:
@@ -121,57 +112,49 @@ def block_submodule(shape: ModuleShape, index_set: Iterable[int]) -> Submodule:
     for i in indices:
         if not 1 <= i <= n:
             raise IndexOutOfRange(f"fiber index {i} outside 1..{n}")
-    fibers = []
-    for k, m in enumerate(shape.dims):
-        selected = (k + 1) in indices
-        if shape.kind == COMPLEX:
-            fibers.append(np.eye(m, dtype=complex) if selected else np.zeros((m, m), complex))
-        else:
-            fibers.append(np.array([[1.0 if selected else 0.0]]))
-    return Submodule(shape, fibers)
+    flags = shape.gather(np.isin(np.arange(1, n + 1), list(indices)))
+    return Submodule(shape, {m: np.eye(m) * flags[m][:, None, None] for m in shape.groups})
 
 
 def span_submodule(shape: ModuleShape, fiber_spanning_sets: Sequence[Sequence]) -> Submodule:
-    """Submodule spanned fiberwise by the given vectors (complex kind only)."""
+    """Submodule spanned fiberwise by the given vectors (complex kind only).
+
+    ``fiber_spanning_sets`` holds one set of vectors per fiber, or one
+    (fibers, R, m) array when every fiber has dimension m.
+    """
     if shape.kind != COMPLEX:
         raise QuaternionUnsupported("span submodules exist only for complex fibers")
     if len(fiber_spanning_sets) != shape.fiber_count:
         raise ShapeMismatch(
             f"expected spans for {shape.fiber_count} fibers, got {len(fiber_spanning_sets)}"
         )
-    fibers = [
-        _span_projection(list(spans), m) for spans, m in zip(fiber_spanning_sets, shape.dims)
-    ]
-    return Submodule(shape, fibers)
+    return Submodule(shape, {
+        m: _span_projections(_padded(fiber_spanning_sets, idx, m))
+        for m, idx in shape.groups.items()
+    })
 
 
 def project(sub: Submodule, x: ModuleVector) -> ModuleVector:
     """Apply the per-fiber orthogonal projection to a module vector."""
-    if sub.shape != x.shape:
-        raise ShapeMismatch(f"module shapes differ: {sub.shape} vs {x.shape}")
+    sub._check_same_shape(x)
     if sub.shape.kind == COMPLEX:
-        return ModuleVector(x.shape, [p @ f for p, f in zip(sub.fibers, x.fibers)])
-    return ModuleVector(x.shape, [float(p[0, 0]) * f for p, f in zip(sub.fibers, x.fibers)])
+        blocks = {m: (p @ x.blocks[m][:, :, None])[:, :, 0] for m, p in sub.blocks.items()}
+        return ModuleVector(x.shape, blocks)
+    return ModuleVector(x.shape, {1: sub.blocks[1][:, 0] * x.blocks[1]})
 
 
 def complement(sub: Submodule) -> Submodule:
     """The orthogonal complement; per fiber the projection I - P."""
-    fibers = []
-    for m, p in zip(sub.shape.dims, sub.fibers):
-        if sub.shape.kind == COMPLEX:
-            fibers.append(np.eye(m, dtype=complex) - p)
-        else:
-            fibers.append(np.array([[1.0 - float(p[0, 0])]]))
-    return Submodule(sub.shape, fibers)
+    return Submodule(sub.shape, {m: np.eye(m) - p for m, p in sub.blocks.items()})
 
 
 def validate_projection(sub: Submodule, tol: float = 1e-12) -> bool:
-    """True iff every fiber matrix is Hermitian and idempotent within tol
-    (spectral norm)."""
-    for p in sub.fibers:
-        arr = np.asarray(p)
-        if np.linalg.norm(arr - arr.conj().T, 2) > tol:
+    """True iff every fiber matrix is finite, Hermitian and idempotent
+    within tol (spectral norm)."""
+    for p in sub.blocks.values():
+        if not np.all(np.isfinite(p)):
             return False
-        if np.linalg.norm(arr @ arr - arr, 2) > tol:
-            return False
+        for defect in (p - _adjoint(p), p @ p - p):
+            if np.any(np.linalg.norm(defect, 2, axis=(-2, -1)) > tol):
+                return False
     return True

@@ -172,6 +172,26 @@ class TestValidation:
         with pytest.raises(ValidationError, match="module.dims"):
             build_scenario(doc)
 
+    @pytest.mark.parametrize(
+        "kind, projection, path",
+        [
+            ("complex", [[[[2, 0], [0, 0]], [[0, 0], [5, 0]]]], r"submodules\.p\.projection"),
+            ("complex", [[[[1, 0], [1, 0]], [[0, 0], [0, 0]]]], r"submodules\.p\.projection"),
+            ("complex", [[[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]], r"submodules\.p"),
+            ("quaternion", [1, 2], r"submodules\.p\.projection\[1\]"),
+        ],
+    )
+    def test_declared_projection_must_be_one(self, kind, projection, path):
+        # diag(2, 5) and a non-Hermitian idempotent are not orthogonal projections
+        dims = [2] if kind == "complex" else [1, 1]
+        doc = {
+            "algebra": {"kind": kind, "fibers": len(dims)},
+            "module": {"dims": dims},
+            "submodules": {"p": {"projection": projection}},
+        }
+        with pytest.raises(ValidationError, match=path):
+            build_scenario(doc)
+
     def test_parse_error_carries_location(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"algebra": ')
@@ -197,6 +217,30 @@ class TestMainEntry:
         path = write_scenario(tmp_path, doc)
         assert main(["run", str(path)]) == 2
         assert "frames.f.weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            (lambda doc: doc["algebra"].update(fibers=True), "algebra.fibers"),
+            (lambda doc: doc.update(seed=True), "seed"),
+            (lambda doc: doc["commands"][-1].update(samples=True), "commands[6].samples"),
+        ],
+        ids=["fibers", "seed", "samples"],
+    )
+    def test_bool_is_not_an_integer(self, tmp_path, capsys, edit, path):
+        doc = json.loads(json.dumps(BLOCK_SCENARIO))
+        edit(doc)
+        assert main(["run", str(write_scenario(tmp_path, doc))]) == 2
+        assert f"error: {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_exit_code(self, tmp_path, capsys, bad):
+        doc = json.loads(json.dumps(BLOCK_SCENARIO))
+        doc["weights"]["ones"][0][1] = bad
+        path = write_scenario(tmp_path, doc)
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        assert main(["run", str(path)]) == 2
+        assert "error: weights.ones:" in capsys.readouterr().err
 
     def test_byte_identical_reports(self, tmp_path):
         path = write_scenario(tmp_path, BLOCK_SCENARIO)

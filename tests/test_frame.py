@@ -41,6 +41,7 @@ from helpers import (
     random_complex_frame,
     random_quaternion_frame,
     random_span_submodule,
+    random_unitary,
     random_vector,
 )
 
@@ -75,6 +76,14 @@ class TestWeightSequence:
             WeightSequence([AlgebraElement.complexes([1, 0])])
         with pytest.raises(InvalidWeight):
             WeightSequence([AlgebraElement.complexes([1, -2])])
+
+    @pytest.mark.parametrize("kind", [COMPLEX, QUATERNION])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, kind, bad):
+        with pytest.raises(InvalidWeight):
+            WeightSequence.from_matrix(kind, [[bad]])
+        with pytest.raises(InvalidWeight):
+            WeightSequence.from_matrix(kind, [[1.0, bad]])
 
     def test_matrix_roundtrip(self):
         ws = WeightSequence.from_matrix(COMPLEX, [[1, 2], [3, 4]])
@@ -250,8 +259,8 @@ class TestReconstruction:
         result = reconstruct(three_subspace_frame, ModuleVector.zeros(three_subspace_frame.shape))
         assert result.rel_error == 0.0
 
-    def test_conjugate_gradient_path(self):
-        # one fiber above the direct-solve limit exercises the CG branch
+    def test_wide_fiber_reconstruction(self):
+        # one fiber of dimension 80 goes through the same batched solve
         rng = np.random.default_rng(47)
         m = 80
         shape = ModuleShape(COMPLEX, (m,))
@@ -261,6 +270,20 @@ class TestReconstruction:
         frame = WeightedFrame(subs, WeightSequence.from_matrix(COMPLEX, np.ones((4, 1))))
         x = random_vector(rng, shape)
         assert reconstruct(frame, x).rel_error <= 1e-10
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ill_conditioned_wide_fiber(self, seed):
+        # 100 rank-1 spans of a unitary's columns, weights 1 .. 1e-3: the one
+        # fiber of dimension 100 has condition number 1e6 and still verifies
+        rng = np.random.default_rng(seed)
+        m = 100
+        shape = ModuleShape(COMPLEX, (m,))
+        basis = random_unitary(rng, m)
+        subs = [span_submodule(shape, [[basis[:, n]]]) for n in range(m)]
+        weights = WeightSequence.from_matrix(COMPLEX, np.logspace(0, -3, m)[:, None])
+        frame = WeightedFrame(subs, weights)
+        assert frame_bounds(frame).is_frame
+        assert reconstruct(frame, random_vector(rng, shape)).rel_error <= 1e-8
 
     def test_randomized_quaternion_reconstruction(self):
         rng = np.random.default_rng(48)

@@ -105,6 +105,15 @@ class TestApplyMap:
         with pytest.raises(ValueError):
             OrthoMap(plane, [-1.0], [np.eye(2, dtype=complex)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_scale(self, plane, bad):
+        with pytest.raises(ValueError):
+            OrthoMap(plane, [bad], [np.eye(2, dtype=complex)])
+
+    def test_rejects_nan_rotation(self, plane):
+        with pytest.raises(ValueError):
+            OrthoMap(plane, [1.0], [np.full((2, 2), np.nan)])
+
 
 class TestNu:
     def test_identity_gives_unit(self, plane):
