@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 import zlib
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
@@ -41,35 +42,43 @@ from .scenario import Scenario, build_scenario, load_scenario
 REPORT_VERSION = "cstar-fusion/1"
 
 
+def _float(x: float) -> str:
+    text = format(x, ".17g")  # spells an "n" only for nan and inf, emitted as strings
+    return text if "n" not in text else '"' + repr(x) + '"'
+
+
+def _string(s: str) -> str:
+    # A lone surrogate has no UTF-8 form; it becomes a \udXXX escape, as JSON allows.
+    return encode_basestring(s).encode("utf-8", "backslashreplace").decode()
+
+
+_literal = {True: "true", False: "false", None: "null"}.get
+_SCALARS = {bool: _literal, type(None): _literal, int: str, float: _float, str: _string}
+
+
 def dump_json(obj, indent: int = 0) -> str:
     """Deterministic JSON with floats at 17 significant digits and sorted
     object keys."""
-    pad = "  " * indent
+    encode = _SCALARS.get(type(obj))
+    if encode is not None:
+        return encode(obj)
+    if isinstance(obj, (dict, list, tuple)) and not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
     inner = "  " * (indent + 1)
+    sep = ",\n" + inner
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{dump_json(str(k))}: {dump_json(v, indent + 1)}"
-            for k, v in sorted(obj.items())
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        items = [f"{dump_json(str(k))}: {dump_json(v, indent + 1)}" for k, v in sorted(obj.items())]
+        return "{\n" + inner + sep.join(items) + "\n" + "  " * indent + "}"
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{dump_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return {True: "true", False: "false", None: "null"}[obj]
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if not np.isfinite(obj):
-            return '"' + repr(obj) + '"'
-        return format(obj, ".17g")
-    if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{out}"'
+        body = "n"  # all floats: one printf (%.17g is .17g); an "n" is nan or inf
+        if set(map(type, obj)) == {float}:
+            body = sep.join(["%.17g"] * len(obj)) % tuple(obj)
+        if "n" in body:
+            body = sep.join([dump_json(v, indent + 1) for v in obj])
+        return "[\n" + inner + body + "\n" + "  " * indent + "]"
+    for kind, encode in _SCALARS.items():  # subclasses, such as np.float64
+        if isinstance(obj, kind):
+            return encode(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

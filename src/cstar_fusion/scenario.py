@@ -68,6 +68,45 @@ def _require(data: dict, key: str, path: str):
     return data[key]
 
 
+def _mapping(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        _fail(path, "expected an object")
+    return value
+
+
+def _sequence(value, path: str) -> list:
+    if not isinstance(value, list):
+        _fail(path, "expected a list")
+    return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integers(value, path: str) -> list[int]:
+    if not isinstance(value, list) or not all(map(_is_int, value)):
+        _fail(path, "expected a list of integers")
+    return value
+
+
+def _reference(data: dict, key: str, path: str, table: dict, what: str) -> str:
+    """The name stored under ``key``, which must name an entry of ``table``."""
+    name = _require(data, key, path)
+    if not isinstance(name, str) or name not in table:
+        _fail(f"{path}.{key}", f"unknown {what} {name!r}")
+    return name
+
+
+def _section(raw: dict, key: str) -> dict:
+    """A top-level table of named entries; absent means empty."""
+    return _mapping(raw.get(key, {}), key)
+
+
 def _complex_vector(entries, path: str) -> np.ndarray:
     try:
         arr = np.asarray(entries, dtype=float)
@@ -75,6 +114,8 @@ def _complex_vector(entries, path: str) -> np.ndarray:
         _fail(path, "expected a list of [re, im] pairs")
     if arr.ndim != 2 or arr.shape[1] != 2:
         _fail(path, "expected a list of [re, im] pairs")
+    if not np.isfinite(arr).all():
+        _fail(path, "entries must be finite")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -89,50 +130,50 @@ def _complex_matrix(entries, m: int, path: str) -> np.ndarray:
 
 
 def _build_shape(raw: dict) -> ModuleShape:
-    algebra = _require(raw, "algebra", "scenario")
+    algebra = _mapping(_require(raw, "algebra", "scenario"), "algebra")
     kind = _require(algebra, "kind", "algebra")
     if kind not in (COMPLEX, QUATERNION):
         _fail("algebra.kind", f"unknown kind {kind!r}")
     fibers = _require(algebra, "fibers", "algebra")
-    if isinstance(fibers, bool) or not isinstance(fibers, int) or fibers < 1:
+    if not _is_int(fibers) or fibers < 1:
         _fail("algebra.fibers", "fiber count must be a positive integer")
-    dims = raw.get("module", {}).get("dims", [1] * fibers)
+    module = _mapping(raw.get("module", {}), "module")
+    dims = _integers(module["dims"], "module.dims") if "dims" in module else [1] * fibers
     if len(dims) != fibers:
         _fail("module.dims", f"expected {fibers} entries, got {len(dims)}")
     try:
         return ModuleShape(kind, tuple(dims))
-    except CstarFusionError as exc:
+    except (CstarFusionError, ValueError) as exc:
         _fail("module.dims", str(exc))
 
 
 def _build_submodule(name: str, spec: dict, shape: ModuleShape) -> Submodule:
     path = f"submodules.{name}"
-    if not isinstance(spec, dict):
-        _fail(path, "expected an object")
+    _mapping(spec, path)
     forms = [k for k in ("blocks", "selectors", "span", "projection") if k in spec]
     if len(forms) != 1:
         _fail(path, "need exactly one of blocks / selectors / span / projection")
     form = forms[0]
     try:
         if form == "blocks":
-            return block_submodule(shape, spec["blocks"])
+            return block_submodule(shape, _integers(spec["blocks"], f"{path}.blocks"))
         if form == "selectors":
-            bits = spec["selectors"]
+            bits = _sequence(spec["selectors"], f"{path}.selectors")
             if len(bits) != shape.fiber_count:
                 _fail(path, f"expected {shape.fiber_count} selector bits")
             if any(b not in (0, 1) for b in bits):
                 _fail(path, "selector bits must be 0 or 1")
             return block_submodule(shape, [k + 1 for k, b in enumerate(bits) if b == 1])
         if form == "span":
-            spans = spec["span"]
+            spans = _sequence(spec["span"], f"{path}.span")
             if len(spans) != shape.fiber_count:
                 _fail(path, f"expected spans for {shape.fiber_count} fibers")
-            vectors = [
-                [_complex_vector(v, f"{path}.span[{k}]") for v in fiber_spans]
-                for k, fiber_spans in enumerate(spans)
-            ]
+            vectors = []
+            for k, fiber_spans in enumerate(spans):
+                at = f"{path}.span[{k}]"
+                vectors.append([_complex_vector(v, at) for v in _sequence(fiber_spans, at)])
             return span_submodule(shape, vectors)
-        mats = spec["projection"]
+        mats = _sequence(spec["projection"], f"{path}.projection")
         if len(mats) != shape.fiber_count:
             _fail(path, f"expected {shape.fiber_count} projection matrices")
         fibers = []
@@ -155,13 +196,15 @@ def _build_submodule(name: str, spec: dict, shape: ModuleShape) -> Submodule:
 
 def _build_vector(name: str, entries, shape: ModuleShape) -> ModuleVector:
     path = f"vectors.{name}"
-    if len(entries) != shape.fiber_count:
+    if len(_sequence(entries, path)) != shape.fiber_count:
         _fail(path, f"expected {shape.fiber_count} fibers")
     try:
         if shape.kind == COMPLEX:
             fibers = [_complex_vector(f, f"{path}[{k}]") for k, f in enumerate(entries)]
         else:
             fibers = [np.asarray(f, dtype=float) for f in entries]
+            if not all(np.isfinite(f).all() for f in fibers):
+                _fail(path, "entries must be finite")
         return ModuleVector(shape, fibers)
     except ValidationError:
         raise
@@ -171,15 +214,15 @@ def _build_vector(name: str, entries, shape: ModuleShape) -> ModuleVector:
 
 def _build_map(name: str, spec: dict, shape: ModuleShape) -> OrthoMap:
     path = f"maps.{name}"
-    scales = spec.get("scales", [1.0] * shape.fiber_count)
-    if len(scales) != shape.fiber_count:
+    scales = _mapping(spec, path).get("scales", [1.0] * shape.fiber_count)
+    if len(_sequence(scales, f"{path}.scales")) != shape.fiber_count:
         _fail(path, f"expected {shape.fiber_count} scales")
     rotations = spec.get("rotations")
     try:
         if rotations is None:
             identity = OrthoMap.identity(shape)
             return OrthoMap(shape, scales, identity.rotations)
-        if len(rotations) != shape.fiber_count:
+        if len(_sequence(rotations, f"{path}.rotations")) != shape.fiber_count:
             _fail(path, f"expected {shape.fiber_count} rotations")
         built = []
         for k, rot in enumerate(rotations):
@@ -190,50 +233,43 @@ def _build_map(name: str, spec: dict, shape: ModuleShape) -> OrthoMap:
         return OrthoMap(shape, scales, built)
     except ValidationError:
         raise
-    except (CstarFusionError, ValueError) as exc:
+    except (CstarFusionError, TypeError, ValueError) as exc:
         _fail(path, str(exc))
 
 
-def _check_command(cmd: dict, index: int, scenario: Scenario) -> None:
+def _check_command(cmd, index: int, scenario: Scenario) -> None:
     path = f"commands[{index}]"
-    name = _require(cmd, "run", path)
+    name = _require(_mapping(cmd, path), "run", path)
     if name not in COMMANDS:
         _fail(path, f"unknown command {name!r}; expected one of {', '.join(COMMANDS)}")
 
-    def frame_ref(key: str = "frame") -> None:
-        frame = _require(cmd, key, path)
-        if frame not in scenario.frames:
-            _fail(f"{path}.{key}", f"unknown frame {frame!r}")
+    def frame_ref() -> None:
+        _reference(cmd, "frame", path, scenario.frames, "frame")
 
     if name in ("check-frame", "bounds", "tightness", "verify-oracle"):
         frame_ref()
     elif name == "reconstruct":
         frame_ref()
-        vec = _require(cmd, "vector", path)
-        if vec not in scenario.vectors:
-            _fail(f"{path}.vector", f"unknown vector {vec!r}")
+        _reference(cmd, "vector", path, scenario.vectors, "vector")
     elif name == "multiplier":
-        _require(cmd, "index_sets", path)
-        wname = _require(cmd, "weights", path)
-        if wname not in scenario.weights:
-            _fail(f"{path}.weights", f"unknown weight matrix {wname!r}")
+        index_sets = _sequence(_require(cmd, "index_sets", path), f"{path}.index_sets")
+        for n, index_set in enumerate(index_sets):
+            _integers(index_set, f"{path}.index_sets[{n}]")
+        _reference(cmd, "weights", path, scenario.weights, "weight matrix")
     elif name == "cone":
         frame_ref()
-        wname = _require(cmd, "weights", path)
-        if wname not in scenario.weights:
-            _fail(f"{path}.weights", f"unknown weight matrix {wname!r}")
+        _reference(cmd, "weights", path, scenario.weights, "weight matrix")
     elif name == "transport":
         frame_ref()
-        mname = _require(cmd, "map", path)
-        if mname not in scenario.maps:
-            _fail(f"{path}.map", f"unknown map {mname!r}")
+        _reference(cmd, "map", path, scenario.maps, "map")
     elif name == "perturb":
-        pname = _require(cmd, "perturbation", path)
-        if pname not in scenario.perturbations:
-            _fail(f"{path}.perturbation", f"unknown perturbation {pname!r}")
+        _reference(cmd, "perturbation", path, scenario.perturbations, "perturbation")
+        p = cmd.get("p", 2.0)
+        if p is not None and not (_is_real(p) and 1.0 < p < np.inf):
+            _fail(f"{path}.p", "the exponent p must be a number in (1, inf) or null")
     if name == "verify-oracle":
         samples = cmd.get("samples", 200)
-        if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+        if not _is_int(samples) or samples < 1:
             _fail(f"{path}.samples", "samples must be a positive integer")
 
 
@@ -242,58 +278,57 @@ def build_scenario(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ValidationError("scenario: expected a JSON object at top level")
     seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         _fail("seed", "seed must be a nonnegative integer")
     shape = _build_shape(raw)
     scenario = Scenario(raw=raw, seed=seed, shape=shape)
 
-    for name, spec in raw.get("submodules", {}).items():
+    for name, spec in _section(raw, "submodules").items():
         scenario.submodules[name] = _build_submodule(name, spec, shape)
 
-    for name, matrix in raw.get("weights", {}).items():
+    for name, matrix in _section(raw, "weights").items():
         path = f"weights.{name}"
-        arr = np.asarray(matrix, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != shape.fiber_count:
+        try:
+            arr = np.asarray(matrix, dtype=float)
+        except (TypeError, ValueError):
+            arr = None
+        if arr is None or arr.ndim != 2 or arr.shape[1] != shape.fiber_count:
             _fail(path, f"expected rows of {shape.fiber_count} positive reals")
         try:
             scenario.weights[name] = WeightSequence.from_matrix(shape.kind, arr)
         except CstarFusionError as exc:
             _fail(path, str(exc))
 
-    for name, spec in raw.get("frames", {}).items():
+    for name, spec in _section(raw, "frames").items():
         path = f"frames.{name}"
-        sub_names = _require(spec, "submodules", path)
-        weight_name = _require(spec, "weights", path)
+        sub_names = _require(_mapping(spec, path), "submodules", path)
         subs = []
-        for sub_name in sub_names:
-            if sub_name not in scenario.submodules:
+        for sub_name in _sequence(sub_names, f"{path}.submodules"):
+            if not isinstance(sub_name, str) or sub_name not in scenario.submodules:
                 _fail(f"{path}.submodules", f"unknown submodule {sub_name!r}")
             subs.append(scenario.submodules[sub_name])
-        if weight_name not in scenario.weights:
-            _fail(f"{path}.weights", f"unknown weight matrix {weight_name!r}")
+        weight_name = _reference(spec, "weights", path, scenario.weights, "weight matrix")
         try:
             scenario.frames[name] = WeightedFrame(subs, scenario.weights[weight_name])
         except CstarFusionError as exc:
             _fail(path, str(exc))
 
-    for name, entries in raw.get("vectors", {}).items():
+    for name, entries in _section(raw, "vectors").items():
         scenario.vectors[name] = _build_vector(name, entries, shape)
 
-    for name, spec in raw.get("maps", {}).items():
+    for name, spec in _section(raw, "maps").items():
         scenario.maps[name] = _build_map(name, spec, shape)
 
-    for name, spec in raw.get("perturbations", {}).items():
+    for name, spec in _section(raw, "perturbations").items():
         path = f"perturbations.{name}"
-        frame_name = _require(spec, "frame", path)
-        if frame_name not in scenario.frames:
-            _fail(f"{path}.frame", f"unknown frame {frame_name!r}")
+        frame_name = _reference(_mapping(spec, path), "frame", path, scenario.frames, "frame")
         candidates = spec.get("candidates")
         rotate = spec.get("rotate")
         if (candidates is None) == (rotate is None):
             _fail(path, "need exactly one of candidates / rotate")
         if candidates is not None:
-            for cand in candidates:
-                if cand not in scenario.submodules:
+            for cand in _sequence(candidates, f"{path}.candidates"):
+                if not isinstance(cand, str) or cand not in scenario.submodules:
                     _fail(f"{path}.candidates", f"unknown submodule {cand!r}")
             frame = scenario.frames[frame_name]
             if len(candidates) != len(frame):
@@ -303,10 +338,12 @@ def build_scenario(raw: dict) -> Scenario:
                 )
             candidates = tuple(candidates)
         else:
-            if "max_angle" not in rotate:
-                _fail(f"{path}.rotate", "missing required key 'max_angle'")
-            if rotate["max_angle"] < 0:
-                _fail(f"{path}.rotate.max_angle", "must be nonnegative")
+            angle = _require(_mapping(rotate, f"{path}.rotate"), "max_angle", f"{path}.rotate")
+            if not (_is_real(angle) and 0 <= angle < np.inf):
+                _fail(f"{path}.rotate.max_angle", "must be a finite nonnegative number")
+            seed = rotate.get("seed")
+            if seed is not None and not (_is_int(seed) and seed >= 0):
+                _fail(f"{path}.rotate.seed", "seed must be a nonnegative integer")
         scenario.perturbations[name] = PerturbationSpec(frame_name, candidates, rotate)
 
     commands = raw.get("commands", [])

@@ -1,9 +1,15 @@
 """End-to-end tests for the scenario runner."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstar_fusion import ParseError, ValidationError
 from cstar_fusion.cli import EXAMPLE_SCENARIOS, dump_json, main, run_scenario, write_examples
@@ -34,6 +40,63 @@ def write_scenario(tmp_path, doc, name="scenario.json"):
     return path
 
 
+def reference_dump_json(obj, indent: int = 0) -> str:
+    """The report encoder as it was before its per-type fast paths, kept as
+    the reference for the bytes of every report."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{inner}{reference_dump_json(str(k))}: {reference_dump_json(v, indent + 1)}"
+            for k, v in sorted(obj.items())
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{inner}{reference_dump_json(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, bool) or obj is None:
+        return {True: "true", False: "false", None: "null"}[obj]
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if not np.isfinite(obj):
+            return '"' + repr(obj) + '"'
+        return format(obj, ".17g")
+    if isinstance(obj, str):
+        out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+        return f'"{out}"'
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+# Report values: every float kind the encoder distinguishes, and strings
+# without control characters or lone surrogates (which have no UTF-8 form),
+# where the reference escaping is complete.
+TEXT = st.text(st.characters(min_codepoint=0x20, codec="utf-8"))
+FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 1e308, 0.1, float("nan"), float("inf"), float("-inf")]
+)
+SCALARS = (
+    FLOATS
+    | FLOATS.map(np.float64)
+    | st.integers()
+    | st.booleans()
+    | st.none()
+    | TEXT
+)
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.lists(FLOATS)
+    | st.dictionaries(TEXT, inner),
+    max_leaves=20,
+)
+
+
 class TestDumpJson:
     def test_sorted_keys_and_float_digits(self):
         text = dump_json({"b": 1 / 3, "a": True, "c": [1, None]})
@@ -42,6 +105,43 @@ class TestDumpJson:
 
     def test_string_escaping(self):
         assert dump_json('he said "hi"\n') == '"he said \\"hi\\"\\n"'
+
+    def test_control_characters_are_escaped(self):
+        text = "".join(map(chr, range(0x20)))
+        encoded = dump_json(text)
+        assert json.loads(encoded) == text
+        assert encoded.startswith('"\\u0000\\u0001') and "\\b\\t\\n\\u000b\\f\\r" in encoded
+
+    def test_report_with_control_characters_is_valid_json(self, tmp_path):
+        doc = json.loads(json.dumps(BLOCK_SCENARIO))
+        doc["frames"] = {"f\tg": doc["frames"]["f"]}
+        for cmd in doc["commands"]:
+            if "frame" in cmd:
+                cmd["frame"] = "f\tg"
+        out = tmp_path / "report.json"
+        assert main(["run", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["results"][0]["frame"] == "f\tg"
+
+    def test_lone_surrogate_is_written_as_its_escape(self, tmp_path):
+        doc = dict(BLOCK_SCENARIO, note="a\ud800b")
+        out = tmp_path / "report.json"
+        assert main(["run", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 0
+        assert '"note": "a\\ud800b"' in out.read_text()
+        assert json.loads(out.read_text())["scenario"]["note"] == "a\ud800b"
+
+    @settings(max_examples=200, deadline=None)
+    @given(DOCUMENTS)
+    def test_matches_the_reference_encoder(self, doc):
+        assert dump_json(doc) == reference_dump_json(doc)
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_SCENARIOS))
+    def test_bundled_reports_match_the_reference_encoder(self, name):
+        doc = EXAMPLE_SCENARIOS[name]
+        report, ok = run_scenario(build_scenario(doc))
+        assert ok
+        assert dump_json(doc) == reference_dump_json(doc)
+        assert dump_json(report) == reference_dump_json(report)
 
     def test_roundtrips_through_json(self):
         report, _ = run_scenario(build_scenario(BLOCK_SCENARIO))
@@ -233,6 +333,69 @@ class TestMainEntry:
         assert main(["run", str(write_scenario(tmp_path, doc))]) == 2
         assert f"error: {path}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            (lambda doc: doc.update(commands=[5]), "commands[0]"),
+            (lambda doc: doc.update(commands=["run"]), "commands[0]"),
+            (lambda doc: doc.update(submodules=[1, 2]), "submodules"),
+            (
+                lambda doc: doc.update(
+                    perturbations={"p": {"frame": "f", "rotate": {"max_angle": "x"}}}
+                ),
+                "perturbations.p.rotate.max_angle",
+            ),
+            (lambda doc: doc["commands"][4].update(index_sets=5), "commands[4].index_sets"),
+        ],
+        ids=["command-int", "command-str", "submodules-list", "max-angle-str", "index-sets-int"],
+    )
+    def test_malformed_shape_exit_code(self, tmp_path, capsys, edit, path):
+        doc = json.loads(json.dumps(BLOCK_SCENARIO))
+        edit(doc)
+        assert main(["run", str(write_scenario(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "example, edit, path",
+        [
+            (
+                "perturbation_demo.json",
+                lambda doc: doc["commands"][3].update(p=0.5),
+                "commands[3].p",
+            ),
+            (
+                "perturbation_demo.json",
+                lambda doc: doc["perturbations"]["wiggle"]["rotate"].update(seed=-1),
+                "perturbations.wiggle.rotate.seed",
+            ),
+            (
+                "perturbation_demo.json",
+                lambda doc: doc["submodules"]["s3"]["span"][0][0][0].__setitem__(0, float("nan")),
+                "submodules.s3.span[0]",
+            ),
+            (
+                "perturbation_demo.json",
+                lambda doc: doc["vectors"]["x"][0][0].__setitem__(0, float("inf")),
+                "vectors.x[0]",
+            ),
+            (
+                "quaternion_tight.json",
+                lambda doc: doc["vectors"]["x"][0].__setitem__(0, float("nan")),
+                "vectors.x",
+            ),
+        ],
+        ids=["p-below-one", "rotate-seed-negative", "span-nan", "vector-inf", "quaternion-nan"],
+    )
+    def test_bad_value_in_example_exit_code(self, tmp_path, capsys, example, edit, path):
+        # Each of these ran (NaN span vectors were dropped, NaN vectors
+        # reconstructed with rel_error 0) or raised past main before.
+        doc = json.loads(json.dumps(EXAMPLE_SCENARIOS[example]))
+        edit(doc)
+        assert main(["run", str(write_scenario(tmp_path, doc))]) == 2
+        assert f"error: {path}:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_weight_exit_code(self, tmp_path, capsys, bad):
         doc = json.loads(json.dumps(BLOCK_SCENARIO))
@@ -274,3 +437,58 @@ class TestMainEntry:
         perturb = report["results"][1]["output"]
         np.testing.assert_allclose(perturb["angles"], np.pi / 2, atol=1e-12)
         assert not perturb["guaranteed"]
+
+
+# -- fuzzing -----------------------------------------------------------------
+
+# Integers stay small: a scenario may ask for a huge fiber dimension or
+# sample count, which costs memory or time instead of being malformed.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _value_paths(doc, prefix=()):
+    """The path to every value in a JSON document, the root included."""
+    yield prefix
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        items = ()
+    for key, value in items:
+        yield from _value_paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+FUZZ_TARGETS = [
+    (name, path) for name, doc in EXAMPLE_SCENARIOS.items() for path in _value_paths(doc)
+]
+
+
+@settings(max_examples=250, deadline=None)
+@given(target=st.sampled_from(FUZZ_TARGETS), value=JSON_VALUES)
+def test_fuzzed_scenario_exits_with_a_status(target, value):
+    """Any one value of a bundled example replaced by any JSON value: the
+    CLI returns 0, 1 or 2 and never raises."""
+    name, path = target
+    with tempfile.TemporaryDirectory() as workdir:
+        scenario = Path(workdir) / "scenario.json"
+        scenario.write_text(json.dumps(_replaced(EXAMPLE_SCENARIOS[name], path, value)))
+        with contextlib.redirect_stderr(io.StringIO()):
+            status = main(["run", str(scenario), "--out", str(Path(workdir) / "report.json")])
+    assert status in (0, 1, 2)

@@ -26,7 +26,35 @@ from cstar_fusion import (
     random_unit_vector,
     span_submodule,
 )
-from helpers import random_complex_frame, random_quaternion_frame, random_vector
+from helpers import (
+    random_complex_frame,
+    random_quaternion_frame,
+    random_span_submodule,
+    random_vector,
+)
+
+
+def ref_flatten_frame_operator(frame) -> np.ndarray:
+    """The per-submodule dense formulation: each submodule becomes its own
+    (total, total) matrix, scaled and summed, then symmetrized."""
+    kind = frame.shape.kind
+    dims = [m if kind == COMPLEX else 2 for m in frame.shape.dims]
+    total = sum(dims)
+    offsets = np.concatenate([[0], np.cumsum(dims)])
+    out = np.zeros((total, total), dtype=complex)
+    wmatrix = frame.weights.matrix
+    for n, sub in enumerate(frame.submodules):
+        dense = np.zeros((total, total), dtype=complex)
+        scale = np.zeros(total)
+        for k, p in enumerate(sub.fibers):
+            lo, hi = offsets[k], offsets[k + 1]
+            if kind == COMPLEX:
+                dense[lo:hi, lo:hi] = np.asarray(p)
+            else:
+                dense[lo:hi, lo:hi] = float(p[0, 0]) * np.eye(2)
+            scale[lo:hi] = wmatrix[n, k] ** 2
+        out += scale[:, None] * dense
+    return (out + out.conj().T) / 2.0
 
 
 @pytest.fixture
@@ -67,6 +95,19 @@ class TestFlatten:
             flatten_frame_operator(frame).matrix, np.diag([1.0, 1.0, 5.0, 5.0, 1.0, 1.0])
         )
 
+    def test_bit_identical_to_dense_formulation(self):
+        rng = np.random.default_rng(78)
+        shape = ModuleShape(COMPLEX, (3, 1, 4, 3, 2, 1, 4, 4))
+        subs = [random_span_submodule(rng, shape) for _ in range(5)]
+        weights = WeightSequence.from_matrix(COMPLEX, rng.uniform(0.2, 2.0, (5, 8)))
+        frames = [WeightedFrame(subs, weights)]
+        frames += [random_complex_frame(rng) for _ in range(10)]
+        frames += [random_quaternion_frame(rng) for _ in range(10)]
+        assert {f.shape.kind for f in frames} == {COMPLEX, QUATERNION}
+        for frame in frames:
+            got = flatten_frame_operator(frame).matrix
+            assert np.array_equal(got, ref_flatten_frame_operator(frame))
+
     def test_vector_flattening_preserves_fiber_norms(self):
         rng = np.random.default_rng(71)
         for kind, dims in ((COMPLEX, (3, 2)), (QUATERNION, (1, 1))):
@@ -98,6 +139,36 @@ class TestEigenBounds:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             eigen_bounds(DenseOperator(np.array([[0, 1], [0, 0]], dtype=complex)))
+
+    @staticmethod
+    def _skewed(skew: float) -> DenseOperator:
+        # 1e6 I plus a part whose m - m^H has spectral norm `skew` and
+        # Frobenius norm sqrt(2) * skew.
+        return DenseOperator(1e6 * np.eye(2) + np.array([[0, skew], [0, 0]]))
+
+    def test_relative_threshold_past_the_frobenius_gate(self):
+        # tol = 1e-10 < 1e-6 < tol * ||m||_2 ~ 1e-4: Hermitian within tolerance.
+        got = eigen_bounds(self._skewed(1e-6))
+        assert got["lambda_min"] == pytest.approx(1e6 - 5e-7, abs=1e-9)
+        assert got["lambda_max"] == pytest.approx(1e6 + 5e-7, abs=1e-9)
+
+    def test_rejection_states_the_spectral_defect(self):
+        # 1e-3 > tol * ||m||_2; the Frobenius defect would read 1.41e-03.
+        with pytest.raises(NotHermitian, match=r"by 1\.00e-03$"):
+            eigen_bounds(self._skewed(1e-3))
+
+    def test_hermitian_input_takes_no_spectral_norm(self, monkeypatch):
+        norm = np.linalg.norm
+        orders = []
+
+        def spy(x, ord=None, *args, **kwargs):
+            orders.append(ord)
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", spy)
+        frame = random_complex_frame(np.random.default_rng(79))
+        eigen_bounds(flatten_frame_operator(frame))
+        assert orders and 2 not in orders
 
 
 class TestAgreement:
