@@ -28,6 +28,7 @@ from .errors import (
     InvalidWeight,
     LengthMismatch,
     NotAFrame,
+    NotFinite,
     NotHermitian,
     NotInvertible,
     NotPositive,

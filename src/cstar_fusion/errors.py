@@ -37,6 +37,10 @@ class IndexOutOfRange(CstarFusionError):
     """A fiber index lies outside 1..N."""
 
 
+class NotFinite(CstarFusionError, ValueError):
+    """Input data holds a NaN or an infinite entry."""
+
+
 class NotHermitian(CstarFusionError):
     """A dense operator expected to be Hermitian is not."""
 

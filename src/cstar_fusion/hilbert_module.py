@@ -14,13 +14,14 @@ fiberwise operation is one numpy call per dimension.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .algebra import COMPLEX, QUATERNION, _KINDS, AlgebraElement, _hamilton, _quat_conj
-from .errors import QuaternionUnsupported, ShapeMismatch
+from .errors import NotFinite, QuaternionUnsupported, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,11 @@ class ModuleVector(FiberBlocks):
 
     def __init__(self, shape: ModuleShape, fibers) -> None:
         self._store(shape, fibers, matrix=False)
+        for block in self.blocks.values():
+            # The squared norm is finite only if every entry is, and one dot
+            # product is the cheapest test; an overflowed norm is rechecked.
+            if not cmath.isfinite(np.vdot(block, block)) and not np.isfinite(block).all():
+                raise NotFinite("module vector entries must be finite")
 
     @classmethod
     def zeros(cls, shape: ModuleShape) -> "ModuleVector":

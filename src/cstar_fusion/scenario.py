@@ -10,6 +10,7 @@ raises ParseError with the location reported by the parser.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,7 +86,12 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or a float; an int too large to convert to a float is not one."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and not abs(value) > sys.float_info.max
+    )
 
 
 def _integers(value, path: str) -> list[int]:
@@ -112,6 +118,8 @@ def _complex_vector(entries, path: str) -> np.ndarray:
         arr = np.asarray(entries, dtype=float)
     except (TypeError, ValueError):
         _fail(path, "expected a list of [re, im] pairs")
+    except OverflowError:
+        _fail(path, "entries must be finite")
     if arr.ndim != 2 or arr.shape[1] != 2:
         _fail(path, "expected a list of [re, im] pairs")
     if not np.isfinite(arr).all():
@@ -119,10 +127,23 @@ def _complex_vector(entries, path: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
+def _complex_stack(entries, ndim: int) -> np.ndarray | None:
+    """A rectangular nest of finite [re, im] pairs, ``ndim`` levels deep
+    counting the pairs, as one complex array; None for anything else, which
+    the caller then checks entry by entry for the error's key path."""
+    try:
+        arr = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if arr.ndim != ndim or arr.shape[-1] != 2 or not np.isfinite(arr).all():
+        return None
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
 def _complex_matrix(entries, m: int, path: str) -> np.ndarray:
     try:
         arr = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         _fail(path, "expected a row-major matrix of [re, im] entries")
     if arr.shape != (m, m, 2):
         _fail(path, f"expected a {m}x{m} matrix of [re, im] entries")
@@ -168,10 +189,12 @@ def _build_submodule(name: str, spec: dict, shape: ModuleShape) -> Submodule:
             spans = _sequence(spec["span"], f"{path}.span")
             if len(spans) != shape.fiber_count:
                 _fail(path, f"expected spans for {shape.fiber_count} fibers")
-            vectors = []
-            for k, fiber_spans in enumerate(spans):
-                at = f"{path}.span[{k}]"
-                vectors.append([_complex_vector(v, at) for v in _sequence(fiber_spans, at)])
+            vectors = _complex_stack(spans, 4)
+            if vectors is None:
+                vectors = []
+                for k, fiber_spans in enumerate(spans):
+                    at = f"{path}.span[{k}]"
+                    vectors.append([_complex_vector(v, at) for v in _sequence(fiber_spans, at)])
             return span_submodule(shape, vectors)
         mats = _sequence(spec["projection"], f"{path}.projection")
         if len(mats) != shape.fiber_count:
@@ -200,7 +223,9 @@ def _build_vector(name: str, entries, shape: ModuleShape) -> ModuleVector:
         _fail(path, f"expected {shape.fiber_count} fibers")
     try:
         if shape.kind == COMPLEX:
-            fibers = [_complex_vector(f, f"{path}[{k}]") for k, f in enumerate(entries)]
+            fibers = _complex_stack(entries, 3)
+            if fibers is None:
+                fibers = [_complex_vector(f, f"{path}[{k}]") for k, f in enumerate(entries)]
         else:
             fibers = [np.asarray(f, dtype=float) for f in entries]
             if not all(np.isfinite(f).all() for f in fibers):
@@ -208,7 +233,7 @@ def _build_vector(name: str, entries, shape: ModuleShape) -> ModuleVector:
         return ModuleVector(shape, fibers)
     except ValidationError:
         raise
-    except (CstarFusionError, TypeError, ValueError) as exc:
+    except (CstarFusionError, TypeError, ValueError, OverflowError) as exc:
         _fail(path, str(exc))
 
 
@@ -233,7 +258,7 @@ def _build_map(name: str, spec: dict, shape: ModuleShape) -> OrthoMap:
         return OrthoMap(shape, scales, built)
     except ValidationError:
         raise
-    except (CstarFusionError, TypeError, ValueError) as exc:
+    except (CstarFusionError, TypeError, ValueError, OverflowError) as exc:
         _fail(path, str(exc))
 
 
@@ -290,7 +315,7 @@ def build_scenario(raw: dict) -> Scenario:
         path = f"weights.{name}"
         try:
             arr = np.asarray(matrix, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             arr = None
         if arr is None or arr.ndim != 2 or arr.shape[1] != shape.fiber_count:
             _fail(path, f"expected rows of {shape.fiber_count} positive reals")

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import COMPLEX, QUATERNION
-from .errors import IndexOutOfRange, QuaternionUnsupported, ShapeMismatch
+from .errors import IndexOutOfRange, NotFinite, QuaternionUnsupported, ShapeMismatch
 from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint
 
 _MGS_DROP = 1e-10
@@ -89,8 +89,11 @@ def _span_projections(spans: np.ndarray) -> np.ndarray:
     Modified Gram-Schmidt, two passes, run on all fibers at once: a vector
     whose remainder is at most 1e-10 times the largest input norm of its
     fiber (or zero) is dropped, and a dropped vector's zero row leaves the
-    later remainders unchanged.
+    later remainders unchanged.  Non-finite vectors raise NotFinite, since
+    the drop test would silently drop a NaN remainder.
     """
+    if not np.isfinite(spans).all():
+        raise NotFinite("span vectors must be finite")
     drop = _MGS_DROP * np.linalg.norm(spans, axis=-1).max(axis=-1, initial=0.0)
     basis = np.zeros_like(spans)
     for r in range(spans.shape[1]):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstar_fusion import ParseError, ValidationError
+from cstar_fusion import COMPLEX, ModuleShape, ModuleVector, ParseError, ValidationError, span_submodule
 from cstar_fusion.cli import EXAMPLE_SCENARIOS, dump_json, main, run_scenario, write_examples
 from cstar_fusion.scenario import build_scenario, load_scenario
 
@@ -292,6 +292,64 @@ class TestValidation:
         with pytest.raises(ValidationError, match=path):
             build_scenario(doc)
 
+    @staticmethod
+    def span_doc(span, dims):
+        return {
+            "algebra": {"kind": "complex", "fibers": len(dims)},
+            "module": {"dims": dims},
+            "submodules": {"s": {"span": span}},
+        }
+
+    @staticmethod
+    def pairs_to_complex(pairs):
+        arr = np.asarray(pairs, dtype=float)
+        return arr[:, 0] + 1j * arr[:, 1]
+
+    @pytest.mark.parametrize("ragged", [False, True], ids=["rectangular", "ragged"])
+    def test_span_matches_per_vector_conversion(self, ragged):
+        # A rectangular span spec is converted as one array, a ragged one
+        # vector by vector; both must give the per-vector projections.
+        rng = np.random.default_rng(21)
+        counts = [1, 3, 2, 0, 2] if ragged else [2] * 5
+        span = [rng.normal(size=(c, 3, 2)).tolist() for c in counts]
+        scenario = build_scenario(self.span_doc(span, [3] * 5))
+        vectors = [[self.pairs_to_complex(v) for v in fiber] for fiber in span]
+        want = span_submodule(ModuleShape(COMPLEX, (3,) * 5), vectors)
+        assert np.array_equal(scenario.submodules["s"].blocks[3], want.blocks[3])
+
+    def test_complex_vector_matches_per_fiber_conversion(self):
+        rng = np.random.default_rng(22)
+        entries = rng.normal(size=(4, 3, 2)).tolist()
+        doc = {"algebra": {"kind": "complex", "fibers": 4}, "module": {"dims": [3] * 4},
+               "vectors": {"x": entries}}
+        got = build_scenario(doc).vectors["x"]
+        want = ModuleVector(ModuleShape(COMPLEX, (3,) * 4), [self.pairs_to_complex(f) for f in entries])
+        assert np.array_equal(got.blocks[3], want.blocks[3])
+
+    @pytest.mark.parametrize(
+        "counts, bad_at, message",
+        [
+            ([2, 2, 2, 2, 2], (3, 1, 0, 1), r"submodules\.s\.span\[3\]: entries must be finite"),
+            ([1, 3, 2, 2, 1], (3, 1, 2, 0), r"submodules\.s\.span\[3\]: entries must be finite"),
+            ([1, 3, 2, 2, 1], (2, 0), r"submodules\.s\.span\[2\]: expected a list of \[re, im\]"),
+            ([2, 2, 2, 2, 2], (4,), r"submodules\.s\.span\[4\]: expected a list$"),
+        ],
+        ids=["nan-rectangular", "nan-ragged", "vector-not-pairs", "fiber-not-a-list"],
+    )
+    def test_span_error_keeps_its_key_path(self, counts, bad_at, message):
+        span = [np.ones((c, 3, 2)).tolist() for c in counts]
+        node = span
+        for key in bad_at[:-1]:
+            node = node[key]
+        node[bad_at[-1]] = float("nan") if len(bad_at) == 4 else 7
+        with pytest.raises(ValidationError, match=message):
+            build_scenario(self.span_doc(span, [3] * 5))
+
+    def test_span_length_mismatch_keeps_its_message(self):
+        span = [np.ones((1, 2, 2)).tolist()] * 2
+        with pytest.raises(ValidationError, match=r"submodules\.s: span vector has length 2, expected 3"):
+            build_scenario(self.span_doc(span, [3, 3]))
+
     def test_parse_error_carries_location(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"algebra": ')
@@ -395,6 +453,38 @@ class TestMainEntry:
         edit(doc)
         assert main(["run", str(write_scenario(tmp_path, doc))]) == 2
         assert f"error: {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            (lambda doc: doc["submodules"]["s1"]["span"][0][0].__setitem__(0, [10**400, 0]),
+             "submodules.s1.span[0]"),
+            (lambda doc: doc["vectors"]["x"][0].__setitem__(0, [10**400, 0]), "vectors.x[0]"),
+            (lambda doc: doc["weights"]["ones"][0].__setitem__(0, 10**400), "weights.ones"),
+            (lambda doc: doc["maps"]["stretch"].__setitem__("scales", [10**400]), "maps.stretch"),
+            (lambda doc: doc["perturbations"]["wiggle"]["rotate"].update(max_angle=10**400),
+             "perturbations.wiggle.rotate.max_angle"),
+            (lambda doc: doc["commands"][3].update(p=10**400), "commands[3].p"),
+        ],
+        ids=["span", "vector", "weights", "scales", "max_angle", "p"],
+    )
+    def test_integer_beyond_float_range_exit_code(self, tmp_path, capsys, edit, path):
+        # Each of these raised OverflowError past main.
+        doc = json.loads(json.dumps(EXAMPLE_SCENARIOS["perturbation_demo.json"]))
+        edit(doc)
+        assert main(["run", str(write_scenario(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}:" in err
+        assert "Traceback" not in err
+
+    def test_negative_zero_max_angle_runs(self, tmp_path):
+        # uniform(0, -0.0) raised "high - low < 0" past main.
+        doc = json.loads(json.dumps(EXAMPLE_SCENARIOS["perturbation_demo.json"]))
+        doc["perturbations"]["wiggle"]["rotate"]["max_angle"] = -0.0
+        out = tmp_path / "report.json"
+        assert main(["run", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 0
+        perturb = [r for r in json.loads(out.read_text())["results"] if r["command"] == "perturb"]
+        assert perturb[0]["output"]["ecart"] == 0.0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_weight_exit_code(self, tmp_path, capsys, bad):

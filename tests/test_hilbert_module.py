@@ -9,6 +9,7 @@ from cstar_fusion import (
     AlgebraElement,
     ModuleShape,
     ModuleVector,
+    NotFinite,
     Quaternion,
     QuaternionUnsupported,
     ShapeMismatch,
@@ -41,6 +42,20 @@ class TestShapes:
             ModuleShape(COMPLEX, ())
         with pytest.raises(ValueError):
             ModuleShape(COMPLEX, (0,))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        shape = ModuleShape(COMPLEX, (2, 1))
+        with pytest.raises(NotFinite, match="finite"):
+            ModuleVector(shape, [np.array([1.0, bad]), np.array([2.0])])
+        with pytest.raises(NotFinite):
+            ModuleVector(shape, {1: np.array([[1j * bad]]), 2: np.ones((1, 2))})
+        with pytest.raises(NotFinite):
+            quat_vector(Quaternion(1, 0, 0, 0), Quaternion(0, bad, 0, 0))
+        with np.errstate(over="ignore"):
+            x = ModuleVector(shape, [np.array([1e308, 1e308]), np.array([1e308])])  # sum overflows
+            with pytest.raises(NotFinite):
+                x + x
 
     def test_fiber_length_checked(self):
         shape = ModuleShape(COMPLEX, (2, 1))

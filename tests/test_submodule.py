@@ -9,7 +9,9 @@ from cstar_fusion import (
     AlgebraElement,
     IndexOutOfRange,
     ModuleShape,
+    CstarFusionError,
     ModuleVector,
+    NotFinite,
     QuaternionUnsupported,
     ShapeMismatch,
     Submodule,
@@ -74,6 +76,20 @@ class TestSpanSubmodules:
     def test_quaternion_unsupported(self):
         with pytest.raises(QuaternionUnsupported):
             span_submodule(ModuleShape(QUATERNION, (1,)), [[np.array([1.0])]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_vector_rejected(self, bad):
+        # A NaN remainder fails the drop test `norm > drop`, so Gram-Schmidt
+        # used to drop the vector silently and return a rank-0 fiber.
+        shape = ModuleShape(COMPLEX, (2, 3))
+        ragged = [[np.array([1.0, 0.0])], [np.array([0.0, 1.0, 0.0]), np.array([bad, 1.0, 0.0])]]
+        with pytest.raises(NotFinite, match="finite"):
+            span_submodule(shape, ragged)
+        stacked = np.zeros((2, 1, 3), dtype=complex)
+        stacked[1, 0, 2] = bad
+        with pytest.raises(NotFinite):
+            span_submodule(ModuleShape(COMPLEX, (3, 3)), stacked)
+        assert issubclass(NotFinite, CstarFusionError) and issubclass(NotFinite, ValueError)
 
 
 class TestProjectAndComplement:
