@@ -12,13 +12,11 @@ from .algebra import (
     QUATERNION,
     AlgebraElement,
     PositivityClass,
-    Quaternion,
     alg_norm,
     invert,
     is_central,
     order_leq,
     positivity_class,
-    quat_mul,
     sqrt_positive,
     star,
 )
@@ -59,7 +57,7 @@ from .frame import (
     tightness,
 )
 from .hilbert_module import ModuleShape, ModuleVector, inner_product, left_action, module_norm
-from .morphism import OrthoMap, apply_map, nu_of, transport_frame
+from .morphism import OrthoMap, transport_frame
 from .oracle import (
     DenseOperator,
     brute_force_frame_check,

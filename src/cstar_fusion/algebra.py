@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NotInvertible, NotPositive, ShapeMismatch
+from .tolerance import ORDER_TOL
 
 COMPLEX = "complex"
 QUATERNION = "quaternion"
@@ -47,58 +48,6 @@ def _quat_abs(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(a * a, axis=-1))
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """A quaternion w + x*i + y*j + z*k with real components."""
-
-    w: float
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z], dtype=float)
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def inverse(self) -> "Quaternion":
-        n2 = abs(self) ** 2
-        if n2 == 0.0:
-            raise NotInvertible("zero quaternion has no inverse")
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
-
-    def __abs__(self) -> float:
-        return float(np.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2))
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            return quat_mul(self, other)
-        if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
-        return NotImplemented
-
-
-def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product; noncommutative, with |a*b| = |a|*|b|."""
-    out = _hamilton(a.as_array(), b.as_array())
-    return Quaternion(float(out[0]), float(out[1]), float(out[2]), float(out[3]))
-
-
 class PositivityClass(IntEnum):
     """Nested positivity classes, finest last."""
 
@@ -108,6 +57,7 @@ class PositivityClass(IntEnum):
     STRICTLY_POSITIVE = 3
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class AlgebraElement:
     """One scalar per fiber, all fibers of a single kind.
 
@@ -116,26 +66,23 @@ class AlgebraElement:
     Instances are immutable.
     """
 
-    __slots__ = ("kind", "fibers")
+    kind: str
+    fibers: np.ndarray
 
-    def __init__(self, kind: str, fibers) -> None:
-        if kind not in _KINDS:
-            raise ValueError(f"unknown scalar kind {kind!r}")
-        if kind == COMPLEX:
-            arr = np.asarray(fibers, dtype=complex).reshape(-1)
+    def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown scalar kind {self.kind!r}")
+        if self.kind == COMPLEX:
+            arr = np.asarray(self.fibers, dtype=complex).reshape(-1)
         else:
-            arr = np.asarray(fibers, dtype=float)
+            arr = np.asarray(self.fibers, dtype=float)
             if arr.ndim != 2 or arr.shape[1] != 4:
                 raise ValueError("quaternion fibers must form an (N, 4) array")
         if arr.shape[0] < 1:
             raise ValueError("an algebra element needs at least one fiber")
         arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "fibers", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -144,9 +91,9 @@ class AlgebraElement:
         return cls(COMPLEX, list(values))
 
     @classmethod
-    def quaternions(cls, values: Sequence) -> "AlgebraElement":
-        rows = [v.as_array() if isinstance(v, Quaternion) else np.asarray(v, float) for v in values]
-        return cls(QUATERNION, np.stack(rows))
+    def quaternions(cls, rows: Sequence) -> "AlgebraElement":
+        """From (w, x, y, z) rows, one per fiber."""
+        return cls(QUATERNION, rows)
 
     @classmethod
     def from_real(cls, values, kind: str) -> "AlgebraElement":
@@ -224,10 +171,7 @@ class AlgebraElement:
             return AlgebraElement(self.kind, np.asarray(self.fibers) * float(other))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return AlgebraElement(self.kind, np.asarray(self.fibers) * float(other))
-        return NotImplemented
+    __rmul__ = __mul__  # reached only for a scalar on the left, which commutes
 
     def __repr__(self) -> str:
         return f"AlgebraElement({self.kind!r}, {np.asarray(self.fibers).tolist()!r})"
@@ -240,20 +184,7 @@ class AlgebraElement:
         Complex fibers are emitted as [re, im] pairs, quaternion fibers as
         [w, x, y, z] quadruples, in fiber order.
         """
-        if self.kind == COMPLEX:
-            data = np.column_stack([self.fibers.real, self.fibers.imag]).reshape(-1)
-        else:
-            data = np.asarray(self.fibers).reshape(-1)
-        return {"kind": self.kind, "data": [float(v) for v in data]}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "AlgebraElement":
-        kind = payload["kind"]
-        data = np.asarray(payload["data"], dtype=float)
-        if kind == COMPLEX:
-            pairs = data.reshape(-1, 2)
-            return cls(COMPLEX, pairs[:, 0] + 1j * pairs[:, 1])
-        return cls(QUATERNION, data.reshape(-1, 4))
+        return {"kind": self.kind, "data": self.fibers.reshape(-1).view(float).tolist()}
 
 
 def star(a: AlgebraElement) -> AlgebraElement:
@@ -267,7 +198,7 @@ def alg_norm(a: AlgebraElement) -> float:
 
 
 def _default_tol(a: AlgebraElement) -> float:
-    return 1e-12 * max(1.0, alg_norm(a))
+    return ORDER_TOL * max(1.0, alg_norm(a))
 
 
 def positivity_class(a: AlgebraElement, tol: float | None = None) -> PositivityClass:

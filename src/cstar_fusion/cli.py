@@ -19,25 +19,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-import zlib
 from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CstarFusionError, ParseError, ValidationError
-from .frame import (
-    assemble_block_frame,
-    block_multiplier_check,
-    cone_add,
-    frame_bounds,
-    reconstruct,
-    tightness,
-)
-from .morphism import transport_frame
-from .oracle import brute_force_frame_check, eigen_bounds, flatten_frame_operator
-from .perturbation import perturbation_check, randomly_rotated
-from .scenario import Scenario, build_scenario, load_scenario
+from .scenario import COMMANDS, Scenario, build_scenario, load_scenario
 
 REPORT_VERSION = "cstar-fusion/1"
 
@@ -82,124 +70,6 @@ def dump_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _frame_report(frame) -> dict:
-    bounds = frame_bounds(frame)
-    payload = bounds.to_payload()
-    if bounds.is_frame:
-        tight = tightness(frame)
-        payload.update(tight.to_payload())
-    else:
-        payload.update({"tight": False, "parseval": False, "constant": None})
-    return payload
-
-
-def _cmd_check_frame(scenario: Scenario, cmd: dict, rng) -> dict:
-    bounds = frame_bounds(scenario.frames[cmd["frame"]])
-    return {
-        "is_frame": bounds.is_frame,
-        "scalar_lower": bounds.scalar_lower,
-        "scalar_upper": bounds.scalar_upper,
-    }
-
-
-def _cmd_bounds(scenario: Scenario, cmd: dict, rng) -> dict:
-    return _frame_report(scenario.frames[cmd["frame"]])
-
-
-def _cmd_reconstruct(scenario: Scenario, cmd: dict, rng) -> dict:
-    result = reconstruct(scenario.frames[cmd["frame"]], scenario.vectors[cmd["vector"]])
-    return {"rel_error": result.rel_error, "vector": result.vector.to_payload()}
-
-
-def _cmd_tightness(scenario: Scenario, cmd: dict, rng) -> dict:
-    return tightness(scenario.frames[cmd["frame"]]).to_payload()
-
-
-def _cmd_multiplier(scenario: Scenario, cmd: dict, rng) -> dict:
-    index_sets = [list(ix) for ix in cmd["index_sets"]]
-    weights = scenario.weights[cmd["weights"]]
-    result = block_multiplier_check(index_sets, weights.matrix, scenario.shape.kind)
-    payload = result.to_payload()
-    assembled = assemble_block_frame(scenario.shape.kind, index_sets, weights.matrix)
-    bounds = frame_bounds(assembled)
-    agrees = result.member == bounds.is_frame
-    if result.member and bounds.is_frame:
-        agrees = bool(
-            agrees
-            and np.allclose(
-                result.tight_constant.real_parts(), bounds.lower.real_parts(), atol=1e-10
-            )
-            and np.allclose(
-                result.tight_constant.real_parts(), bounds.upper.real_parts(), atol=1e-10
-            )
-        )
-    payload["assembled_scalar_lower"] = bounds.scalar_lower
-    payload["assembled_scalar_upper"] = bounds.scalar_upper
-    payload["agrees_with_frame_bounds"] = agrees
-    return payload
-
-
-def _cmd_cone(scenario: Scenario, cmd: dict, rng) -> dict:
-    summed = cone_add(scenario.frames[cmd["frame"]], scenario.weights[cmd["weights"]])
-    return _frame_report(summed)
-
-
-def _cmd_transport(scenario: Scenario, cmd: dict, rng) -> dict:
-    mapping = scenario.maps[cmd["map"]]
-    moved = transport_frame(mapping, scenario.frames[cmd["frame"]])
-    return {"nu": mapping.nu().to_payload(), "bounds": _frame_report(moved)}
-
-
-def _cmd_perturb(scenario: Scenario, cmd: dict, rng) -> dict:
-    spec = scenario.perturbations[cmd["perturbation"]]
-    frame = scenario.frames[spec.frame]
-    if spec.candidates is not None:
-        candidates = [scenario.submodules[name] for name in spec.candidates]
-    else:
-        rotate_seed = spec.rotate.get("seed")
-        if rotate_seed is None:
-            stream = np.random.default_rng(
-                [scenario.seed, zlib.crc32(cmd["perturbation"].encode())]
-            )
-        else:
-            stream = np.random.default_rng(rotate_seed)
-        candidates = randomly_rotated(frame.submodules, spec.rotate["max_angle"], stream)
-    return perturbation_check(frame, candidates, p=cmd.get("p", 2.0)).to_payload()
-
-
-def _cmd_verify_oracle(scenario: Scenario, cmd: dict, rng) -> dict:
-    frame = scenario.frames[cmd["frame"]]
-    samples = cmd.get("samples", 200)
-    bounds = frame_bounds(frame)
-    eig = eigen_bounds(flatten_frame_operator(frame))
-    slack = 1e-10 * max(1.0, bounds.scalar_upper)
-    matches = (
-        abs(eig["lambda_min"] - bounds.scalar_lower) <= slack
-        and abs(eig["lambda_max"] - bounds.scalar_upper) <= slack
-    )
-    sample_ok = brute_force_frame_check(frame, samples, rng=rng)
-    return {
-        "lambda_min": eig["lambda_min"],
-        "lambda_max": eig["lambda_max"],
-        "matches_bounds": bool(matches),
-        "samples": samples,
-        "sample_check": bool(sample_ok),
-    }
-
-
-_HANDLERS = {
-    "check-frame": _cmd_check_frame,
-    "bounds": _cmd_bounds,
-    "reconstruct": _cmd_reconstruct,
-    "tightness": _cmd_tightness,
-    "multiplier": _cmd_multiplier,
-    "cone": _cmd_cone,
-    "transport": _cmd_transport,
-    "perturb": _cmd_perturb,
-    "verify-oracle": _cmd_verify_oracle,
-}
-
-
 def run_scenario(
     scenario: Scenario, only: str | None = None, seed: int | None = None
 ) -> tuple[dict, bool]:
@@ -222,7 +92,7 @@ def run_scenario(
         entry.update({k: v for k, v in cmd.items() if k != "run"})
         rng = np.random.default_rng([scenario.seed, index])
         try:
-            entry["output"] = _HANDLERS[name](scenario, cmd, rng)
+            entry["output"] = COMMANDS[name].handler(scenario, cmd, rng)
         except CstarFusionError as exc:
             entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
             ok = False
@@ -364,10 +234,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         report, ok = run_scenario(scenario, only=args.only, seed=args.seed)
+        text = dump_json(report) + "\n"
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = dump_json(report) + "\n"
+    except RecursionError:  # dump_json recurses once per level of the echoed scenario
+        print(f"error: {args.scenario}: nested too deeply to write the report", file=sys.stderr)
+        return 2
     if args.out is not None:
         args.out.write_text(text)
     else:

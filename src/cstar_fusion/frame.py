@@ -15,7 +15,7 @@ the frame operator, which is what makes the reconstruction exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,21 +29,24 @@ from .algebra import (
     is_central,
     positivity_class,
 )
-from .errors import InvalidWeight, LengthMismatch, NotAFrame, ShapeMismatch
+from .errors import IndexOutOfRange, InvalidWeight, LengthMismatch, NotAFrame, ShapeMismatch
 from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint
 from .hilbert_module import inner_product, left_action, module_norm
 from .submodule import Submodule, block_submodule, project
+from .tolerance import FRAME_TOL, TIGHT_TOL
 
-_FRAME_TOL = 1e-10
 
-
+@dataclass(frozen=True, slots=True, eq=False)
 class WeightSequence:
     """Central, strictly positive algebra elements, one per submodule."""
 
-    __slots__ = ("weights", "kind", "fiber_count", "matrix")
+    weights: tuple[AlgebraElement, ...]
+    kind: str = field(init=False)
+    fiber_count: int = field(init=False)
+    matrix: np.ndarray = field(init=False, repr=False)
 
-    def __init__(self, weights: Sequence[AlgebraElement]) -> None:
-        weights = tuple(weights)
+    def __post_init__(self) -> None:
+        weights = tuple(self.weights)
         if not weights:
             raise LengthMismatch("a weight sequence needs at least one entry")
         first = weights[0]
@@ -62,9 +65,6 @@ class WeightSequence:
         object.__setattr__(self, "kind", first.kind)
         object.__setattr__(self, "fiber_count", first.fiber_count)
         object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightSequence is immutable")
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -98,13 +98,14 @@ class WeightSequence:
         return [alg_norm(w) ** 2 for w in self.weights]
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class FrameOperatorFibers(FiberBlocks):
     """Per-fiber Hermitian PSD matrices of the frame operator."""
 
-    __slots__ = ()
+    fibers: InitVar[object] = field()  # see ModuleVector
 
-    def __init__(self, shape: ModuleShape, fibers) -> None:
-        self._store(shape, fibers, matrix=True)
+    def __post_init__(self, fibers) -> None:
+        self._store(fibers, matrix=True)
 
     def apply(self, x: ModuleVector) -> ModuleVector:
         self._check_same_shape(x)
@@ -127,16 +128,22 @@ def _assemble_operator(
     return FrameOperatorFibers(shape, blocks)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class WeightedFrame:
     """Submodules with weights; the frame operator and its per-fiber
-    spectral extremes are cached at construction."""
+    spectral extremes are computed at construction."""
 
-    __slots__ = ("shape", "submodules", "weights", "_operator", "_extremes")
+    submodules: tuple[Submodule, ...]
+    weights: WeightSequence
+    shape: ModuleShape = field(init=False)
+    operator_fibers: FrameOperatorFibers = field(init=False, repr=False)
+    _extremes: np.ndarray = field(init=False, repr=False)
 
-    def __init__(self, submodules: Sequence[Submodule], weights) -> None:
-        submodules = tuple(submodules)
+    def __post_init__(self) -> None:
+        submodules = tuple(self.submodules)
         if not submodules:
             raise LengthMismatch("a frame needs at least one submodule")
+        weights = self.weights
         if not isinstance(weights, WeightSequence):
             weights = WeightSequence(weights)
         if len(weights) != len(submodules):
@@ -153,34 +160,28 @@ class WeightedFrame:
         eigvals = {m: np.linalg.eigvalsh(s) for m, s in operator.blocks.items()}
         extremes = shape.scatter({m: lam[:, [0, -1]] for m, lam in eigvals.items()})
         extremes.setflags(write=False)
-        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "submodules", submodules)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_operator", operator)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "operator_fibers", operator)
         object.__setattr__(self, "_extremes", extremes)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightedFrame is immutable")
 
     def __len__(self) -> int:
         return len(self.submodules)
-
-    @property
-    def operator_fibers(self) -> FrameOperatorFibers:
-        return self._operator
 
     @property
     def per_fiber_extremes(self) -> tuple[tuple[float, float], ...]:
         return tuple(map(tuple, self._extremes.tolist()))
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class ModuleSequence:
     """A finite sequence of module vectors sharing one shape."""
 
-    __slots__ = ("entries",)
+    entries: tuple[ModuleVector, ...]
 
-    def __init__(self, entries: Sequence[ModuleVector]) -> None:
-        entries = tuple(entries)
+    def __post_init__(self) -> None:
+        entries = tuple(self.entries)
         if not entries:
             raise LengthMismatch("a module sequence needs at least one entry")
         shape = entries[0].shape
@@ -188,9 +189,6 @@ class ModuleSequence:
             if e.shape != shape:
                 raise ShapeMismatch("sequence entries must share one shape")
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModuleSequence is immutable")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -203,10 +201,7 @@ class ModuleSequence:
 
     def gram(self) -> AlgebraElement:
         """sum_n <y_n, y_n> as an algebra element."""
-        acc = inner_product(self.entries[0], self.entries[0])
-        for e in self.entries[1:]:
-            acc = acc + inner_product(e, e)
-        return acc
+        return seq_inner(self, self)
 
     def norm(self) -> float:
         return float(np.sqrt(alg_norm(self.gram())))
@@ -222,7 +217,7 @@ def seq_inner(ys: ModuleSequence, zs: ModuleSequence) -> AlgebraElement:
     return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameBounds:
     """Optimal algebra bounds plus the scalar constants they induce."""
 
@@ -244,7 +239,7 @@ class FrameBounds:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TightnessResult:
     tight: bool
     constant: AlgebraElement | None
@@ -258,7 +253,7 @@ class TightnessResult:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiplierResult:
     member: bool
     tight_constant: AlgebraElement | None
@@ -274,7 +269,7 @@ class MultiplierResult:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReconstructionResult:
     vector: ModuleVector
     rel_error: float
@@ -290,12 +285,12 @@ def frame_bounds(frame: WeightedFrame, tol: float | None = None) -> FrameBounds:
     operator.
 
     The family is reported as a frame when the smallest per-fiber eigenvalue
-    exceeds ``tol`` (default: 1e-10 relative to the largest eigenvalue).
+    exceeds ``tol`` (default: FRAME_TOL relative to the largest eigenvalue).
     """
     lam_min, lam_max = frame._extremes.T
     c = float(np.min(lam_min))
     d = float(np.max(lam_max))
-    threshold = tol if tol is not None else _FRAME_TOL * max(1.0, d)
+    threshold = tol if tol is not None else FRAME_TOL * max(1.0, d)
     kind = frame.shape.kind
     lower = AlgebraElement.from_real(np.sqrt(np.clip(lam_min, 0.0, None)), kind)
     upper = AlgebraElement.from_real(np.sqrt(np.clip(lam_max, 0.0, None)), kind)
@@ -358,7 +353,7 @@ def reconstruct(frame: WeightedFrame, x: ModuleVector, tol: float | None = None)
     return ReconstructionResult(vector=acc, rel_error=float(rel))
 
 
-def tightness(frame: WeightedFrame, tol: float = 1e-10) -> TightnessResult:
+def tightness(frame: WeightedFrame, tol: float = TIGHT_TOL) -> TightnessResult:
     """Whether every fiber of the frame operator is a scalar multiple of the
     identity, and whether that scalar is 1 (Parseval)."""
     bounds = frame_bounds(frame)
@@ -406,7 +401,7 @@ def block_multiplier_check(
     for n, idx in enumerate(index_sets):
         for i in idx:
             if not 1 <= int(i) <= n_fibers:
-                raise LengthMismatch(f"fiber index {i} outside 1..{n_fibers}")
+                raise IndexOutOfRange(f"fiber index {i} outside 1..{n_fibers}")
             sums[int(i) - 1] += matrix[n, int(i) - 1] ** 2
     member = bool(np.all(sums > 0))
     constant = AlgebraElement.from_real(np.sqrt(sums), kind) if member else None

@@ -15,7 +15,7 @@ fiberwise operation is one numpy call per dimension.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -74,10 +74,12 @@ def _fiber(entry, k: int, tail: tuple[int, ...], dtype, exact: bool) -> np.ndarr
     return arr.reshape(tail)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class FiberBlocks:
     """Immutable per-fiber data of one module shape, held as one read-only
     block per fiber dimension: ``blocks[m]`` stacks the fibers in
-    ``shape.groups[m]``.
+    ``shape.groups[m]``.  Subclasses fill ``blocks`` in ``__post_init__``
+    with ``_store``.
 
     The data is given as such a dict, as one array stacked over the fibers
     of a module with a single fiber dimension, or with one entry per fiber.
@@ -86,9 +88,12 @@ class FiberBlocks:
     must already have it.
     """
 
-    __slots__ = ("shape", "blocks", "_views")
+    shape: ModuleShape
+    blocks: dict[int, np.ndarray] = field(init=False, repr=False)
+    _views: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False)
 
-    def _store(self, shape: ModuleShape, fibers, matrix: bool) -> None:
+    def _store(self, fibers, matrix: bool) -> None:
+        shape = self.shape
         dtype = complex if shape.kind == COMPLEX else float
         vec = 4 if shape.kind == QUATERNION else None
         tails = {m: (m, m) if matrix else (vec or m,) for m in shape.groups}
@@ -109,12 +114,7 @@ class FiberBlocks:
             if blocks[m].shape != (len(idx), *tails[m]):
                 raise ShapeMismatch(f"dimension-{m} block has shape {blocks[m].shape}")
             blocks[m].setflags(write=False)
-        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_views", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def fibers(self) -> tuple[np.ndarray, ...]:
@@ -130,6 +130,7 @@ class FiberBlocks:
             raise ShapeMismatch(f"module shapes differ: {self.shape} vs {other.shape}")
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class ModuleVector(FiberBlocks):
     """One vector per fiber; immutable.
 
@@ -137,10 +138,11 @@ class ModuleVector(FiberBlocks):
     fiber is a single (w, x, y, z) row of length 4.
     """
 
-    __slots__ = ()
+    # field() keeps the inherited ``fibers`` property from becoming a default
+    fibers: InitVar[object] = field()
 
-    def __init__(self, shape: ModuleShape, fibers) -> None:
-        self._store(shape, fibers, matrix=False)
+    def __post_init__(self, fibers) -> None:
+        self._store(fibers, matrix=False)
         for block in self.blocks.values():
             # The squared norm is finite only if every entry is, and one dot
             # product is the cheapest test; an overflowed norm is rechecked.
@@ -174,30 +176,10 @@ class ModuleVector(FiberBlocks):
         return f"ModuleVector({self.shape!r}, {[f.tolist() for f in self.fibers]!r})"
 
     def to_payload(self) -> dict:
-        """Shape header plus a flat scalar array in fiber-major order."""
-        if self.shape.kind == COMPLEX:
-            flat: list[float] = []
-            for f in self.fibers:
-                flat.extend(float(v) for v in np.column_stack([f.real, f.imag]).reshape(-1))
-        else:
-            flat = [float(v) for f in self.fibers for v in f]
+        """Shape header plus a flat scalar array in fiber-major order; a
+        complex entry is its (re, im) pair."""
+        flat = np.concatenate(self.fibers).view(float).tolist()
         return {"kind": self.shape.kind, "dims": list(self.shape.dims), "data": flat}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ModuleVector":
-        shape = ModuleShape(payload["kind"], tuple(payload["dims"]))
-        data = np.asarray(payload["data"], dtype=float)
-        fibers = []
-        pos = 0
-        for m in shape.dims:
-            if shape.kind == COMPLEX:
-                chunk = data[pos : pos + 2 * m].reshape(m, 2)
-                fibers.append(chunk[:, 0] + 1j * chunk[:, 1])
-                pos += 2 * m
-            else:
-                fibers.append(data[pos : pos + 4])
-                pos += 4
-        return cls(shape, fibers)
 
 
 def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
@@ -214,9 +196,27 @@ def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     return AlgebraElement(QUATERNION, _hamilton(x.blocks[1], _quat_conj(y.blocks[1])))
 
 
+def _frexp_exponent(a: np.ndarray, axis) -> np.ndarray:
+    """The ``np.frexp`` exponent of the largest absolute real or imaginary
+    component over ``axis`` (0 where all are zero); the complex modulus
+    could itself overflow.  Complex entries are viewed as (re, im) pairs."""
+    return np.frexp(abs(a.view(float)).max(axis=axis, initial=0.0))[1]
+
+
+def _ldexp(a: np.ndarray, e) -> np.ndarray:
+    """``a * 2**e``, exact unless the result overflows or underflows."""
+    return np.ldexp(a.view(float), e).view(a.dtype)
+
+
 def module_norm(x: ModuleVector) -> float:
-    """Largest Euclidean fiber length; equals the algebra norm of |x|."""
-    return float(max(np.linalg.norm(b, axis=-1).max() for b in x.blocks.values()))
+    """Largest Euclidean fiber length; equals the algebra norm of |x|.
+
+    It is taken of the entries scaled by 2^-e (``_frexp_exponent``), which
+    is exact, so it overflows or underflows only where the norm itself does.
+    """
+    blocks = x.blocks.values()
+    e = max(_frexp_exponent(b, None) for b in blocks)
+    return float(np.ldexp(max(np.linalg.norm(_ldexp(b, -e), axis=-1).max() for b in blocks), e))
 
 
 def left_action(a: AlgebraElement, x: ModuleVector) -> ModuleVector:

@@ -13,6 +13,8 @@ nu identity hold; a left factor would do neither.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .algebra import COMPLEX, AlgebraElement, _hamilton, _quat_conj
@@ -20,22 +22,28 @@ from .errors import NotAFrame, ShapeMismatch
 from .frame import WeightedFrame, WeightSequence, frame_bounds
 from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint
 from .submodule import Submodule
+from .tolerance import UNITARY_TOL
 
-_UNITARY_TOL = 1e-10
 
-
+@dataclass(frozen=True, slots=True, eq=False)
 class OrthoMap(FiberBlocks):
-    """Per-fiber positive scale and isometry; immutable and invertible."""
+    """Per-fiber positive scale and isometry; immutable and invertible.
 
-    __slots__ = ("scales",)
+    ``rotations`` holds read-only per-fiber views into ``blocks``: unitary
+    matrices, or unit quaternion rows (w, x, y, z).
+    """
 
-    def __init__(self, shape: ModuleShape, scales, rotations) -> None:
-        scale_arr = np.array(scales, dtype=float).reshape(-1)
+    scales: np.ndarray
+    rotations: tuple[np.ndarray, ...] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        shape = self.shape
+        scale_arr = np.array(self.scales, dtype=float).reshape(-1)
         if scale_arr.shape[0] != shape.fiber_count:
             raise ShapeMismatch("need one scale per fiber")
         if not np.all((scale_arr > 0) & (scale_arr < np.inf)):
             raise ValueError("scales must be positive and finite")
-        self._store(shape, rotations, matrix=shape.kind == COMPLEX)
+        self._store(self.rotations, matrix=shape.kind == COMPLEX)
         if shape.kind == COMPLEX:
             # Spectral norm of the Hermitian U^H U - I: its largest |eigenvalue|.
             gram = {m: _adjoint(u) @ u - np.eye(m) for m, u in self.blocks.items()}
@@ -44,15 +52,11 @@ class OrthoMap(FiberBlocks):
         else:
             defects = np.abs(np.linalg.norm(self.blocks[1], axis=-1) - 1.0)
         k = int(np.argmax(defects))
-        if not defects[k] <= _UNITARY_TOL:
+        if not defects[k] <= UNITARY_TOL:
             raise ValueError(f"fiber {k} rotation is not unitary (defect {defects[k]:.2e})")
         scale_arr.setflags(write=False)
         object.__setattr__(self, "scales", scale_arr)
-
-    @property
-    def rotations(self) -> tuple[np.ndarray, ...]:
-        """Per-fiber unitary matrices, or unit quaternion rows (w, x, y, z)."""
-        return self.fibers
+        object.__setattr__(self, "rotations", self.fibers)
 
     @classmethod
     def identity(cls, shape: ModuleShape) -> "OrthoMap":
@@ -81,42 +85,6 @@ class OrthoMap(FiberBlocks):
     def nu(self) -> AlgebraElement:
         """The central strictly positive element (c_k^2)."""
         return AlgebraElement.from_real(self.scales**2, self.shape.kind)
-
-    def to_payload(self) -> dict:
-        fibers = []
-        for k, rot in enumerate(self.rotations):
-            entry: dict = {"scale": float(self.scales[k])}
-            if self.shape.kind == COMPLEX:
-                entry["rotation"] = [
-                    [[float(v.real), float(v.imag)] for v in row] for row in np.asarray(rot)
-                ]
-            else:
-                entry["rotation"] = [float(v) for v in rot]
-            fibers.append(entry)
-        return {"kind": self.shape.kind, "dims": list(self.shape.dims), "fibers": fibers}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "OrthoMap":
-        shape = ModuleShape(payload["kind"], tuple(payload["dims"]))
-        scales = [entry["scale"] for entry in payload["fibers"]]
-        rotations = []
-        for entry in payload["fibers"]:
-            rot = np.asarray(entry["rotation"], dtype=float)
-            if shape.kind == COMPLEX:
-                rotations.append(rot[..., 0] + 1j * rot[..., 1])
-            else:
-                rotations.append(rot)
-        return cls(shape, scales, rotations)
-
-
-def apply_map(mapping: OrthoMap, x: ModuleVector) -> ModuleVector:
-    """Apply the map fiberwise: scale times isometry."""
-    return mapping.apply(x)
-
-
-def nu_of(mapping: OrthoMap) -> AlgebraElement:
-    """The squared-scale element nu with <Tx, Ty> = nu <x, y>."""
-    return mapping.nu()
 
 
 def transport_frame(mapping: OrthoMap, frame: WeightedFrame) -> WeightedFrame:

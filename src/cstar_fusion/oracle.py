@@ -2,8 +2,8 @@
 
 Everything here flattens the module into one complex coordinate space
 (quaternion fibers expand to two complex coordinates) and re-derives frame
-quantities by direct dense linear algebra or random sampling.  Intended for
-tests and the CLI verification command; dense dimension is capped at 2048.
+quantities by direct dense linear algebra or random sampling, for tests and
+the CLI verification command; the dense dimension is capped at DENSE_CAP.
 """
 
 from __future__ import annotations
@@ -12,13 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import COMPLEX, Quaternion, alg_norm, order_leq
+from .algebra import COMPLEX, alg_norm, order_leq
 from .errors import NotHermitian, ShapeMismatch
 from .frame import FrameBounds, WeightedFrame, frame_bounds
 from .hilbert_module import ModuleShape, ModuleVector, inner_product, left_action, module_norm
 from .submodule import project
-
-_DENSE_CAP = 2048
+from .tolerance import DENSE_CAP, HERMITIAN_TOL, ORACLE_SLACK
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -35,27 +34,24 @@ class DenseOperator:
         object.__setattr__(self, "matrix", arr)
 
 
-def quaternion_block(q: Quaternion) -> np.ndarray:
-    """The 2x2 complex block of q = a + b*j: [[a, b], [-conj(b), conj(a)]].
+def quaternion_block(q) -> np.ndarray:
+    """The 2x2 complex block of the row q = (w, x, y, z) = a + b*j:
+    [[a, b], [-conj(b), conj(a)]].
 
     A faithful star-representation: conjugation becomes the Hermitian
     adjoint and |q| the operator 2-norm.
     """
-    a = q.w + 1j * q.x
-    b = q.y + 1j * q.z
+    w, x, y, z = q
+    a = w + 1j * x
+    b = y + 1j * z
     return np.array([[a, b], [-np.conj(b), np.conj(a)]])
 
 
 def flatten_vector(x: ModuleVector) -> np.ndarray:
     """Flatten fiber-major into one complex vector; quaternion fibers map
     to (w + xi, y + zi), which preserves the Euclidean fiber norm."""
-    parts = []
-    for f in x.fibers:
-        if x.shape.kind == COMPLEX:
-            parts.append(np.asarray(f))
-        else:
-            parts.append(np.array([f[0] + 1j * f[1], f[2] + 1j * f[3]]))
-    return np.concatenate(parts)
+    flat = np.concatenate(x.fibers)
+    return flat if x.shape.kind == COMPLEX else flat.view(complex)
 
 
 def flatten_frame_operator(frame: WeightedFrame) -> DenseOperator:
@@ -63,8 +59,8 @@ def flatten_frame_operator(frame: WeightedFrame) -> DenseOperator:
     each weighted fiber projection into its block, submodule by submodule."""
     dims = [m if frame.shape.kind == COMPLEX else 2 for m in frame.shape.dims]
     total = sum(dims)
-    if total > _DENSE_CAP:
-        raise ShapeMismatch(f"dense dimension {total} exceeds the cap {_DENSE_CAP}")
+    if total > DENSE_CAP:
+        raise ShapeMismatch(f"dense dimension {total} exceeds the cap {DENSE_CAP}")
     offsets = np.concatenate([[0], np.cumsum(dims)])
     out = np.zeros((total, total), dtype=complex)
     wmatrix = frame.weights.matrix
@@ -77,7 +73,7 @@ def flatten_frame_operator(frame: WeightedFrame) -> DenseOperator:
     return DenseOperator(out)
 
 
-def eigen_bounds(op: DenseOperator, tol: float = 1e-10) -> dict:
+def eigen_bounds(op: DenseOperator, tol: float = HERMITIAN_TOL) -> dict:
     """Extreme eigenvalues by full symmetric eigendecomposition, once m is
     Hermitian: ||m - m^H||_2 <= tol * max(1, ||m||_2)."""
     m = np.asarray(op.matrix)
@@ -118,7 +114,7 @@ def brute_force_frame_check(
     samples: int,
     bounds: FrameBounds | None = None,
     rng: np.random.Generator | None = None,
-    tol: float = 1e-10,
+    tol: float = ORACLE_SLACK,
 ) -> bool:
     """Sample random unit vectors and verify the reported bounds.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,9 +23,8 @@ from .errors import LengthMismatch, NotAFrame, ShapeMismatch
 from .frame import FrameBounds, WeightedFrame, frame_bounds
 from .hilbert_module import _adjoint
 from .submodule import Submodule
+from .tolerance import SNAP_TO_ONE
 
-
-_SNAP_TO_ONE = 1e-13
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 _log = logging.getLogger(__name__)
@@ -45,7 +44,7 @@ def proj_distance(first: Submodule, second: Submodule) -> float:
         diff = p - second.blocks[m]
         diff = (diff + _adjoint(diff)) / 2.0
         worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh(diff)))))
-    if worst >= 1.0 - _SNAP_TO_ONE:
+    if worst >= 1.0 - SNAP_TO_ONE:
         return 1.0
     return max(worst, 0.0)
 
@@ -86,7 +85,7 @@ def ball_membership(
     return ecart(center, candidate, weights) < radius
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CriteriaResult:
     """The three sufficient angle conditions; each implies the ecart bound."""
 
@@ -101,20 +100,10 @@ class CriteriaResult:
     crit3_rhs: float | None
 
     def to_payload(self) -> dict:
-        return {
-            "crit1": self.crit1,
-            "crit2": self.crit2,
-            "crit3": self.crit3,
-            "crit1_lhs": self.crit1_lhs,
-            "crit1_rhs": self.crit1_rhs,
-            "crit2_lhs": self.crit2_lhs,
-            "crit2_rhs": self.crit2_rhs,
-            "crit3_lhs": self.crit3_lhs,
-            "crit3_rhs": self.crit3_rhs,
-        }
+        return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerturbReport:
     """Distances, angles, ecart and verdicts for a candidate family."""
 
@@ -131,19 +120,7 @@ class PerturbReport:
     perturbed_scalar_upper: float | None
 
     def to_payload(self) -> dict:
-        return {
-            "distances": list(self.distances),
-            "angles": list(self.angles),
-            "ecart": self.ecart,
-            "threshold": self.threshold,
-            "guaranteed": self.guaranteed,
-            "criteria": self.criteria.to_payload(),
-            "predicted_scalar_lower": self.predicted_scalar_lower,
-            "predicted_scalar_upper": self.predicted_scalar_upper,
-            "perturbed_is_frame": self.perturbed_is_frame,
-            "perturbed_scalar_lower": self.perturbed_scalar_lower,
-            "perturbed_scalar_upper": self.perturbed_scalar_upper,
-        }
+        return asdict(self)
 
 
 def _require_frame(frame: WeightedFrame) -> FrameBounds:

@@ -1,42 +1,37 @@
-"""Loading and validation of declarative scenario files.
+"""Loading, validation and the commands of declarative scenario files.
 
 A scenario is a JSON document naming an algebra, a module shape, submodules,
 weight matrices, frames, maps, perturbations and a list of commands.  All
 cross-references are resolved here; a dangling name or inconsistent shape
 raises ValidationError with the offending key path, while malformed JSON
-raises ParseError with the location reported by the parser.
+raises ParseError with the location reported by the parser.  ``COMMANDS``
+declares each command's arguments, checked here, and its handler.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .algebra import COMPLEX, QUATERNION
 from .errors import CstarFusionError, ParseError, ValidationError
-from .frame import WeightedFrame, WeightSequence
+from .frame import WeightedFrame, WeightSequence, assemble_block_frame, block_multiplier_check
+from .frame import cone_add, frame_bounds, reconstruct, tightness
 from .hilbert_module import ModuleShape, ModuleVector
-from .morphism import OrthoMap
+from .morphism import OrthoMap, transport_frame
+from .oracle import brute_force_frame_check, eigen_bounds, flatten_frame_operator
+from .perturbation import perturbation_check, randomly_rotated
 from .submodule import Submodule, block_submodule, span_submodule, validate_projection
-
-COMMANDS = (
-    "check-frame",
-    "bounds",
-    "reconstruct",
-    "tightness",
-    "multiplier",
-    "cone",
-    "transport",
-    "perturb",
-    "verify-oracle",
-)
+from .tolerance import MULTIPLIER_ATOL, ORACLE_SLACK
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerturbationSpec:
     frame: str
     candidates: tuple[str, ...] | None
@@ -262,40 +257,176 @@ def _build_map(name: str, spec: dict, shape: ModuleShape) -> OrthoMap:
         _fail(path, str(exc))
 
 
-def _check_command(cmd, index: int, scenario: Scenario) -> None:
-    path = f"commands[{index}]"
+# -- commands ------------------------------------------------------------------
+
+
+def _frame_report(frame: WeightedFrame) -> dict:
+    bounds = frame_bounds(frame)
+    payload = bounds.to_payload()
+    if bounds.is_frame:
+        tight = tightness(frame)
+        payload.update(tight.to_payload())
+    else:
+        payload.update({"tight": False, "parseval": False, "constant": None})
+    return payload
+
+
+def _cmd_check_frame(scenario: Scenario, cmd: dict, rng) -> dict:
+    bounds = frame_bounds(scenario.frames[cmd["frame"]])
+    return {
+        "is_frame": bounds.is_frame,
+        "scalar_lower": bounds.scalar_lower,
+        "scalar_upper": bounds.scalar_upper,
+    }
+
+
+def _cmd_bounds(scenario: Scenario, cmd: dict, rng) -> dict:
+    return _frame_report(scenario.frames[cmd["frame"]])
+
+
+def _cmd_reconstruct(scenario: Scenario, cmd: dict, rng) -> dict:
+    result = reconstruct(scenario.frames[cmd["frame"]], scenario.vectors[cmd["vector"]])
+    return {"rel_error": result.rel_error, "vector": result.vector.to_payload()}
+
+
+def _cmd_tightness(scenario: Scenario, cmd: dict, rng) -> dict:
+    return tightness(scenario.frames[cmd["frame"]]).to_payload()
+
+
+def _cmd_multiplier(scenario: Scenario, cmd: dict, rng) -> dict:
+    index_sets = [list(ix) for ix in cmd["index_sets"]]
+    weights = scenario.weights[cmd["weights"]]
+    result = block_multiplier_check(index_sets, weights.matrix, scenario.shape.kind)
+    payload = result.to_payload()
+    assembled = assemble_block_frame(scenario.shape.kind, index_sets, weights.matrix)
+    bounds = frame_bounds(assembled)
+    agrees = result.member == bounds.is_frame
+    if result.member and bounds.is_frame:
+        constant = result.tight_constant.real_parts()
+        agrees = bool(
+            agrees
+            and np.allclose(constant, bounds.lower.real_parts(), atol=MULTIPLIER_ATOL)
+            and np.allclose(constant, bounds.upper.real_parts(), atol=MULTIPLIER_ATOL)
+        )
+    payload["assembled_scalar_lower"] = bounds.scalar_lower
+    payload["assembled_scalar_upper"] = bounds.scalar_upper
+    payload["agrees_with_frame_bounds"] = agrees
+    return payload
+
+
+def _cmd_cone(scenario: Scenario, cmd: dict, rng) -> dict:
+    summed = cone_add(scenario.frames[cmd["frame"]], scenario.weights[cmd["weights"]])
+    return _frame_report(summed)
+
+
+def _cmd_transport(scenario: Scenario, cmd: dict, rng) -> dict:
+    mapping = scenario.maps[cmd["map"]]
+    moved = transport_frame(mapping, scenario.frames[cmd["frame"]])
+    return {"nu": mapping.nu().to_payload(), "bounds": _frame_report(moved)}
+
+
+def _cmd_perturb(scenario: Scenario, cmd: dict, rng) -> dict:
+    spec = scenario.perturbations[cmd["perturbation"]]
+    frame = scenario.frames[spec.frame]
+    if spec.candidates is not None:
+        candidates = [scenario.submodules[name] for name in spec.candidates]
+    else:
+        rotate_seed = spec.rotate.get("seed")
+        if rotate_seed is None:
+            # "surrogatepass" encodes a lone surrogate; other names encode as UTF-8
+            name = cmd["perturbation"].encode("utf-8", "surrogatepass")
+            stream = np.random.default_rng([scenario.seed, zlib.crc32(name)])
+        else:
+            stream = np.random.default_rng(rotate_seed)
+        candidates = randomly_rotated(frame.submodules, spec.rotate["max_angle"], stream)
+    return perturbation_check(frame, candidates, p=cmd.get("p", 2.0)).to_payload()
+
+
+def _cmd_verify_oracle(scenario: Scenario, cmd: dict, rng) -> dict:
+    frame = scenario.frames[cmd["frame"]]
+    samples = cmd.get("samples", 200)
+    bounds = frame_bounds(frame)
+    eig = eigen_bounds(flatten_frame_operator(frame))
+    slack = ORACLE_SLACK * max(1.0, bounds.scalar_upper)
+    matches = (
+        abs(eig["lambda_min"] - bounds.scalar_lower) <= slack
+        and abs(eig["lambda_max"] - bounds.scalar_upper) <= slack
+    )
+    sample_ok = brute_force_frame_check(frame, samples, rng=rng)
+    return {
+        "lambda_min": eig["lambda_min"],
+        "lambda_max": eig["lambda_max"],
+        "matches_bounds": bool(matches),
+        "samples": samples,
+        "sample_check": bool(sample_ok),
+    }
+
+
+def _check_index_sets(cmd: dict, path: str, scenario: Scenario) -> None:
+    index_sets = _sequence(_require(cmd, "index_sets", path), f"{path}.index_sets")
+    n = scenario.shape.fiber_count
+    for k, index_set in enumerate(index_sets):
+        at = f"{path}.index_sets[{k}]"
+        for i in _integers(index_set, at):
+            if not 1 <= i <= n:
+                _fail(at, f"fiber index {i} outside 1..{n}")
+
+
+def _check_p(cmd: dict, path: str, scenario: Scenario) -> None:
+    p = cmd.get("p", 2.0)
+    if p is not None and not (_is_real(p) and 1.0 < p < np.inf):
+        _fail(f"{path}.p", "the exponent p must be a number in (1, inf) or null")
+
+
+def _check_samples(cmd: dict, path: str, scenario: Scenario) -> None:
+    samples = cmd.get("samples", 200)
+    if not _is_int(samples) or samples < 1:
+        _fail(f"{path}.samples", "samples must be a positive integer")
+
+
+# A command argument is a reference, which must name an entry of a scenario
+# section, or a value with its own check.
+_REFERENCES = {
+    "frame": ("frames", "frame"),
+    "vector": ("vectors", "vector"),
+    "weights": ("weights", "weight matrix"),
+    "map": ("maps", "map"),
+    "perturbation": ("perturbations", "perturbation"),
+}
+_CHECKS = {"index_sets": _check_index_sets, "p": _check_p, "samples": _check_samples}
+
+
+@dataclass(frozen=True, slots=True)
+class Command:
+    """The arguments a command takes, checked in this order, and its handler."""
+
+    args: tuple[str, ...]
+    handler: Callable[[Scenario, dict, np.random.Generator], dict]
+
+
+COMMANDS = {
+    "check-frame": Command(("frame",), _cmd_check_frame),
+    "bounds": Command(("frame",), _cmd_bounds),
+    "reconstruct": Command(("frame", "vector"), _cmd_reconstruct),
+    "tightness": Command(("frame",), _cmd_tightness),
+    "multiplier": Command(("index_sets", "weights"), _cmd_multiplier),
+    "cone": Command(("frame", "weights"), _cmd_cone),
+    "transport": Command(("frame", "map"), _cmd_transport),
+    "perturb": Command(("perturbation", "p"), _cmd_perturb),
+    "verify-oracle": Command(("frame", "samples"), _cmd_verify_oracle),
+}
+
+
+def _validate_command(cmd, path: str, scenario: Scenario) -> None:
     name = _require(_mapping(cmd, path), "run", path)
-    if name not in COMMANDS:
+    if not isinstance(name, str) or name not in COMMANDS:
         _fail(path, f"unknown command {name!r}; expected one of {', '.join(COMMANDS)}")
-
-    def frame_ref() -> None:
-        _reference(cmd, "frame", path, scenario.frames, "frame")
-
-    if name in ("check-frame", "bounds", "tightness", "verify-oracle"):
-        frame_ref()
-    elif name == "reconstruct":
-        frame_ref()
-        _reference(cmd, "vector", path, scenario.vectors, "vector")
-    elif name == "multiplier":
-        index_sets = _sequence(_require(cmd, "index_sets", path), f"{path}.index_sets")
-        for n, index_set in enumerate(index_sets):
-            _integers(index_set, f"{path}.index_sets[{n}]")
-        _reference(cmd, "weights", path, scenario.weights, "weight matrix")
-    elif name == "cone":
-        frame_ref()
-        _reference(cmd, "weights", path, scenario.weights, "weight matrix")
-    elif name == "transport":
-        frame_ref()
-        _reference(cmd, "map", path, scenario.maps, "map")
-    elif name == "perturb":
-        _reference(cmd, "perturbation", path, scenario.perturbations, "perturbation")
-        p = cmd.get("p", 2.0)
-        if p is not None and not (_is_real(p) and 1.0 < p < np.inf):
-            _fail(f"{path}.p", "the exponent p must be a number in (1, inf) or null")
-    if name == "verify-oracle":
-        samples = cmd.get("samples", 200)
-        if not _is_int(samples) or samples < 1:
-            _fail(f"{path}.samples", "samples must be a positive integer")
+    for arg in COMMANDS[name].args:
+        if arg in _REFERENCES:
+            section, what = _REFERENCES[arg]
+            _reference(cmd, arg, path, getattr(scenario, section), what)
+        else:
+            _CHECKS[arg](cmd, path, scenario)
 
 
 def build_scenario(raw: dict) -> Scenario:
@@ -375,16 +506,19 @@ def build_scenario(raw: dict) -> Scenario:
     if not isinstance(commands, list):
         _fail("commands", "expected a list of command objects")
     for index, cmd in enumerate(commands):
-        _check_command(cmd, index, scenario)
+        _validate_command(cmd, f"commands[{index}]", scenario)
     scenario.commands = list(commands)
     return scenario
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and resolve a scenario file."""
-    text = Path(path).read_text()
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{path}: nested too deeply to parse") from None
     return build_scenario(raw)

@@ -7,17 +7,19 @@ left submodules of a quaternion line are the zero space and the whole line).
 
 from __future__ import annotations
 
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import COMPLEX, QUATERNION
+from .algebra import COMPLEX
 from .errors import IndexOutOfRange, NotFinite, QuaternionUnsupported, ShapeMismatch
 from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint
+from .hilbert_module import _frexp_exponent, _ldexp
+from .tolerance import MGS_DROP, PROJECTION_TOL
 
-_MGS_DROP = 1e-10
 
-
+@dataclass(frozen=True, slots=True, eq=False)
 class Submodule(FiberBlocks):
     """Per-fiber projection data; immutable.
 
@@ -25,46 +27,10 @@ class Submodule(FiberBlocks):
     stores a (1, 1) float matrix whose single entry is the selector bit.
     """
 
-    __slots__ = ()
+    fibers: InitVar[object] = field()  # see ModuleVector
 
-    def __init__(self, shape: ModuleShape, fibers) -> None:
-        self._store(shape, fibers, matrix=True)
-
-    def selector_bits(self) -> np.ndarray:
-        """Per-fiber 0/1 bits; only meaningful for quaternion submodules."""
-        return np.array([float(f[0, 0]) for f in self.fibers])
-
-    def to_payload(self) -> dict:
-        fibers = []
-        for f in self.fibers:
-            if self.shape.kind == QUATERNION:
-                fibers.append({"selector": int(round(float(f[0, 0])))})
-            else:
-                rows = [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(f)]
-                fibers.append({"projection": rows})
-        return {"kind": self.shape.kind, "dims": list(self.shape.dims), "fibers": fibers}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Submodule":
-        shape = ModuleShape(payload["kind"], tuple(payload["dims"]))
-        fibers = []
-        for k, spec in enumerate(payload["fibers"]):
-            if "selector" in spec:
-                fibers.append(np.array([[float(spec["selector"])]]))
-            elif "projection" in spec:
-                rows = np.asarray(spec["projection"], dtype=float)
-                fibers.append(rows[..., 0] + 1j * rows[..., 1])
-            elif "span" in spec:
-                vecs = [_complex_vector(v) for v in spec["span"]]
-                fibers.append(_span_projections(_padded([vecs], [0], shape.dims[k]))[0])
-            else:
-                raise ShapeMismatch(f"fiber {k}: unknown projection payload")
-        return cls(shape, fibers)
-
-
-def _complex_vector(entries) -> np.ndarray:
-    arr = np.asarray(entries, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
+    def __post_init__(self, fibers) -> None:
+        self._store(fibers, matrix=True)
 
 
 def _padded(sets, idx, m: int) -> np.ndarray:
@@ -87,14 +53,17 @@ def _span_projections(spans: np.ndarray) -> np.ndarray:
     """Projections onto the spans of a (count, R, m) stack of vectors.
 
     Modified Gram-Schmidt, two passes, run on all fibers at once: a vector
-    whose remainder is at most 1e-10 times the largest input norm of its
+    whose remainder is at most MGS_DROP times the largest input norm of its
     fiber (or zero) is dropped, and a dropped vector's zero row leaves the
     later remainders unchanged.  Non-finite vectors raise NotFinite, since
     the drop test would silently drop a NaN remainder.
     """
     if not np.isfinite(spans).all():
         raise NotFinite("span vectors must be finite")
-    drop = _MGS_DROP * np.linalg.norm(spans, axis=-1).max(axis=-1, initial=0.0)
+    # Scaling a fiber's vectors by a power of two is exact and keeps their
+    # span; after it no norm below overflows or underflows.
+    spans = _ldexp(spans, -_frexp_exponent(spans, (1, 2))[:, None, None])
+    drop = MGS_DROP * np.linalg.norm(spans, axis=-1).max(axis=-1, initial=0.0)
     basis = np.zeros_like(spans)
     for r in range(spans.shape[1]):
         u = spans[:, r]
@@ -151,7 +120,7 @@ def complement(sub: Submodule) -> Submodule:
     return Submodule(sub.shape, {m: np.eye(m) - p for m, p in sub.blocks.items()})
 
 
-def validate_projection(sub: Submodule, tol: float = 1e-12) -> bool:
+def validate_projection(sub: Submodule, tol: float = PROJECTION_TOL) -> bool:
     """True iff every fiber matrix is finite, Hermitian and idempotent
     within tol (spectral norm)."""
     for p in sub.blocks.values():

@@ -19,6 +19,21 @@ from cstar_fusion import (
 )
 
 
+def pairs(z) -> list:
+    """Complex data as nested lists of [re, im] pairs, the scenario format."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real, z.imag], axis=-1).tolist()
+
+
+def scenario_doc(shape: ModuleShape, **sections) -> dict:
+    """A scenario document for the given shape with the given sections."""
+    return {
+        "algebra": {"kind": shape.kind, "fibers": shape.fiber_count},
+        "module": {"dims": list(shape.dims)},
+        **sections,
+    }
+
+
 def random_algebra(rng: np.random.Generator, kind: str, n: int) -> AlgebraElement:
     if kind == COMPLEX:
         return AlgebraElement(COMPLEX, rng.standard_normal(n) + 1j * rng.standard_normal(n))

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cstar_fusion
 from cstar_fusion import COMPLEX, ModuleShape, ModuleVector, ParseError, ValidationError, span_submodule
 from cstar_fusion.cli import EXAMPLE_SCENARIOS, dump_json, main, run_scenario, write_examples
 from cstar_fusion.scenario import build_scenario, load_scenario
@@ -37,6 +41,12 @@ BLOCK_SCENARIO = {
 def write_scenario(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
+    return path
+
+
+def write_bytes(tmp_path, data: bytes):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(data)
     return path
 
 
@@ -443,8 +453,20 @@ class TestMainEntry:
                 lambda doc: doc["vectors"]["x"][0].__setitem__(0, float("nan")),
                 "vectors.x",
             ),
+            (
+                "block_tight.json",
+                lambda doc: doc["commands"][4].update(index_sets=[[1, 2, 5], [2, 3]]),
+                "commands[4].index_sets[0]",
+            ),
         ],
-        ids=["p-below-one", "rotate-seed-negative", "span-nan", "vector-inf", "quaternion-nan"],
+        ids=[
+            "p-below-one",
+            "rotate-seed-negative",
+            "span-nan",
+            "vector-inf",
+            "quaternion-nan",
+            "multiplier-index-out-of-range",
+        ],
     )
     def test_bad_value_in_example_exit_code(self, tmp_path, capsys, example, edit, path):
         # Each of these ran (NaN span vectors were dropped, NaN vectors
@@ -476,6 +498,44 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert f"error: {path}:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda tmp_path: tmp_path / "absent.json",
+            lambda tmp_path: tmp_path,
+            lambda tmp_path: write_bytes(tmp_path, b'{"seed": "\xff"}'),
+            lambda tmp_path: write_bytes(tmp_path, b"[" * 100_000 + b"]" * 100_000),
+            lambda tmp_path: write_bytes(  # an unused key, so only the report is too deep
+                tmp_path, json.dumps(dict(BLOCK_SCENARIO, note=0)).encode().replace(
+                    b'"note": 0', b'"note": ' + b"[" * 600 + b"]" * 600
+                ),
+            ),
+        ],
+        ids=["missing", "directory", "not-utf8", "too-deep-to-parse", "too-deep-to-write"],
+    )
+    def test_unreadable_file_exit_code(self, tmp_path, make):
+        # Each of these escaped main as a traceback with exit status 1.  The
+        # CLI runs in a fresh process, so the nesting depth at which parsing
+        # or writing the report recurses too deeply does not depend on the
+        # test runner's own stack.
+        env = dict(os.environ, PYTHONPATH=str(Path(cstar_fusion.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "cstar_fusion.cli", "run", str(make(tmp_path))],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
+
+    def test_lone_surrogate_rotation_name_runs(self, tmp_path):
+        # Seeding the rotation from the name's crc raised UnicodeEncodeError.
+        doc = json.loads(json.dumps(EXAMPLE_SCENARIOS["perturbation_demo.json"]))
+        doc["perturbations"] = {"\ud800": doc["perturbations"]["wiggle"]}
+        doc["commands"][3]["perturbation"] = "\ud800"
+        out = tmp_path / "report.json"
+        assert main(["run", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["ok"]
 
     def test_negative_zero_max_angle_runs(self, tmp_path):
         # uniform(0, -0.0) raised "high - low < 0" past main.

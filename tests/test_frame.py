@@ -7,13 +7,13 @@ from cstar_fusion import (
     COMPLEX,
     QUATERNION,
     AlgebraElement,
+    IndexOutOfRange,
     InvalidWeight,
     LengthMismatch,
     ModuleSequence,
     ModuleShape,
     ModuleVector,
     NotAFrame,
-    Quaternion,
     ShapeMismatch,
     WeightSequence,
     WeightedFrame,
@@ -67,7 +67,7 @@ def parseval_frame():
 
 class TestWeightSequence:
     def test_rejects_non_central(self):
-        spun = AlgebraElement.quaternions([Quaternion(1, 0.5, 0, 0)])
+        spun = AlgebraElement.quaternions([[1, 0.5, 0, 0]])
         with pytest.raises(InvalidWeight):
             WeightSequence([spun])
 
@@ -255,6 +255,19 @@ class TestReconstruction:
         with pytest.raises(NotAFrame):
             reconstruct(broken, x)
 
+    @pytest.mark.parametrize("k", [664, -664])
+    def test_rel_error_is_measured_at_extreme_scales(self, three_subspace_frame, k):
+        # At 2^664 ~ 1e200 the norms overflowed to inf, at 2^-664 they
+        # underflowed to 0, and both reported rel_error 0.0.  Scaling by a
+        # power of two is exact, so the error is the unscaled one.
+        shape = three_subspace_frame.shape
+        x = np.array([0.1 + 0.2j, -0.7])
+        want = reconstruct(three_subspace_frame, ModuleVector(shape, [x]))
+        scaled = np.ldexp(x.view(float), k).view(complex)
+        got = reconstruct(three_subspace_frame, ModuleVector(shape, [scaled]))
+        assert want.rel_error > 0.0
+        assert got.rel_error == want.rel_error
+
     def test_zero_vector_has_zero_error(self, three_subspace_frame):
         result = reconstruct(three_subspace_frame, ModuleVector.zeros(three_subspace_frame.shape))
         assert result.rel_error == 0.0
@@ -363,6 +376,10 @@ class TestMultiplier:
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(InvalidWeight):
             block_multiplier_check([[1]], [[0.0]])
+
+    def test_index_out_of_range(self):
+        with pytest.raises(IndexOutOfRange, match="fiber index 5 outside 1..3"):
+            block_multiplier_check([[1, 2, 5]], [[1, 1, 1]])
 
 
 class TestCone:

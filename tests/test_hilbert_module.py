@@ -10,7 +10,6 @@ from cstar_fusion import (
     ModuleShape,
     ModuleVector,
     NotFinite,
-    Quaternion,
     QuaternionUnsupported,
     ShapeMismatch,
     alg_norm,
@@ -20,16 +19,16 @@ from cstar_fusion import (
     module_norm,
     star,
 )
-from helpers import random_algebra, random_positive_algebra, random_vector
+from cstar_fusion.scenario import build_scenario
+from helpers import pairs, random_algebra, random_positive_algebra, random_vector, scenario_doc
 
-I = Quaternion(0, 1, 0, 0)
-J = Quaternion(0, 0, 1, 0)
-K = Quaternion(0, 0, 0, 1)
+I = [0.0, 1.0, 0.0, 0.0]
+J = [0.0, 0.0, 1.0, 0.0]
 
 
-def quat_vector(*quats):
-    shape = ModuleShape(QUATERNION, (1,) * len(quats))
-    return ModuleVector(shape, [q.as_array() for q in quats])
+def quat_vector(*rows):
+    shape = ModuleShape(QUATERNION, (1,) * len(rows))
+    return ModuleVector(shape, list(rows))
 
 
 class TestShapes:
@@ -51,7 +50,7 @@ class TestShapes:
         with pytest.raises(NotFinite):
             ModuleVector(shape, {1: np.array([[1j * bad]]), 2: np.ones((1, 2))})
         with pytest.raises(NotFinite):
-            quat_vector(Quaternion(1, 0, 0, 0), Quaternion(0, bad, 0, 0))
+            quat_vector([1, 0, 0, 0], [0, bad, 0, 0])
         with np.errstate(over="ignore"):
             x = ModuleVector(shape, [np.array([1e308, 1e308]), np.array([1e308])])  # sum overflows
             with pytest.raises(NotFinite):
@@ -137,6 +136,14 @@ class TestNormAndAction:
         line = ModuleShape(COMPLEX, (1, 1, 1))
         assert module_norm(ModuleVector(line, [[1], [2], [3]])) == 3
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_norm_at_extreme_scales(self, scale):
+        # The squared entries used to overflow to inf or underflow to 0.
+        x = ModuleVector(ModuleShape(COMPLEX, (2,)), [[scale, scale]])
+        assert module_norm(x) == pytest.approx(scale * np.sqrt(2), rel=1e-15, abs=0)
+        q = ModuleVector(ModuleShape(QUATERNION, (1,)), [[0, 0, scale, scale]])
+        assert module_norm(q) == pytest.approx(scale * np.sqrt(2), rel=1e-15, abs=0)
+
     def test_norm_matches_inner_product(self):
         rng = np.random.default_rng(25)
         for kind, dims in ((COMPLEX, (3, 2)), (QUATERNION, (1, 1))):
@@ -216,9 +223,16 @@ def sum_inner(xs, ys):
 class TestSerialization:
     @pytest.mark.parametrize("kind,dims", [(COMPLEX, (2, 3)), (QUATERNION, (1, 1))])
     def test_payload_roundtrip(self, kind, dims):
+        """A scenario vector is read exactly, and its payload lists the fibers
+        in order, as [re, im] pairs or [w, x, y, z] rows."""
         rng = np.random.default_rng(29)
-        x = random_vector(rng, ModuleShape(kind, dims))
-        back = ModuleVector.from_payload(x.to_payload())
-        assert back.shape == x.shape
-        for bf, xf in zip(back.fibers, x.fibers):
-            np.testing.assert_allclose(bf, xf)
+        shape = ModuleShape(kind, dims)
+        x = random_vector(rng, shape)
+        entries = [pairs(f) if kind == COMPLEX else f.tolist() for f in x.fibers]
+        read = build_scenario(scenario_doc(shape, vectors={"x": entries})).vectors["x"]
+        payload = read.to_payload()
+        assert (payload["kind"], payload["dims"]) == (kind, list(dims))
+        data = np.array(payload["data"])
+        if kind == COMPLEX:
+            data = data[0::2] + 1j * data[1::2]
+        np.testing.assert_array_equal(data, np.concatenate(x.fibers))

@@ -12,13 +12,11 @@ from cstar_fusion import (
     OrthoMap,
     ShapeMismatch,
     alg_norm,
-    apply_map,
     assemble_block_frame,
     block_submodule,
     frame_bounds,
     inner_product,
     left_action,
-    nu_of,
     span_submodule,
     sqrt_positive,
     tightness,
@@ -27,12 +25,15 @@ from cstar_fusion import (
     WeightSequence,
     WeightedFrame,
 )
+from cstar_fusion.scenario import build_scenario
 from helpers import (
+    pairs,
     random_algebra,
     random_complex_frame,
     random_ortho_map,
     random_quaternion_frame,
     random_vector,
+    scenario_doc,
 )
 
 
@@ -54,12 +55,12 @@ def three_subspace_frame(plane):
 class TestApplyMap:
     def test_identity(self, plane):
         x = ModuleVector(plane, [[1, 2j]])
-        got = apply_map(OrthoMap.identity(plane), x)
+        got = OrthoMap.identity(plane).apply(x)
         np.testing.assert_allclose(got.fibers[0], x.fibers[0])
 
     def test_pure_scaling(self, plane):
         mapping = OrthoMap(plane, [2.0], [np.eye(2, dtype=complex)])
-        got = apply_map(mapping, ModuleVector(plane, [[1, 0]]))
+        got = mapping.apply(ModuleVector(plane, [[1, 0]]))
         np.testing.assert_allclose(got.fibers[0], [2, 0])
 
     @pytest.mark.parametrize("kind,dims", [(COMPLEX, (2, 3)), (QUATERNION, (1, 1))])
@@ -68,9 +69,9 @@ class TestApplyMap:
         shape = ModuleShape(kind, dims)
         for _ in range(25):
             mapping = random_ortho_map(rng, shape)
-            nu = nu_of(mapping)
+            nu = mapping.nu()
             x, y = random_vector(rng, shape), random_vector(rng, shape)
-            moved = inner_product(apply_map(mapping, x), apply_map(mapping, y))
+            moved = inner_product(mapping.apply(x), mapping.apply(y))
             scaled = nu * inner_product(x, y)
             assert alg_norm(moved - scaled) <= 1e-12 * max(1.0, alg_norm(scaled))
 
@@ -81,8 +82,8 @@ class TestApplyMap:
         mapping = random_ortho_map(rng, shape)
         a = random_algebra(rng, kind, shape.fiber_count)
         x = random_vector(rng, shape)
-        left = apply_map(mapping, left_action(a, x))
-        right = left_action(a, apply_map(mapping, x))
+        left = mapping.apply(left_action(a, x))
+        right = left_action(a, mapping.apply(x))
         for lf, rf in zip(left.fibers, right.fibers):
             np.testing.assert_allclose(lf, rf, atol=1e-12)
 
@@ -90,14 +91,14 @@ class TestApplyMap:
         rng = np.random.default_rng(53)
         mapping = random_ortho_map(rng, plane)
         x = random_vector(rng, plane)
-        back = apply_map(mapping.inverse(), apply_map(mapping, x))
+        back = mapping.inverse().apply(mapping.apply(x))
         np.testing.assert_allclose(back.fibers[0], x.fibers[0], atol=1e-12)
 
     def test_shape_mismatch(self, plane):
         mapping = OrthoMap.identity(plane)
         x = ModuleVector(ModuleShape(COMPLEX, (3,)), [[1, 0, 0]])
         with pytest.raises(ShapeMismatch):
-            apply_map(mapping, x)
+            mapping.apply(x)
 
     def test_rejects_bad_rotation(self, plane):
         with pytest.raises(ValueError):
@@ -117,7 +118,7 @@ class TestApplyMap:
 
 class TestNu:
     def test_identity_gives_unit(self, plane):
-        nu = nu_of(OrthoMap.identity(plane))
+        nu = OrthoMap.identity(plane).nu()
         np.testing.assert_allclose(nu.real_parts(), 1.0)
 
     def test_squared_scales(self):
@@ -125,7 +126,7 @@ class TestNu:
         mapping = OrthoMap(
             shape, [2.0, 3.0], [np.eye(1, dtype=complex), np.eye(1, dtype=complex)]
         )
-        nu = nu_of(mapping)
+        nu = mapping.nu()
         np.testing.assert_allclose(nu.real_parts(), [4, 9])
         np.testing.assert_allclose(sqrt_positive(nu).real_parts(), [2, 3])
 
@@ -198,23 +199,28 @@ class TestTransport:
             transport_frame(OrthoMap.identity(broken.shape), broken)
 
 
+def read_map(mapping: OrthoMap) -> OrthoMap:
+    """The map as a scenario's ``maps`` entry describes it, built back."""
+    complex_ = mapping.shape.kind == COMPLEX
+    rotations = [pairs(r) if complex_ else r.tolist() for r in mapping.rotations]
+    spec = {"scales": mapping.scales.tolist(), "rotations": rotations}
+    return build_scenario(scenario_doc(mapping.shape, maps={"m": spec})).maps["m"]
+
+
 class TestSerialization:
     @pytest.mark.parametrize("kind,dims", [(COMPLEX, (2, 1)), (QUATERNION, (1, 1))])
     def test_payload_fields(self, kind, dims):
         rng = np.random.default_rng(56)
-        mapping = random_ortho_map(rng, ModuleShape(kind, dims))
-        payload = mapping.to_payload()
-        assert payload["kind"] == kind
-        assert len(payload["fibers"]) == len(dims)
-        for entry in payload["fibers"]:
-            assert entry["scale"] > 0
-            assert "rotation" in entry
+        read = read_map(random_ortho_map(rng, ModuleShape(kind, dims)))
+        assert read.shape.kind == kind
+        assert len(read.scales) == len(read.rotations) == len(dims)
+        assert np.all(read.scales > 0)
 
     @pytest.mark.parametrize("kind,dims", [(COMPLEX, (2, 3)), (QUATERNION, (1, 1))])
     def test_payload_roundtrip(self, kind, dims):
         rng = np.random.default_rng(57)
         mapping = random_ortho_map(rng, ModuleShape(kind, dims))
-        back = OrthoMap.from_payload(mapping.to_payload())
-        np.testing.assert_allclose(back.scales, mapping.scales)
+        back = read_map(mapping)
+        np.testing.assert_array_equal(back.scales, mapping.scales)
         for bf, mf in zip(back.rotations, mapping.rotations):
-            np.testing.assert_allclose(bf, mf)
+            np.testing.assert_array_equal(bf, mf)

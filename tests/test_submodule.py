@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cstar_fusion import (
     COMPLEX,
@@ -24,7 +27,13 @@ from cstar_fusion import (
     span_submodule,
     validate_projection,
 )
-from helpers import random_algebra, random_span_submodule, random_vector
+from cstar_fusion.scenario import build_scenario
+from helpers import pairs, random_algebra, random_span_submodule, random_vector, scenario_doc
+
+
+def selector_bits(sub: Submodule) -> np.ndarray:
+    """The per-fiber 0/1 entries of a quaternion submodule."""
+    return np.array([f[0, 0] for f in sub.fibers])
 
 
 class TestBlockSubmodules:
@@ -36,9 +45,9 @@ class TestBlockSubmodules:
     def test_empty_and_full(self):
         shape = ModuleShape(QUATERNION, (1, 1, 1))
         zero = block_submodule(shape, set())
-        np.testing.assert_allclose(zero.selector_bits(), 0)
+        np.testing.assert_array_equal(selector_bits(zero), 0)
         full = block_submodule(shape, {1, 2, 3})
-        np.testing.assert_allclose(full.selector_bits(), 1)
+        np.testing.assert_array_equal(selector_bits(full), 1)
 
     def test_index_out_of_range(self):
         shape = ModuleShape(COMPLEX, (1, 1))
@@ -76,6 +85,33 @@ class TestSpanSubmodules:
     def test_quaternion_unsupported(self):
         with pytest.raises(QuaternionUnsupported):
             span_submodule(ModuleShape(QUATERNION, (1,)), [[np.array([1.0])]])
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_extreme_scales_keep_the_span(self, scale):
+        # The vector's norm used to overflow or underflow, which made the
+        # drop threshold inf or 0 and dropped the vector: a rank-0 fiber.
+        shape = ModuleShape(COMPLEX, (2,))
+        sub = span_submodule(shape, [[[scale, 0]]])
+        np.testing.assert_array_equal(sub.fibers[0], span_submodule(shape, [[[1, 0]]]).fibers[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        spans=arrays(np.float64, st.tuples(st.just(2), st.integers(1, 4), st.just(6)),
+                     elements=st.floats(-4, 4, allow_subnormal=False)),
+        data=st.data(),
+    )
+    def test_power_of_two_scaling_is_exact(self, spans, data):
+        """span(2^k V) == span(V) bit for bit, for every k that keeps all of
+        V's entries normal (V: two fibers of three complex entries each)."""
+        v = spans.view(complex)
+        exponents = np.frexp(spans[spans != 0])[1]
+        low, high = (-1021 - exponents.min(), 1024 - exponents.max()) if exponents.size else (-5, 5)
+        k = data.draw(st.integers(int(low), int(high)), label="k")
+        shape = ModuleShape(COMPLEX, (3, 3))
+        scaled = np.ldexp(spans, k).view(complex)
+        np.testing.assert_array_equal(
+            span_submodule(shape, scaled).blocks[3], span_submodule(shape, v).blocks[3]
+        )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     def test_non_finite_vector_rejected(self, bad):
@@ -116,7 +152,7 @@ class TestProjectAndComplement:
     def test_complement_examples(self):
         shape = ModuleShape(QUATERNION, (1, 1, 1))
         sub = block_submodule(shape, {1, 3})
-        np.testing.assert_allclose(complement(sub).selector_bits(), [0, 1, 0])
+        np.testing.assert_array_equal(selector_bits(complement(sub)), [0, 1, 0])
         cshape = ModuleShape(COMPLEX, (2,))
         diag = Submodule(cshape, [np.array([[0.5, 0.5], [0.5, 0.5]])])
         np.testing.assert_allclose(
@@ -205,22 +241,20 @@ class TestValidation:
 class TestSerialization:
     def test_selector_payload(self):
         shape = ModuleShape(QUATERNION, (1, 1))
-        sub = block_submodule(shape, {2})
-        back = Submodule.from_payload(sub.to_payload())
-        np.testing.assert_allclose(back.selector_bits(), sub.selector_bits())
+        read = build_scenario(scenario_doc(shape, submodules={"s": {"selectors": [0, 1]}}))
+        want = block_submodule(shape, {2})
+        np.testing.assert_array_equal(selector_bits(read.submodules["s"]), selector_bits(want))
 
     def test_projection_payload(self):
         rng = np.random.default_rng(37)
         sub = random_span_submodule(rng, ModuleShape(COMPLEX, (2, 3)))
-        back = Submodule.from_payload(sub.to_payload())
-        for bf, sf in zip(back.fibers, sub.fibers):
-            np.testing.assert_allclose(bf, sf)
+        spec = {"projection": [pairs(f) for f in sub.fibers]}
+        read = build_scenario(scenario_doc(sub.shape, submodules={"p": spec})).submodules["p"]
+        for bf, sf in zip(read.fibers, sub.fibers):
+            np.testing.assert_array_equal(bf, sf)
 
     def test_span_payload(self):
-        payload = {
-            "kind": COMPLEX,
-            "dims": [2],
-            "fibers": [{"span": [[[1, 0], [1, 0]]]}],
-        }
-        sub = Submodule.from_payload(payload)
+        shape = ModuleShape(COMPLEX, (2,))
+        spec = {"span": [[[[1, 0], [1, 0]]]]}
+        sub = build_scenario(scenario_doc(shape, submodules={"s": spec})).submodules["s"]
         np.testing.assert_allclose(sub.fibers[0], [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
