@@ -62,6 +62,7 @@ from .oracle import (
     DenseOperator,
     brute_force_frame_check,
     eigen_bounds,
+    fiber_energies,
     flatten_frame_operator,
     flatten_vector,
     quaternion_block,

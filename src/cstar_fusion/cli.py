@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -44,6 +45,33 @@ _literal = {True: "true", False: "false", None: "null"}.get
 _SCALARS = {bool: _literal, type(None): _literal, int: str, float: _float, str: _string}
 
 
+def _float_nest(obj: list | tuple) -> tuple[list[int], list[float]] | None:
+    """The shape and leaves of a rectangular nest of lists and tuples with
+    no empty level whose leaves are all exactly ``float``; else None.  Each
+    depth is checked in one pass over all of its values."""
+    shape, level = [], [obj]
+    while True:
+        kinds = set(map(type, level))
+        if kinds == {float}:
+            return shape, level
+        sizes = set(map(len, level)) if kinds <= {list, tuple} else ()
+        if len(sizes) != 1:  # below an empty level there are no kinds, so no sizes
+            return None
+        shape.append(sizes.pop())
+        level = list(chain.from_iterable(level))
+
+
+def _nest_template(shape: list[int], indent: int) -> str:
+    """The brackets, indents and separators of a nest of this shape, with a
+    ``%.17g`` (the same digits as ``.17g``) in place of each leaf."""
+    text = "%.17g"
+    for depth in reversed(range(len(shape))):
+        inner = "  " * (indent + depth + 1)
+        body = (",\n" + inner).join([text] * shape[depth])
+        text = "[\n" + inner + body + "\n" + "  " * (indent + depth) + "]"
+    return text
+
+
 def dump_json(obj, indent: int = 0) -> str:
     """Deterministic JSON with floats at 17 significant digits and sorted
     object keys."""
@@ -56,14 +84,15 @@ def dump_json(obj, indent: int = 0) -> str:
     sep = ",\n" + inner
     if isinstance(obj, dict):
         items = [f"{dump_json(str(k))}: {dump_json(v, indent + 1)}" for k, v in sorted(obj.items())]
-        return "{\n" + inner + sep.join(items) + "\n" + "  " * indent + "}"
+        return f"{{\n{inner}{sep.join(items)}\n{'  ' * indent}}}"
     if isinstance(obj, (list, tuple)):
-        body = "n"  # all floats: one printf (%.17g is .17g); an "n" is nan or inf
-        if set(map(type, obj)) == {float}:
-            body = sep.join(["%.17g"] * len(obj)) % tuple(obj)
-        if "n" in body:
-            body = sep.join([dump_json(v, indent + 1) for v in obj])
-        return "[\n" + inner + body + "\n" + "  " * indent + "]"
+        nest = _float_nest(obj)
+        if nest is not None:  # all floats: one printf; an "n" is nan or inf
+            text = _nest_template(nest[0], indent) % tuple(nest[1])
+            if "n" not in text:
+                return text
+        body = sep.join([dump_json(v, indent + 1) for v in obj])
+        return f"[\n{inner}{body}\n{'  ' * indent}]"
     for kind, encode in _SCALARS.items():  # subclasses, such as np.float64
         if isinstance(obj, kind):
             return encode(obj)
@@ -231,6 +260,11 @@ def main(argv: list[str] | None = None) -> int:
             print(path)
         return 0
 
+    if args.only is not None and args.only not in COMMANDS:
+        expected = ", ".join(COMMANDS)  # in the scenario validator's order
+        print(f"error: --only: unknown command {args.only!r}; expected one of {expected}",
+              file=sys.stderr)
+        return 2
     try:
         scenario = load_scenario(args.scenario)
         report, ok = run_scenario(scenario, only=args.only, seed=args.seed)

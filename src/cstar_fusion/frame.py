@@ -31,7 +31,7 @@ from .algebra import (
 )
 from .errors import IndexOutOfRange, InvalidWeight, LengthMismatch, NotAFrame, ShapeMismatch
 from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint
-from .hilbert_module import inner_product, left_action, module_norm
+from .hilbert_module import _frexp_exponent, _ldexp, inner_product, left_action, module_norm
 from .submodule import Submodule, block_submodule, project
 from .tolerance import FRAME_TOL, TIGHT_TOL
 
@@ -348,8 +348,15 @@ def reconstruct(frame: WeightedFrame, x: ModuleVector, tol: float | None = None)
     acc = ModuleVector.zeros(frame.shape)
     for sub, w in zip(frame.submodules, frame.weights):
         acc = acc + left_action(w * w, project(sub, mid))
-    denom = module_norm(x)
-    rel = module_norm(acc - x) / denom if denom > 0 else 0.0
+    # Both norms are taken at one common scale 2^-e, which is exact, so the
+    # ratio is measured even where the norm of x itself exceeds the float range.
+    e = max(_frexp_exponent(b, None) for b in x.blocks.values())
+
+    def scaled(v: ModuleVector) -> ModuleVector:
+        return ModuleVector(v.shape, {m: _ldexp(b, -e) for m, b in v.blocks.items()})
+
+    denom = module_norm(scaled(x))
+    rel = module_norm(scaled(acc - x)) / denom if denom > 0 else 0.0
     return ReconstructionResult(vector=acc, rel_error=float(rel))
 
 

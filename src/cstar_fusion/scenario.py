@@ -19,13 +19,14 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import COMPLEX, QUATERNION
+from .algebra import COMPLEX, QUATERNION, AlgebraElement, alg_norm
 from .errors import CstarFusionError, ParseError, ValidationError
 from .frame import WeightedFrame, WeightSequence, assemble_block_frame, block_multiplier_check
 from .frame import cone_add, frame_bounds, reconstruct, tightness
-from .hilbert_module import ModuleShape, ModuleVector
+from .hilbert_module import ModuleShape, ModuleVector, inner_product
 from .morphism import OrthoMap, transport_frame
-from .oracle import brute_force_frame_check, eigen_bounds, flatten_frame_operator
+from .oracle import brute_force_frame_check, eigen_bounds, fiber_energies, flatten_frame_operator
+from .oracle import flatten_vector, random_unit_vector
 from .perturbation import perturbation_check, randomly_rotated
 from .submodule import Submodule, block_submodule, span_submodule, validate_projection
 from .tolerance import MULTIPLIER_ATOL, ORACLE_SLACK
@@ -342,17 +343,32 @@ def _cmd_perturb(scenario: Scenario, cmd: dict, rng) -> dict:
     return perturbation_check(frame, candidates, p=cmd.get("p", 2.0)).to_payload()
 
 
+def _fast_energy_matches(frame: WeightedFrame, operator, rng, slack: float) -> bool:
+    """Whether the fast path's energy <S x, x> (its cached operator fibers and
+    the module inner product) equals the dense Rayleigh form in every fiber,
+    at one unit vector from ``rng``.  Equal extremes leave the rest of the
+    operator unchecked; this compares the whole of it."""
+    x = random_unit_vector(frame.shape, rng)
+    fast = inner_product(frame.operator_fibers.apply(x), x)
+    dense = fiber_energies(operator, frame.shape, flatten_vector(x)[None])[0]
+    gap = fast - AlgebraElement.from_real(dense.real, frame.shape.kind)
+    return alg_norm(gap) <= slack and np.abs(dense.imag).max() <= slack
+
+
 def _cmd_verify_oracle(scenario: Scenario, cmd: dict, rng) -> dict:
     frame = scenario.frames[cmd["frame"]]
     samples = cmd.get("samples", 200)
     bounds = frame_bounds(frame)
-    eig = eigen_bounds(flatten_frame_operator(frame))
+    operator = flatten_frame_operator(frame)
+    eig = eigen_bounds(operator)
     slack = ORACLE_SLACK * max(1.0, bounds.scalar_upper)
+    sample_ok = brute_force_frame_check(frame, samples, bounds, rng, operator=operator)
+    # The vector for the whole-operator comparison is drawn after the samples.
     matches = (
         abs(eig["lambda_min"] - bounds.scalar_lower) <= slack
         and abs(eig["lambda_max"] - bounds.scalar_upper) <= slack
+        and _fast_energy_matches(frame, operator, rng, slack)
     )
-    sample_ok = brute_force_frame_check(frame, samples, rng=rng)
     return {
         "lambda_min": eig["lambda_min"],
         "lambda_max": eig["lambda_max"],

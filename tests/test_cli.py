@@ -97,8 +97,78 @@ SCALARS = (
     | st.none()
     | TEXT
 )
+
+
+def _nest(leaves: list, shape: list[int], kinds) -> list | tuple:
+    """The leaves, row-major, as a nest of this shape; ``kinds`` yields
+    each container's type in turn."""
+    if not shape:
+        return leaves[0]
+    step = len(leaves) // shape[0]
+    kind = next(kinds)
+    return kind(_nest(leaves[i * step : (i + 1) * step], shape[1:], kinds) for i in range(shape[0]))
+
+
+def _deepest_rows(nest: list) -> list[list]:
+    """The innermost lists of a nest built from lists only."""
+    level = [nest]
+    while isinstance(level[0][0], list):
+        level = [row for node in level for row in node]
+    return level
+
+
+def _ragged_deepest(nest: list) -> list:
+    _deepest_rows(nest)[-1].append(0.25)
+    return nest
+
+
+def _ragged_outermost(nest: list) -> list:
+    nest[-1] = nest[-1][:-1] or nest[-1] * 2
+    return nest
+
+
+def _empty_inner(nest: list) -> list:
+    _deepest_rows(nest)[0].clear()
+    return nest
+
+
+def _with_leaf(leaf):
+    def edit(nest: list) -> list:
+        _deepest_rows(nest)[-1][-1] = leaf
+        return nest
+
+    return edit
+
+
+# Leaves that take a rectangular nest off the one-printf path, and -0.0,
+# which stays on it with a sign the printf must keep.
+ODD_LEAVES = [3, True, np.float64(0.5), float("nan"), float("inf"), float("-inf"), -0.0]
+
+
+@st.composite
+def float_nests(draw, min_depth=1, containers=st.sampled_from([list, tuple]), odd_leaf=None):
+    """Rectangular nests of depth min_depth..4 built from lists and tuples,
+    with float leaves, one of them drawn from ``odd_leaf`` if given."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=min_depth, max_size=4))
+    size = int(np.prod(shape))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    leaves = draw(st.lists(finite, min_size=size, max_size=size))
+    if odd_leaf is not None:
+        leaves[draw(st.integers(0, size - 1))] = draw(odd_leaf)
+    kinds = draw(st.lists(containers, min_size=40, max_size=40))  # 1 + 3 + 9 + 27 containers
+    return _nest(leaves, shape, iter(kinds))
+
+
+LIST_NESTS = float_nests(min_depth=2, containers=st.just(list))
+NESTS = (
+    float_nests()
+    | float_nests(odd_leaf=st.sampled_from(ODD_LEAVES))
+    | LIST_NESTS.map(_ragged_deepest)
+    | LIST_NESTS.map(_ragged_outermost)
+    | LIST_NESTS.map(_empty_inner)
+)
 DOCUMENTS = st.recursive(
-    SCALARS,
+    SCALARS | NESTS,
     lambda inner: st.lists(inner)
     | st.lists(inner).map(tuple)
     | st.lists(FLOATS)
@@ -144,6 +214,27 @@ class TestDumpJson:
     @given(DOCUMENTS)
     def test_matches_the_reference_encoder(self, doc):
         assert dump_json(doc) == reference_dump_json(doc)
+
+    @staticmethod
+    def _base() -> list:
+        return [[[0.5, 1.5], [2.5, -3.0]], [[4.0, 5e-324], [1e308, 0.1]]]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda nest: nest]
+        + [_with_leaf(leaf) for leaf in ODD_LEAVES]
+        + [_ragged_deepest, _ragged_outermost, _empty_inner]
+        + [lambda nest: (tuple(nest[0]), nest[1])]
+        + [lambda nest: [nest[0], tuple(map(tuple, nest[1]))]],
+        ids=["rectangular"]
+        + [f"leaf {leaf!r}" for leaf in ODD_LEAVES]
+        + ["ragged deepest", "ragged outermost", "empty inner list", "tuple row", "tuple rows"],
+    )
+    def test_near_misses_match_the_reference_encoder(self, edit):
+        nest = edit(self._base())
+        for doc in (nest, {"a": {"b": nest}}, [nest, 1], [[nest]]):
+            assert dump_json(doc) == reference_dump_json(doc)
+        assert dump_json(nest, 3) == reference_dump_json(nest, 3)
 
     @pytest.mark.parametrize("name", sorted(EXAMPLE_SCENARIOS))
     def test_bundled_reports_match_the_reference_encoder(self, name):
@@ -562,6 +653,25 @@ class TestMainEntry:
         main(["run", str(path), "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_only_unknown_command_exit_code(self, tmp_path, capsys):
+        # The message names the commands in the scenario validator's order.
+        doc = dict(BLOCK_SCENARIO, commands=[{"run": "bogus"}])
+        bad = write_scenario(tmp_path, doc, "bad.json")
+        assert main(["run", str(bad)]) == 2
+        validator = capsys.readouterr().err
+        assert "unknown command 'bogus'; expected one of check-frame, bounds," in validator
+        path = write_scenario(tmp_path, BLOCK_SCENARIO)
+        assert main(["run", str(path), "--only", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == "error: --only: " + validator[validator.index("unknown command") :]
+
+    def test_only_command_the_scenario_lacks_runs_nothing(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, BLOCK_SCENARIO)
+        assert main(["run", str(path), "--only", "perturb"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"] == [] and report["ok"]
+
     def test_examples_subcommand(self, tmp_path, capsys):
         assert main(["examples", "--dir", str(tmp_path)]) == 0
         for name in EXAMPLE_SCENARIOS:
@@ -587,6 +697,17 @@ class TestMainEntry:
         perturb = report["results"][1]["output"]
         np.testing.assert_allclose(perturb["angles"], np.pi / 2, atol=1e-12)
         assert not perturb["guaranteed"]
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_SCENARIOS))
+def test_bundled_report_matches_its_golden_file(name):
+    """Each bundled example's report, byte for byte as committed in
+    tests/golden (written by ``cstar-fusion run <name> --out``)."""
+    report, _ = run_scenario(build_scenario(EXAMPLE_SCENARIOS[name]))
+    assert (dump_json(report) + "\n").encode() == (GOLDEN / name).read_bytes()
 
 
 # -- fuzzing -----------------------------------------------------------------

@@ -268,6 +268,19 @@ class TestReconstruction:
         assert want.rel_error > 0.0
         assert got.rel_error == want.rel_error
 
+    def test_rel_error_is_measured_when_the_norm_overflows(self, three_subspace_frame):
+        # |x| = sqrt(2) * 1.7e308 exceeds the float range: the norm was inf,
+        # with a numpy overflow warning, and rel_error read 0.0.  Tier-1
+        # turns a RuntimeWarning into an error, so this also checks that
+        # none is emitted.
+        shape = three_subspace_frame.shape
+        x = np.array([1.7e308, 1.7e308])
+        got = reconstruct(three_subspace_frame, ModuleVector(shape, [x]))
+        want = reconstruct(three_subspace_frame, ModuleVector(shape, [np.ldexp(x, -600)]))
+        assert np.isfinite(got.rel_error)
+        assert want.rel_error > 0.0
+        assert got.rel_error == pytest.approx(want.rel_error, rel=1e-15, abs=0.0)
+
     def test_zero_vector_has_zero_error(self, three_subspace_frame):
         result = reconstruct(three_subspace_frame, ModuleVector.zeros(three_subspace_frame.shape))
         assert result.rel_error == 0.0

@@ -1,16 +1,21 @@
 """Tests for the dense brute-force reference path."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from cstar_fusion import frame as frame_module
+from cstar_fusion import hilbert_module, oracle, submodule
+from cstar_fusion import scenario as scenario_module
 from cstar_fusion import (
     COMPLEX,
     QUATERNION,
     AlgebraElement,
     DenseOperator,
     ModuleShape,
+    ModuleVector,
     NotHermitian,
     WeightSequence,
     WeightedFrame,
@@ -253,3 +258,194 @@ class TestRandomUnitVector:
         rng = np.random.default_rng(77)
         x = random_unit_vector(ModuleShape(kind, dims), rng)
         assert module_norm(x) == pytest.approx(1.0, rel=1e-12)
+
+
+def parent_random_unit_vector(shape, rng):
+    """The per-fiber draw loop that the batched sampler replaced, kept as
+    the reference for its stream: one standard_normal call per real and
+    imaginary part of each complex fiber, or per quaternion fiber."""
+    while True:
+        if shape.kind == COMPLEX:
+            fibers = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in shape.dims]
+        else:
+            fibers = [rng.standard_normal(4) for _ in shape.dims]
+        x = ModuleVector(shape, fibers)
+        norm = module_norm(x)
+        if norm > 1e-8:
+            return x * (1.0 / norm)
+
+
+class ZeroedStart:
+    """A generator's normal stream with its first ``zeros`` numbers set to
+    0, so that the first vector drawn has norm 0 and must be redrawn."""
+
+    def __init__(self, seed: int, zeros: int) -> None:
+        self.rng = np.random.default_rng(seed)
+        self.zeros = zeros
+        self.drawn = 0
+
+    def standard_normal(self, size):
+        out = self.rng.standard_normal(size)
+        flat = out.reshape(-1)
+        flat[: max(0, self.zeros - self.drawn)] = 0.0
+        self.drawn += flat.size
+        return out
+
+
+def _state(bit_generator) -> dict:
+    """A generator's state with arrays (MT19937's key) as lists, so that
+    states compare with ==."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    return plain(bit_generator.state)
+
+
+STREAM_SHAPES = [
+    ModuleShape(COMPLEX, (3, 1, 4, 2, 1)),
+    ModuleShape(COMPLEX, (8,) * 5),
+    ModuleShape(QUATERNION, (1,) * 6),
+]
+
+
+class TestSamplingStream:
+    @pytest.mark.parametrize("shape", STREAM_SHAPES, ids=["mixed", "equal", "quaternion"])
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+    def test_random_unit_vector_draws_the_per_fiber_stream(self, shape, bit_generator):
+        ours = np.random.Generator(bit_generator(80))
+        theirs = np.random.Generator(bit_generator(80))
+        for _ in range(5):
+            got = random_unit_vector(shape, ours)
+            want = parent_random_unit_vector(shape, theirs)
+            for g, w in zip(got.fibers, want.fibers):
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-15)
+            assert _state(ours.bit_generator) == _state(theirs.bit_generator)
+
+    @pytest.mark.parametrize("shape", STREAM_SHAPES, ids=["mixed", "equal", "quaternion"])
+    def test_a_null_draw_is_redrawn_from_the_stream(self, shape):
+        width = 2 * flatten_vector(ModuleVector.zeros(shape)).size
+        ours, theirs = ZeroedStart(81, width), ZeroedStart(81, width)
+        got = random_unit_vector(shape, ours)
+        want = parent_random_unit_vector(shape, theirs)
+        for g, w in zip(got.fibers, want.fibers):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-15)
+        assert _state(ours.rng.bit_generator) == _state(theirs.rng.bit_generator)
+        # A batch redraws the rejected vector after the rest of its draws.
+        ours, theirs = ZeroedStart(82, width), ZeroedStart(82, width)
+        rows = oracle._unit_samples(shape, ours, 4)
+        want = [flatten_vector(parent_random_unit_vector(shape, theirs)) for _ in range(4)]
+        np.testing.assert_allclose(rows, want, rtol=0, atol=1e-15)
+        assert _state(ours.rng.bit_generator) == _state(theirs.rng.bit_generator)
+
+    @pytest.mark.parametrize("kind", ["complex", "quaternion"])
+    def test_batches_draw_one_stream(self, monkeypatch, kind):
+        frame = _scalar_fiber_frames()[kind]
+        bounds = frame_bounds(frame)
+        wrong = _raised_lower(bounds, by=1e-3)
+        verdicts, states = [], []
+        for coordinates in (1 << 16, 2 * len(flatten_frame_operator(frame).matrix)):
+            monkeypatch.setattr(oracle, "_BATCH_COORDINATES", coordinates)
+            rng = np.random.default_rng(86)
+            verdicts.append(brute_force_frame_check(frame, 7, bounds, rng))
+            states.append(_state(rng.bit_generator))
+            verdicts.append(brute_force_frame_check(frame, 7, wrong, np.random.default_rng(86)))
+        assert verdicts == [True, False, True, False]
+        assert states[0] == states[1]
+
+
+def _raised_lower(bounds, by: float = 1e-6):
+    """The bounds with every fiber's smallest eigenvalue reported ``by`` too high."""
+    lam_min = bounds.lower.real_parts() ** 2 + by
+    lower = AlgebraElement.from_real(np.sqrt(lam_min), bounds.lower.kind)
+    return dataclasses.replace(bounds, lower=lower, scalar_lower=bounds.scalar_lower + by)
+
+
+# Frames whose operator is a multiple of the identity on every fiber (every
+# quaternion fiber's is), so that every sample attains each fiber's lower
+# bound and a bound 1e-6 too high is caught.
+def _scalar_fiber_frames():
+    shape = ModuleShape(COMPLEX, (1, 1, 2))
+    complex_frame = WeightedFrame(
+        [
+            span_submodule(shape, [[[1.0]], [[1.0]], [[1.0, 1.0j], [0.0, 1.0]]]),
+            block_submodule(shape, {1, 3}),
+        ],
+        WeightSequence.from_matrix(COMPLEX, [[1.0, 2.0, 0.5], [1.5, 1.0, 1.0]]),
+    )
+    quaternion_frame = random_quaternion_frame(np.random.default_rng(83))
+    return {"complex": complex_frame, "quaternion": quaternion_frame}
+
+
+def _verify(frame, samples: int = 50) -> dict:
+    """The verify-oracle command's output for this frame."""
+    scenario = SimpleNamespace(frames={"f": frame})  # all the handler reads
+    handler = scenario_module.COMMANDS["verify-oracle"].handler
+    return handler(scenario, {"frame": "f", "samples": samples}, np.random.default_rng(84))
+
+
+class TestOracleIndependence:
+    @pytest.mark.parametrize("kind", ["complex", "quaternion"])
+    def test_sampling_calls_no_fast_path_kernel(self, monkeypatch, kind):
+        frame = _scalar_fiber_frames()[kind]
+        calls = []
+
+        def spy(name, original):
+            def record(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return record
+
+        for module in (hilbert_module, submodule, frame_module, oracle, scenario_module):
+            for name in ("project", "left_action", "inner_product"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__"):
+            original = getattr(ModuleVector, name)
+            monkeypatch.setattr(ModuleVector, name, spy(f"ModuleVector.{name}", original))
+        assert brute_force_frame_check(frame, 50, rng=np.random.default_rng(85))
+        assert calls == []
+        out = _verify(frame)
+        assert out["sample_check"] and out["matches_bounds"]
+        # verify-oracle's one fast-path call: its whole-operator comparison.
+        assert calls == ["inner_product"]
+
+    def test_an_operator_with_the_right_spectrum_in_the_wrong_basis_fails(self):
+        shape = ModuleShape(COMPLEX, (2,))
+        frame = WeightedFrame(
+            [
+                span_submodule(shape, [[np.array([1.0, 0.0])]]),
+                span_submodule(shape, [[np.array([0.0, 1.0])]]),
+            ],
+            WeightSequence.from_matrix(COMPLEX, [[1.0], [2.0]]),
+        )
+        assert _verify(frame)["matches_bounds"]
+        # The cached operator diag(1, 4) turned by 45 degrees: same extremes.
+        turn = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+        turned = frame_module.FrameOperatorFibers(shape, [turn @ np.diag([1.0, 4.0]) @ turn.T])
+        object.__setattr__(frame, "operator_fibers", turned)
+        out = _verify(frame)
+        assert out["sample_check"]
+        assert not out["matches_bounds"]
+
+    @pytest.mark.parametrize("kind", ["complex", "quaternion"])
+    def test_a_lower_bound_reported_too_high_fails_the_sample_check(self, monkeypatch, kind):
+        frame = _scalar_fiber_frames()[kind]
+        assert _verify(frame)["sample_check"]
+        for module in (scenario_module, oracle):
+            monkeypatch.setattr(module, "frame_bounds", lambda f: _raised_lower(frame_bounds(f)))
+        assert not _verify(frame)["sample_check"]
+
+    @pytest.mark.parametrize("kind", ["complex", "quaternion"])
+    def test_a_wrong_projection_leaves_the_verdict_unchanged(self, monkeypatch, kind):
+        frame = _scalar_fiber_frames()[kind]
+        want = _verify(frame)
+
+        def wrong(sub, x):
+            return x * 2.0
+
+        for module in (submodule, frame_module, oracle):
+            monkeypatch.setattr(module, "project", wrong, raising=False)
+        assert _verify(frame) == want
