@@ -339,25 +339,28 @@ def reconstruct(frame: WeightedFrame, x: ModuleVector, tol: float | None = None)
 
     Solves the frame operator directly (LU, batched over the fibers of each
     dimension), then re-applies the weighted projection sum and reports the
-    relative error.
+    relative error.  Both steps run on x * 2^-e, e the ``np.frexp`` exponent
+    of its largest component, and the result is scaled back by 2^e; that is
+    exact, so only over- or underflow of the result itself loses precision.
     """
     bounds = frame_bounds(frame, tol)
     if not bounds.is_frame:
         raise NotAFrame("cannot reconstruct: the family is not a frame")
-    mid = _solve_operator(frame, x)
+    # At the common scale 2^-e subnormal input keeps full precision, and
+    # rel_error is measured even where the norm of x exceeds the float range.
+    e = max(_frexp_exponent(b, None) for b in x.blocks.values())
+
+    def scaled(v: ModuleVector, k: int) -> ModuleVector:
+        return ModuleVector(v.shape, {m: _ldexp(b, k) for m, b in v.blocks.items()})
+
+    xs = scaled(x, -e)
+    mid = _solve_operator(frame, xs)
     acc = ModuleVector.zeros(frame.shape)
     for sub, w in zip(frame.submodules, frame.weights):
         acc = acc + left_action(w * w, project(sub, mid))
-    # Both norms are taken at one common scale 2^-e, which is exact, so the
-    # ratio is measured even where the norm of x itself exceeds the float range.
-    e = max(_frexp_exponent(b, None) for b in x.blocks.values())
-
-    def scaled(v: ModuleVector) -> ModuleVector:
-        return ModuleVector(v.shape, {m: _ldexp(b, -e) for m, b in v.blocks.items()})
-
-    denom = module_norm(scaled(x))
-    rel = module_norm(scaled(acc - x)) / denom if denom > 0 else 0.0
-    return ReconstructionResult(vector=acc, rel_error=float(rel))
+    denom = module_norm(xs)
+    rel = module_norm(acc - xs) / denom if denom > 0 else 0.0
+    return ReconstructionResult(vector=scaled(acc, e), rel_error=float(rel))
 
 
 def tightness(frame: WeightedFrame, tol: float = TIGHT_TOL) -> TightnessResult:

@@ -281,6 +281,14 @@ class TestReconstruction:
         assert want.rel_error > 0.0
         assert got.rel_error == pytest.approx(want.rel_error, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("scale", [1e-318, 1e-310])
+    def test_subnormal_input_keeps_full_precision(self, three_subspace_frame, scale):
+        # The solve and the projections ran on subnormal numbers: rel_error
+        # read 4.7e-06 at 1e-318 and 4.7e-14 at 1e-310.
+        x = np.array([1.0, 0.3]) * scale
+        result = reconstruct(three_subspace_frame, ModuleVector(three_subspace_frame.shape, [x]))
+        assert result.rel_error <= 1e-15
+
     def test_zero_vector_has_zero_error(self, three_subspace_frame):
         result = reconstruct(three_subspace_frame, ModuleVector.zeros(three_subspace_frame.shape))
         assert result.rel_error == 0.0

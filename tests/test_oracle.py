@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstar_fusion import frame as frame_module
 from cstar_fusion import hilbert_module, oracle, submodule
@@ -16,7 +18,9 @@ from cstar_fusion import (
     DenseOperator,
     ModuleShape,
     ModuleVector,
+    NotFinite,
     NotHermitian,
+    ShapeMismatch,
     WeightSequence,
     WeightedFrame,
     assemble_block_frame,
@@ -175,6 +179,100 @@ class TestEigenBounds:
         frame = random_complex_frame(np.random.default_rng(79))
         eigen_bounds(flatten_frame_operator(frame))
         assert orders and 2 not in orders
+
+
+def _eigvalsh_shapes(monkeypatch) -> list[tuple[int, ...]]:
+    """Record the shape of every array given to np.linalg.eigvalsh."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return shapes
+
+
+def _block_diagonal(blocks) -> np.ndarray:
+    out = np.zeros((sum(map(len, blocks)),) * 2, dtype=complex)
+    at = 0
+    for b in blocks:
+        out[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    return out
+
+
+class TestDenseOperator:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        # eigen_bounds of [[nan]] or [[inf]] raised LinAlgError from LAPACK.
+        with pytest.raises(NotFinite):
+            DenseOperator(np.array([[1.0, 0.0], [0.0, bad]]))
+
+    def test_rejects_an_empty_matrix(self):
+        # eigen_bounds of a 0x0 operator raised IndexError.
+        with pytest.raises(ShapeMismatch):
+            DenseOperator(np.zeros((0, 0)))
+
+
+class TestBlockSplit:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+        sparsity=st.sampled_from([0.0, 0.5, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_extremes_equal_a_full_eigendecomposition(self, sizes, sparsity, seed):
+        # Zeroed entries inside a block split it further, or not, depending
+        # on where they fall; either way the extremes are the whole matrix's.
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for s in sizes:
+            a = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+            a[rng.random((s, s)) < sparsity] = 0.0
+            blocks.append(a + a.conj().T)
+        m = _block_diagonal(blocks)
+        got = eigen_bounds(DenseOperator(m))
+        want = np.linalg.eigvalsh(m)
+        atol = 1e-12 * max(1.0, np.linalg.norm(m, 2))
+        assert got["lambda_min"] == pytest.approx(want[0], rel=0.0, abs=atol)
+        assert got["lambda_max"] == pytest.approx(want[-1], rel=0.0, abs=atol)
+
+    def test_blocks_of_one_size_are_stacked(self, monkeypatch):
+        shapes = _eigvalsh_shapes(monkeypatch)
+        pair = np.array([[2.0, 1.0], [1.0, 2.0]])
+        got = eigen_bounds(DenseOperator(_block_diagonal([pair, [[5.0]], 3 * pair])))
+        assert sorted(shapes) == [(1, 1, 1), (2, 2, 2)]
+        assert got["lambda_min"] == pytest.approx(1.0, abs=1e-14)
+        assert got["lambda_max"] == pytest.approx(9.0, abs=1e-14)
+
+    def test_a_tiny_coupling_merges_two_blocks(self, monkeypatch):
+        shapes = _eigvalsh_shapes(monkeypatch)
+        m = _block_diagonal([np.array([[2.0, 1.0], [1.0, 2.0]]), [[5.0]]])
+        m[1, 2] = m[2, 1] = 1e-300
+        eigen_bounds(DenseOperator(m))
+        assert shapes == [(1, 3, 3)]
+
+    def test_a_matrix_without_zeros_is_one_block(self, monkeypatch):
+        shapes = _eigvalsh_shapes(monkeypatch)
+        a = np.random.default_rng(86).standard_normal((5, 5)) + 1.0
+        eigen_bounds(DenseOperator(a + a.T))
+        assert shapes == [(1, 5, 5)]
+
+    def test_verify_oracle_takes_no_eigendecomposition_wider_than_a_fiber(self, monkeypatch):
+        # 64 fibers of dimension 8 flatten to a 512x512 matrix; the oracle's
+        # extremes come from its 8x8 blocks.  Counts shapes, not time.
+        rng = np.random.default_rng(87)
+        shape = ModuleShape(COMPLEX, (8,) * 64)
+        subs = [random_span_submodule(rng, shape) for _ in range(5)]
+        subs.append(block_submodule(shape, range(1, 65)))
+        weights = WeightSequence.from_matrix(COMPLEX, rng.uniform(0.5, 2.0, (6, 64)))
+        frame = WeightedFrame(subs, weights)
+        shapes = _eigvalsh_shapes(monkeypatch)
+        out = _verify(frame, samples=20)
+        assert out["matches_bounds"] and out["sample_check"]
+        assert max(s[-1] for s in shapes) == 8
 
 
 class TestAgreement:
