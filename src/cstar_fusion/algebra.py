@@ -218,22 +218,22 @@ def positivity_class(a: AlgebraElement, tol: float | None = None) -> PositivityC
     return PositivityClass.STRICTLY_POSITIVE
 
 
-def sqrt_positive(a: AlgebraElement, tol: float | None = None) -> AlgebraElement:
+def sqrt_positive(a: AlgebraElement) -> AlgebraElement:
     """The unique positive square root of a positive element.
 
     The root has real fibers, so it is central whenever the input is.
     """
-    if positivity_class(a, tol) < PositivityClass.POSITIVE:
+    if positivity_class(a) < PositivityClass.POSITIVE:
         raise NotPositive("square root requires a positive element")
     roots = np.sqrt(np.clip(a.real_parts(), 0.0, None))
     return AlgebraElement.from_real(roots, a.kind)
 
 
-def invert(a: AlgebraElement, tol: float = 0.0) -> AlgebraElement:
-    """Fiberwise inverse; fails if any fiber modulus is at most ``tol``."""
+def invert(a: AlgebraElement) -> AlgebraElement:
+    """Fiberwise inverse; fails if any fiber modulus is zero."""
     moduli = a.fiber_moduli()
-    if float(np.min(moduli)) <= tol:
-        raise NotInvertible(f"fiber modulus {float(np.min(moduli))!r} is at most {tol!r}")
+    if float(np.min(moduli)) <= 0.0:
+        raise NotInvertible(f"fiber modulus {float(np.min(moduli))!r} is not positive")
     if a.kind == COMPLEX:
         return AlgebraElement(COMPLEX, 1.0 / a.fibers)
     conj = _quat_conj(np.asarray(a.fibers))
@@ -246,7 +246,7 @@ def order_leq(a: AlgebraElement, b: AlgebraElement, tol: float | None = None) ->
     return positivity_class(b - a, tol) >= PositivityClass.POSITIVE
 
 
-def is_central(a: AlgebraElement, tol: float | None = None) -> bool:
+def is_central(a: AlgebraElement) -> bool:
     """Whether the element commutes with the whole algebra.
 
     Complex fibers always commute; a quaternion fiber commutes with all of
@@ -254,6 +254,4 @@ def is_central(a: AlgebraElement, tol: float | None = None) -> bool:
     """
     if a.kind == COMPLEX:
         return True
-    if tol is None:
-        tol = _default_tol(a)
-    return float(np.max(a.imag_magnitudes())) <= tol
+    return float(np.max(a.imag_magnitudes())) <= _default_tol(a)

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CstarFusionError, ParseError, ValidationError
-from .scenario import COMMANDS, Scenario, build_scenario, load_scenario
+from .scenario import COMMANDS, Scenario, _nest, build_scenario, load_scenario
 
 REPORT_VERSION = "cstar-fusion/1"
 
@@ -43,22 +42,6 @@ def _string(s: str) -> str:
 
 _literal = {True: "true", False: "false", None: "null"}.get
 _SCALARS = {bool: _literal, type(None): _literal, int: str, float: _float, str: _string}
-
-
-def _float_nest(obj: list | tuple) -> tuple[list[int], list[float]] | None:
-    """The shape and leaves of a rectangular nest of lists and tuples with
-    no empty level whose leaves are all exactly ``float``; else None.  Each
-    depth is checked in one pass over all of its values."""
-    shape, level = [], [obj]
-    while True:
-        kinds = set(map(type, level))
-        if kinds == {float}:
-            return shape, level
-        sizes = set(map(len, level)) if kinds <= {list, tuple} else ()
-        if len(sizes) != 1:  # below an empty level there are no kinds, so no sizes
-            return None
-        shape.append(sizes.pop())
-        level = list(chain.from_iterable(level))
 
 
 def _nest_template(shape: list[int], indent: int) -> str:
@@ -86,7 +69,7 @@ def dump_json(obj, indent: int = 0) -> str:
         items = [f"{dump_json(str(k))}: {dump_json(v, indent + 1)}" for k, v in sorted(obj.items())]
         return f"{{\n{inner}{sep.join(items)}\n{'  ' * indent}}}"
     if isinstance(obj, (list, tuple)):
-        nest = _float_nest(obj)
+        nest = _nest(obj, {float})
         if nest is not None:  # all floats: one printf; an "n" is nan or inf
             text = _nest_template(nest[0], indent) % tuple(nest[1])
             if "n" not in text:

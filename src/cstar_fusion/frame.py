@@ -30,7 +30,7 @@ from .algebra import (
     positivity_class,
 )
 from .errors import IndexOutOfRange, InvalidWeight, LengthMismatch, NotAFrame, ShapeMismatch
-from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint
+from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint, _apply_fibers
 from .hilbert_module import _frexp_exponent, _ldexp, inner_product, left_action, module_norm
 from .submodule import Submodule, block_submodule, project
 from .tolerance import FRAME_TOL, TIGHT_TOL
@@ -108,11 +108,7 @@ class FrameOperatorFibers(FiberBlocks):
         self._store(fibers, matrix=True)
 
     def apply(self, x: ModuleVector) -> ModuleVector:
-        self._check_same_shape(x)
-        if self.shape.kind == COMPLEX:
-            blocks = {m: (s @ x.blocks[m][:, :, None])[:, :, 0] for m, s in self.blocks.items()}
-            return ModuleVector(x.shape, blocks)
-        return ModuleVector(x.shape, {1: self.blocks[1][:, 0] * x.blocks[1]})
+        return _apply_fibers(self, x)
 
 
 def _assemble_operator(
@@ -280,17 +276,17 @@ def frame_operator(frame: WeightedFrame) -> FrameOperatorFibers:
     return frame.operator_fibers
 
 
-def frame_bounds(frame: WeightedFrame, tol: float | None = None) -> FrameBounds:
+def frame_bounds(frame: WeightedFrame) -> FrameBounds:
     """Optimal bounds from the per-fiber spectral extremes of the frame
     operator.
 
     The family is reported as a frame when the smallest per-fiber eigenvalue
-    exceeds ``tol`` (default: FRAME_TOL relative to the largest eigenvalue).
+    exceeds FRAME_TOL times max(1, largest eigenvalue).
     """
     lam_min, lam_max = frame._extremes.T
     c = float(np.min(lam_min))
     d = float(np.max(lam_max))
-    threshold = tol if tol is not None else FRAME_TOL * max(1.0, d)
+    threshold = FRAME_TOL * max(1.0, d)
     kind = frame.shape.kind
     lower = AlgebraElement.from_real(np.sqrt(np.clip(lam_min, 0.0, None)), kind)
     upper = AlgebraElement.from_real(np.sqrt(np.clip(lam_max, 0.0, None)), kind)
@@ -334,7 +330,7 @@ def _solve_operator(frame: WeightedFrame, x: ModuleVector) -> ModuleVector:
     return ModuleVector(x.shape, blocks)
 
 
-def reconstruct(frame: WeightedFrame, x: ModuleVector, tol: float | None = None) -> ReconstructionResult:
+def reconstruct(frame: WeightedFrame, x: ModuleVector) -> ReconstructionResult:
     """Exact reconstruction x = sum_n w_n^2 P_n(S^-1 x).
 
     Solves the frame operator directly (LU, batched over the fibers of each
@@ -343,7 +339,7 @@ def reconstruct(frame: WeightedFrame, x: ModuleVector, tol: float | None = None)
     of its largest component, and the result is scaled back by 2^e; that is
     exact, so only over- or underflow of the result itself loses precision.
     """
-    bounds = frame_bounds(frame, tol)
+    bounds = frame_bounds(frame)
     if not bounds.is_frame:
         raise NotAFrame("cannot reconstruct: the family is not a frame")
     # At the common scale 2^-e subnormal input keeps full precision, and
@@ -363,18 +359,18 @@ def reconstruct(frame: WeightedFrame, x: ModuleVector, tol: float | None = None)
     return ReconstructionResult(vector=scaled(acc, e), rel_error=float(rel))
 
 
-def tightness(frame: WeightedFrame, tol: float = TIGHT_TOL) -> TightnessResult:
+def tightness(frame: WeightedFrame) -> TightnessResult:
     """Whether every fiber of the frame operator is a scalar multiple of the
     identity, and whether that scalar is 1 (Parseval)."""
     bounds = frame_bounds(frame)
     if not bounds.is_frame:
         raise NotAFrame("tightness is only defined for frames")
     lo, hi = frame._extremes.T
-    if not np.all(hi - lo <= tol * np.maximum(1.0, hi)):
+    if not np.all(hi - lo <= TIGHT_TOL * np.maximum(1.0, hi)):
         return TightnessResult(tight=False, constant=None, parseval=False)
     levels = np.sqrt((lo + hi) / 2.0)
     constant = AlgebraElement.from_real(levels, frame.shape.kind)
-    parseval = bool(np.max(np.abs(levels - 1.0)) <= tol)
+    parseval = bool(np.max(np.abs(levels - 1.0)) <= TIGHT_TOL)
     return TightnessResult(tight=True, constant=constant, parseval=parseval)
 
 

@@ -182,6 +182,16 @@ class ModuleVector(FiberBlocks):
         return {"kind": self.shape.kind, "dims": list(self.shape.dims), "data": flat}
 
 
+def _apply_fibers(op: FiberBlocks, x: ModuleVector) -> ModuleVector:
+    """Each fiber's matrix of ``op`` applied to that fiber of x; a quaternion
+    fiber's (1, 1) matrix is a real scalar."""
+    op._check_same_shape(x)
+    if op.shape.kind == COMPLEX:
+        blocks = {m: (a @ x.blocks[m][:, :, None])[:, :, 0] for m, a in op.blocks.items()}
+        return ModuleVector(x.shape, blocks)
+    return ModuleVector(x.shape, {1: op.blocks[1][:, 0] * x.blocks[1]})
+
+
 def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     """Algebra-valued inner product, linear in the first argument.
 

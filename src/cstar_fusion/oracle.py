@@ -22,7 +22,7 @@ from .algebra import COMPLEX
 from .errors import NotFinite, NotHermitian, ShapeMismatch
 from .frame import FrameBounds, WeightedFrame, frame_bounds
 from .hilbert_module import ModuleShape, ModuleVector
-from .tolerance import DENSE_CAP, HERMITIAN_TOL, ORACLE_SLACK
+from .tolerance import DENSE_CAP, HERMITIAN_TOL, ORACLE_SLACK, SAMPLE_REDRAW
 
 # Sampled coordinates held at once, so memory stays bounded for any sample count.
 _BATCH_COORDINATES = 1 << 16
@@ -115,8 +115,9 @@ def _diagonal_blocks(h: np.ndarray):
         yield h[np.swapaxes(at, 1, 2), at]
 
 
-def eigen_bounds(op: DenseOperator, tol: float = HERMITIAN_TOL) -> dict:
-    """Extreme eigenvalues of a Hermitian m: ||m - m^H||_2 <= tol * max(1, ||m||_2).
+def eigen_bounds(op: DenseOperator) -> dict:
+    """Extreme eigenvalues of a Hermitian m, one with
+    ||m - m^H||_2 <= HERMITIAN_TOL * max(1, ||m||_2).
 
     The extremes are those over the contiguous diagonal blocks of
     h = (m + m^H) / 2, split only where h itself is exactly zero, with one
@@ -126,9 +127,10 @@ def eigen_bounds(op: DenseOperator, tol: float = HERMITIAN_TOL) -> dict:
     offsets, so a misplaced entry merges blocks rather than being lost.
     """
     m = np.asarray(op.matrix)
-    if not np.linalg.norm(m - m.conj().T) <= tol / 2:  # Frobenius >= spectral; /2 for rounding
+    # The Frobenius norm bounds the spectral one; half the threshold absorbs rounding.
+    if not np.linalg.norm(m - m.conj().T) <= HERMITIAN_TOL / 2:
         defect = float(np.linalg.norm(m - m.conj().T, 2))
-        if defect > tol * max(1.0, float(np.linalg.norm(m, 2))):
+        if defect > HERMITIAN_TOL * max(1.0, float(np.linalg.norm(m, 2))):
             raise NotHermitian(f"operator deviates from Hermitian by {defect:.2e}")
     eigvals = [np.linalg.eigvalsh(stack) for stack in _diagonal_blocks((m + m.conj().T) / 2.0)]
     return {
@@ -143,9 +145,9 @@ def _unit_samples(shape: ModuleShape, rng: np.random.Generator, count: int) -> n
 
     Each vector is one ``standard_normal(2 D)`` draw: the real then the
     imaginary parts of each complex fiber in turn, or the (w, x, y, z) rows
-    of quaternion fibers.  A vector of norm at most 1e-8 is redrawn from
-    the next numbers of the stream, so the vectors and the generator's end
-    state are those of drawing one vector at a time.
+    of quaternion fibers.  A vector of norm at most SAMPLE_REDRAW is redrawn
+    from the next numbers of the stream, so the vectors and the generator's
+    end state are those of drawing one vector at a time.
     """
     offsets = _fiber_offsets(shape)
     total = int(offsets[-1])
@@ -161,7 +163,7 @@ def _unit_samples(shape: ModuleShape, rng: np.random.Generator, count: int) -> n
         x = np.ascontiguousarray(draws[:, pairs]).view(complex)
         lengths = np.add.reduceat(x.real**2 + x.imag**2, offsets[:-1], axis=1)
         norms = np.sqrt(lengths.max(axis=1))
-        keep = norms > 1e-8
+        keep = norms > SAMPLE_REDRAW
         rows = np.concatenate([rows, x[keep] * (1.0 / norms[keep])[:, None]])
     return rows
 
@@ -187,7 +189,6 @@ def brute_force_frame_check(
     samples: int,
     bounds: FrameBounds | None = None,
     rng: np.random.Generator | None = None,
-    tol: float = ORACLE_SLACK,
     operator: DenseOperator | None = None,
 ) -> bool:
     """Sample random unit vectors and verify the reported bounds.
@@ -206,7 +207,7 @@ def brute_force_frame_check(
         rng = np.random.default_rng(0)
     if operator is None:
         operator = flatten_frame_operator(frame)
-    slack = tol * max(1.0, bounds.scalar_upper)
+    slack = ORACLE_SLACK * max(1.0, bounds.scalar_upper)
     starts = _fiber_offsets(frame.shape)[:-1]
     scalar_low, scalar_high = bounds.scalar_lower - slack, bounds.scalar_upper + slack
     low_scale = bounds.lower.fiber_moduli() ** 2

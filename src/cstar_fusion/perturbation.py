@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import alg_norm
 from .errors import LengthMismatch, NotAFrame, ShapeMismatch
-from .frame import FrameBounds, WeightedFrame, frame_bounds
+from .frame import WeightedFrame, frame_bounds
 from .hilbert_module import _adjoint
 from .submodule import Submodule
 from .tolerance import SNAP_TO_ONE
@@ -58,6 +58,10 @@ def angle(first: Submodule, second: Submodule) -> float:
     return float(np.arcsin(proj_distance(first, second)))
 
 
+def _root_sum_square(weights: np.ndarray, dists: Sequence[float]) -> float:
+    return float(np.sqrt(np.sum(weights * np.asarray(dists) ** 2)))
+
+
 def ecart(
     first: Sequence[Submodule], second: Sequence[Submodule], weights: Sequence[float]
 ) -> float:
@@ -69,8 +73,7 @@ def ecart(
     w = np.asarray(list(weights), dtype=float)
     if np.any(w <= 0):
         raise ValueError("ecart weights must be positive")
-    dists = np.array([proj_distance(u, v) for u, v in zip(first, second)])
-    return float(np.sqrt(np.sum(w * dists**2)))
+    return _root_sum_square(w, [proj_distance(u, v) for u, v in zip(first, second)])
 
 
 def ball_membership(
@@ -123,14 +126,12 @@ class PerturbReport:
         return asdict(self)
 
 
-def _require_frame(frame: WeightedFrame) -> FrameBounds:
+def _compare(frame: WeightedFrame, candidates: Sequence[Submodule]):
+    """The frame's bounds, each pair's projection distance and angle, the
+    q-weights and the guarantee threshold; each distance is computed once."""
     bounds = frame_bounds(frame)
     if not bounds.is_frame:
         raise NotAFrame("the reference family is not a frame")
-    return bounds
-
-
-def _check_candidates(frame: WeightedFrame, candidates: Sequence[Submodule]) -> None:
     if len(candidates) != len(frame):
         raise LengthMismatch(
             f"{len(frame)} submodules but {len(candidates)} candidates"
@@ -138,6 +139,10 @@ def _check_candidates(frame: WeightedFrame, candidates: Sequence[Submodule]) -> 
     for sub in candidates:
         if sub.shape != frame.shape:
             raise ShapeMismatch("candidate shapes do not match the frame")
+    dists = tuple(proj_distance(u, v) for u, v in zip(frame.submodules, candidates))
+    angles = tuple(float(np.arcsin(d)) for d in dists)
+    q_weights = np.asarray(frame.weights.q_weights())
+    return bounds, dists, angles, q_weights, float(np.sqrt(bounds.scalar_lower))
 
 
 def _evaluate_criteria(
@@ -176,12 +181,8 @@ def angle_criteria(
 ) -> CriteriaResult:
     """Evaluate the three sufficient angle conditions for the candidate
     family; any true one implies the ecart falls below the threshold."""
-    bounds = _require_frame(frame)
-    _check_candidates(frame, candidates)
-    angles = np.array([angle(u, v) for u, v in zip(frame.submodules, candidates)])
-    q_weights = np.asarray(frame.weights.q_weights())
-    threshold = float(np.sqrt(bounds.scalar_lower))
-    return _evaluate_criteria(angles, q_weights, threshold, p)
+    _, _, angles, q_weights, threshold = _compare(frame, candidates)
+    return _evaluate_criteria(np.asarray(angles), q_weights, threshold, p)
 
 
 def perturbation_check(
@@ -196,15 +197,8 @@ def perturbation_check(
     verified scalar bounds are reported next to the predictions
     (threshold - ecart)^2 and (upper-bound norm + ecart)^2.
     """
-    bounds = _require_frame(frame)
-    _check_candidates(frame, candidates)
-    dists = tuple(
-        proj_distance(u, v) for u, v in zip(frame.submodules, candidates)
-    )
-    angles = tuple(float(np.arcsin(d)) for d in dists)
-    q_weights = np.asarray(frame.weights.q_weights())
-    ecart_value = float(np.sqrt(np.sum(q_weights * np.asarray(dists) ** 2)))
-    threshold = float(np.sqrt(bounds.scalar_lower))
+    bounds, dists, angles, q_weights, threshold = _compare(frame, candidates)
+    ecart_value = _root_sum_square(q_weights, dists)
     guaranteed = bool(ecart_value < threshold)
     upper_norm = alg_norm(bounds.upper)
     criteria = _evaluate_criteria(np.asarray(angles), q_weights, threshold, p)

@@ -13,7 +13,9 @@ from __future__ import annotations
 import json
 import sys
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -90,6 +92,10 @@ def _is_real(value) -> bool:
     )
 
 
+def _is_bit(value) -> bool:
+    return _is_real(value) and value in (0, 1)
+
+
 def _integers(value, path: str) -> list[int]:
     if not isinstance(value, list) or not all(map(_is_int, value)):
         _fail(path, "expected a list of integers")
@@ -109,41 +115,71 @@ def _section(raw: dict, key: str) -> dict:
     return _mapping(raw.get(key, {}), key)
 
 
-def _complex_vector(entries, path: str) -> np.ndarray:
+def _nest(obj, leaf_types: set[type]) -> tuple[list[int], list] | None:
+    """The shape and leaves of a rectangular nest of lists and tuples with
+    no empty level whose leaves' types are all in ``leaf_types`` (exact
+    types, so ``bool`` is never ``int``); else None.  Each depth is checked
+    in one pass over all of its values."""
+    shape, level = [], [obj]
+    while True:
+        kinds = set(map(type, level))
+        if kinds and kinds <= leaf_types:
+            return shape, level
+        sizes = set(map(len, level)) if kinds <= {list, tuple} else ()
+        if len(sizes) != 1:  # below an empty level there are no kinds, so no sizes
+            return None
+        shape.append(sizes.pop())
+        level = list(chain.from_iterable(level))
+
+
+def _reals(value, path: str, ndim: int, what: str) -> np.ndarray:
+    """A rectangular nest of finite reals, ``ndim`` levels deep, as one float
+    array; anything else fails at ``path`` with ``what``."""
+    nest = _nest(value, {int, float})
+    if nest is None or len(nest[0]) != ndim:
+        _fail(path, what)
     try:
-        arr = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError):
-        _fail(path, "expected a list of [re, im] pairs")
-    except OverflowError:
+        arr = np.array(nest[1], dtype=float)
+    except OverflowError:  # an int beyond the float range
         _fail(path, "entries must be finite")
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        _fail(path, "expected a list of [re, im] pairs")
     if not np.isfinite(arr).all():
         _fail(path, "entries must be finite")
-    return arr[:, 0] + 1j * arr[:, 1]
+    return arr.reshape(nest[0])
 
 
-def _complex_stack(entries, ndim: int) -> np.ndarray | None:
-    """A rectangular nest of finite [re, im] pairs, ``ndim`` levels deep
-    counting the pairs, as one complex array; None for anything else, which
-    the caller then checks entry by entry for the error's key path."""
-    try:
-        arr = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if arr.ndim != ndim or arr.shape[-1] != 2 or not np.isfinite(arr).all():
-        return None
+def _complexes(value, path: str, ndim: int, what: str) -> np.ndarray:
+    """A rectangular nest of [re, im] pairs as one complex array of ``ndim``
+    dimensions."""
+    arr = _reals(value, path, ndim + 1, what)
+    if arr.shape[-1] != 2:
+        _fail(path, what)
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _complex_matrix(entries, m: int, path: str) -> np.ndarray:
+def _per_fiber(convert, fibers: list, path: str, ndim: int, what: str):
+    """Per-fiber data converted whole by ``convert``; when that fails, fiber
+    by fiber, so that an error names its fiber.  An empty fiber stays an
+    empty list."""
     try:
-        arr = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        _fail(path, "expected a row-major matrix of [re, im] entries")
-    if arr.shape != (m, m, 2):
-        _fail(path, f"expected a {m}x{m} matrix of [re, im] entries")
-    return arr[..., 0] + 1j * arr[..., 1]
+        return convert(fibers, path, ndim, what)
+    except ValidationError:
+        pass
+    out = []
+    for k, fiber in enumerate(fibers):
+        at = f"{path}[{k}]"
+        out.append(convert(fiber, at, ndim - 1, what) if _sequence(fiber, at) else [])
+    return out
+
+
+@contextmanager
+def _library_errors_at(path: str):
+    """Report an error the library raises inside the block at ``path``."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (CstarFusionError, ValueError) as exc:
+        _fail(path, str(exc))
 
 
 def _build_shape(raw: dict) -> ModuleShape:
@@ -158,10 +194,8 @@ def _build_shape(raw: dict) -> ModuleShape:
     dims = _integers(module["dims"], "module.dims") if "dims" in module else [1] * fibers
     if len(dims) != fibers:
         _fail("module.dims", f"expected {fibers} entries, got {len(dims)}")
-    try:
+    with _library_errors_at("module.dims"):
         return ModuleShape(kind, tuple(dims))
-    except (CstarFusionError, ValueError) as exc:
-        _fail("module.dims", str(exc))
 
 
 def _build_submodule(name: str, spec: dict, shape: ModuleShape) -> Submodule:
@@ -171,91 +205,69 @@ def _build_submodule(name: str, spec: dict, shape: ModuleShape) -> Submodule:
     if len(forms) != 1:
         _fail(path, "need exactly one of blocks / selectors / span / projection")
     form = forms[0]
-    try:
+    with _library_errors_at(path):
         if form == "blocks":
             return block_submodule(shape, _integers(spec["blocks"], f"{path}.blocks"))
         if form == "selectors":
             bits = _sequence(spec["selectors"], f"{path}.selectors")
             if len(bits) != shape.fiber_count:
                 _fail(path, f"expected {shape.fiber_count} selector bits")
-            if any(b not in (0, 1) for b in bits):
+            if not all(map(_is_bit, bits)):
                 _fail(path, "selector bits must be 0 or 1")
             return block_submodule(shape, [k + 1 for k, b in enumerate(bits) if b == 1])
         if form == "span":
             spans = _sequence(spec["span"], f"{path}.span")
             if len(spans) != shape.fiber_count:
                 _fail(path, f"expected spans for {shape.fiber_count} fibers")
-            vectors = _complex_stack(spans, 4)
-            if vectors is None:
-                vectors = []
-                for k, fiber_spans in enumerate(spans):
-                    at = f"{path}.span[{k}]"
-                    vectors.append([_complex_vector(v, at) for v in _sequence(fiber_spans, at)])
-            return span_submodule(shape, vectors)
+            what = "expected a list of [re, im] pairs per vector"
+            return span_submodule(shape, _per_fiber(_complexes, spans, f"{path}.span", 3, what))
         mats = _sequence(spec["projection"], f"{path}.projection")
         if len(mats) != shape.fiber_count:
             _fail(path, f"expected {shape.fiber_count} projection matrices")
-        fibers = []
-        for k, m in enumerate(shape.dims):
-            if shape.kind == QUATERNION:
-                if mats[k] not in (0, 1):
+        if shape.kind == QUATERNION:  # a quaternion fiber's projection is a 0/1 selector
+            for k, bit in enumerate(mats):
+                if not _is_bit(bit):
                     _fail(f"{path}.projection[{k}]", "a quaternion selector must be 0 or 1")
-                fibers.append(np.array([[float(mats[k])]]))
-            else:
-                fibers.append(_complex_matrix(mats[k], m, f"{path}.projection[{k}]"))
-        sub = Submodule(shape, fibers)
+            return block_submodule(shape, [k + 1 for k, b in enumerate(mats) if b == 1])
+        what = "expected a row-major matrix of [re, im] entries"
+        sub = Submodule(shape, _per_fiber(_complexes, mats, f"{path}.projection", 3, what))
         if not validate_projection(sub):
             _fail(f"{path}.projection", "not a Hermitian idempotent matrix in every fiber")
         return sub
-    except ValidationError:
-        raise
-    except CstarFusionError as exc:
-        _fail(path, str(exc))
 
 
 def _build_vector(name: str, entries, shape: ModuleShape) -> ModuleVector:
     path = f"vectors.{name}"
     if len(_sequence(entries, path)) != shape.fiber_count:
         _fail(path, f"expected {shape.fiber_count} fibers")
-    try:
-        if shape.kind == COMPLEX:
-            fibers = _complex_stack(entries, 3)
-            if fibers is None:
-                fibers = [_complex_vector(f, f"{path}[{k}]") for k, f in enumerate(entries)]
-        else:
-            fibers = [np.asarray(f, dtype=float) for f in entries]
-            if not all(np.isfinite(f).all() for f in fibers):
-                _fail(path, "entries must be finite")
+    if shape.kind == COMPLEX:
+        fibers = _per_fiber(_complexes, entries, path, 2, "expected a list of [re, im] pairs")
+    else:
+        fibers = _reals(entries, path, 2, "expected a list of [w, x, y, z] rows")
+    with _library_errors_at(path):
         return ModuleVector(shape, fibers)
-    except ValidationError:
-        raise
-    except (CstarFusionError, TypeError, ValueError, OverflowError) as exc:
-        _fail(path, str(exc))
 
 
 def _build_map(name: str, spec: dict, shape: ModuleShape) -> OrthoMap:
     path = f"maps.{name}"
-    scales = _mapping(spec, path).get("scales", [1.0] * shape.fiber_count)
-    if len(_sequence(scales, f"{path}.scales")) != shape.fiber_count:
-        _fail(path, f"expected {shape.fiber_count} scales")
+    n = shape.fiber_count
+    scales = _reals(_mapping(spec, path).get("scales", [1.0] * n), path, 1, f"expected {n} scales")
+    if len(scales) != n:
+        _fail(path, f"expected {n} scales")
     rotations = spec.get("rotations")
-    try:
+    if rotations is not None:
+        if len(_sequence(rotations, f"{path}.rotations")) != n:
+            _fail(path, f"expected {n} rotations")
+        if shape.kind == COMPLEX:
+            what = "expected a row-major matrix of [re, im] entries"
+            rotations = _per_fiber(_complexes, rotations, f"{path}.rotations", 3, what)
+        else:
+            what = "expected a unit quaternion [w, x, y, z]"
+            rotations = _per_fiber(_reals, rotations, f"{path}.rotations", 2, what)
+    with _library_errors_at(path):
         if rotations is None:
-            identity = OrthoMap.identity(shape)
-            return OrthoMap(shape, scales, identity.rotations)
-        if len(_sequence(rotations, f"{path}.rotations")) != shape.fiber_count:
-            _fail(path, f"expected {shape.fiber_count} rotations")
-        built = []
-        for k, rot in enumerate(rotations):
-            if shape.kind == COMPLEX:
-                built.append(_complex_matrix(rot, shape.dims[k], f"{path}.rotations[{k}]"))
-            else:
-                built.append(np.asarray(rot, dtype=float))
-        return OrthoMap(shape, scales, built)
-    except ValidationError:
-        raise
-    except (CstarFusionError, TypeError, ValueError, OverflowError) as exc:
-        _fail(path, str(exc))
+            rotations = OrthoMap.identity(shape).rotations
+        return OrthoMap(shape, scales, rotations)
 
 
 # -- commands ------------------------------------------------------------------
@@ -460,16 +472,12 @@ def build_scenario(raw: dict) -> Scenario:
 
     for name, matrix in _section(raw, "weights").items():
         path = f"weights.{name}"
-        try:
-            arr = np.asarray(matrix, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            arr = None
-        if arr is None or arr.ndim != 2 or arr.shape[1] != shape.fiber_count:
-            _fail(path, f"expected rows of {shape.fiber_count} positive reals")
-        try:
-            scenario.weights[name] = WeightSequence.from_matrix(shape.kind, arr)
-        except CstarFusionError as exc:
-            _fail(path, str(exc))
+        what = f"expected rows of {shape.fiber_count} positive reals"
+        rows = _reals(matrix, path, 2, what)
+        if rows.shape[1] != shape.fiber_count:
+            _fail(path, what)
+        with _library_errors_at(path):
+            scenario.weights[name] = WeightSequence.from_matrix(shape.kind, rows)
 
     for name, spec in _section(raw, "frames").items():
         path = f"frames.{name}"
@@ -480,10 +488,8 @@ def build_scenario(raw: dict) -> Scenario:
                 _fail(f"{path}.submodules", f"unknown submodule {sub_name!r}")
             subs.append(scenario.submodules[sub_name])
         weight_name = _reference(spec, "weights", path, scenario.weights, "weight matrix")
-        try:
+        with _library_errors_at(path):
             scenario.frames[name] = WeightedFrame(subs, scenario.weights[weight_name])
-        except CstarFusionError as exc:
-            _fail(path, str(exc))
 
     for name, entries in _section(raw, "vectors").items():
         scenario.vectors[name] = _build_vector(name, entries, shape)

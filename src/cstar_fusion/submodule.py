@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import COMPLEX
 from .errors import IndexOutOfRange, NotFinite, QuaternionUnsupported, ShapeMismatch
 from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint
-from .hilbert_module import _frexp_exponent, _ldexp
+from .hilbert_module import _apply_fibers, _frexp_exponent, _ldexp
 from .tolerance import MGS_DROP, PROJECTION_TOL
 
 
@@ -108,11 +108,7 @@ def span_submodule(shape: ModuleShape, fiber_spanning_sets: Sequence[Sequence]) 
 
 def project(sub: Submodule, x: ModuleVector) -> ModuleVector:
     """Apply the per-fiber orthogonal projection to a module vector."""
-    sub._check_same_shape(x)
-    if sub.shape.kind == COMPLEX:
-        blocks = {m: (p @ x.blocks[m][:, :, None])[:, :, 0] for m, p in sub.blocks.items()}
-        return ModuleVector(x.shape, blocks)
-    return ModuleVector(x.shape, {1: sub.blocks[1][:, 0] * x.blocks[1]})
+    return _apply_fibers(sub, x)
 
 
 def complement(sub: Submodule) -> Submodule:

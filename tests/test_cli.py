@@ -763,3 +763,84 @@ def test_fuzzed_scenario_exits_with_a_status(target, value):
         with contextlib.redirect_stderr(io.StringIO()):
             status = main(["run", str(scenario), "--out", str(Path(workdir) / "report.json")])
     assert status in (0, 1, 2)
+
+
+# -- non-numbers at numeric leaves ---------------------------------------------
+
+
+def _key_path(path) -> str:
+    """A value's key path as error messages print it, such as ``maps.m.scales[0]``."""
+    text = ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else f".{key}" if text else key
+    return text
+
+
+def _with_every_numeric_form(name: str) -> dict:
+    """A bundled example plus the numeric forms it lacks: a declared
+    projection, selectors and a map with rotations."""
+    doc = json.loads(json.dumps(EXAMPLE_SCENARIOS[name]))
+    fibers = doc["algebra"]["fibers"]
+    if doc["algebra"]["kind"] == "quaternion":
+        projection = [1] * fibers
+        rotations = [[0, 1, 0, 0]] * fibers
+    else:
+        m = doc["module"]["dims"][0]
+        projection = [np.stack([np.eye(m), np.zeros((m, m))], -1).tolist()] * fibers
+        rotations = projection
+    doc["submodules"].update(p={"projection": projection}, sel={"selectors": [1] * fibers})
+    doc.setdefault("maps", {})["turn"] = {"scales": [1.0] * fibers, "rotations": rotations}
+    return doc
+
+
+def _numeric_leaf_cases():
+    """``true`` in place of one numeric leaf per key path with its indices
+    stripped, in each bundled example with every numeric form."""
+    for name in EXAMPLE_SCENARIOS:
+        doc = _with_every_numeric_form(name)
+        seen = set()
+        for path in _value_paths(doc):
+            value = doc
+            for key in path:
+                value = value[key]
+            stripped = tuple(key for key in path if isinstance(key, str))
+            if _is_number(value) and stripped not in seen:
+                seen.add(stripped)
+                yield pytest.param(doc, path, id=f"{name}:{_key_path(path)}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _error_path(err: str) -> str:
+    assert err.startswith("error: "), err
+    return err[len("error: "):].split(": ")[0]
+
+
+@pytest.mark.parametrize("doc, path", _numeric_leaf_cases())
+def test_bool_at_a_numeric_leaf_exits_2_at_its_key_path(tmp_path, capsys, doc, path):
+    """A boolean is never a number, at any numeric leaf: weight, span,
+    vector, projection, selector, scale and rotation entries included."""
+    assert main(["run", str(write_scenario(tmp_path, doc))]) == 0
+    assert main(["run", str(write_scenario(tmp_path, _replaced(doc, path, True)))]) == 2
+    reported, leaf = _error_path(capsys.readouterr().err), _key_path(path)
+    assert leaf == reported or leaf.startswith((reported + ".", reported + "["))
+
+
+@pytest.mark.parametrize(
+    "name, path, value, reported",
+    [
+        ("perturbation_demo.json", ("maps", "stretch", "scales"), ["a"], "maps.stretch"),
+        ("quaternion_tight.json", ("maps", "turn", "rotations", 1), ["a", 0, 0, 0],
+         "maps.turn.rotations[1]"),
+    ],
+    ids=["scales", "quaternion-rotation"],
+)
+def test_string_in_a_map_exits_2_without_numpy_text(tmp_path, capsys, name, path, value, reported):
+    # The message is the reader's own, with none of numpy's conversion text.
+    doc = _replaced(_with_every_numeric_form(name), path, value)
+    assert main(["run", str(write_scenario(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert _error_path(err) == reported
+    assert "convert" not in err
