@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CstarFusionError, ParseError, ValidationError
-from .scenario import COMMANDS, Scenario, _nest, build_scenario, load_scenario
+from .scenario import COMMANDS, Scenario, _nest, load_scenario
 
 REPORT_VERSION = "cstar-fusion/1"
 
@@ -93,7 +93,7 @@ def run_scenario(
     change any individual result.
     """
     if seed is not None:
-        scenario = build_scenario({**scenario.raw, "seed": seed})
+        scenario = scenario.with_seed(seed)
     results = []
     ok = True
     for index, cmd in enumerate(scenario.commands):

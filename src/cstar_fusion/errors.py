@@ -22,7 +22,7 @@ class NotInvertible(CstarFusionError):
 
 
 class InvalidWeight(CstarFusionError):
-    """A weight element is not central or not strictly positive."""
+    """A weight is not finite, not self-adjoint or not strictly positive."""
 
 
 class NotAFrame(CstarFusionError):

@@ -20,82 +20,77 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import (
-    COMPLEX,
-    QUATERNION,
-    AlgebraElement,
-    PositivityClass,
-    alg_norm,
-    is_central,
-    positivity_class,
-)
+from .algebra import _KINDS, COMPLEX, QUATERNION, AlgebraElement, _default_tol, alg_norm
 from .errors import IndexOutOfRange, InvalidWeight, LengthMismatch, NotAFrame, ShapeMismatch
 from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint, _apply_fibers
 from .hilbert_module import _frexp_exponent, _ldexp, inner_product, left_action, module_norm
 from .submodule import Submodule, block_submodule, project
-from .tolerance import FRAME_TOL, TIGHT_TOL
+from .tolerance import FRAME_TOL, ORDER_TOL, TIGHT_TOL
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class WeightSequence:
-    """Central, strictly positive algebra elements, one per submodule."""
+    """Central, strictly positive weights, one per submodule, stored once as
+    the read-only (M, N) matrix of their real fibers.  The weight rule: the
+    matrix is finite and each row's smallest entry exceeds ORDER_TOL *
+    max(1, its largest |entry|), as in ``positivity_class``."""
 
-    weights: tuple[AlgebraElement, ...]
-    kind: str = field(init=False)
-    fiber_count: int = field(init=False)
-    matrix: np.ndarray = field(init=False, repr=False)
+    kind: str
+    matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        weights = tuple(self.weights)
-        if not weights:
-            raise LengthMismatch("a weight sequence needs at least one entry")
-        first = weights[0]
-        for w in weights:
-            if w.kind != first.kind or w.fiber_count != first.fiber_count:
-                raise ShapeMismatch("weights must share one kind and fiber count")
-            if not np.all(np.isfinite(w.fibers)):
-                raise InvalidWeight("weights must be finite")
-            if not is_central(w):
-                raise InvalidWeight("weights must be central")
-            if positivity_class(w) < PositivityClass.STRICTLY_POSITIVE:
-                raise InvalidWeight("weights must be strictly positive")
-        matrix = np.stack([w.real_parts() for w in weights])
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown scalar kind {self.kind!r}")
+        matrix = np.array(self.matrix, dtype=float)
+        if matrix.ndim != 2 or 0 in matrix.shape:
+            raise ShapeMismatch("weights must form a nonempty (M, N) matrix")
+        if not np.all(np.isfinite(matrix)):
+            raise InvalidWeight("weights must be finite")
+        if not np.all(matrix.min(axis=1) > ORDER_TOL * np.maximum(1.0, np.abs(matrix).max(axis=1))):
+            raise InvalidWeight("weights must be strictly positive")
         matrix.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "kind", first.kind)
-        object.__setattr__(self, "fiber_count", first.fiber_count)
         object.__setattr__(self, "matrix", matrix)
 
-    def __len__(self) -> int:
-        return len(self.weights)
+    @property
+    def fiber_count(self) -> int:
+        return int(self.matrix.shape[1])
 
-    def __iter__(self):
-        return iter(self.weights)
+    def __len__(self) -> int:
+        return len(self.matrix)
 
     def __getitem__(self, n: int) -> AlgebraElement:
-        return self.weights[n]
+        """Weight n, lifted from its row; iteration lifts the rows in turn."""
+        return AlgebraElement.from_real(self.matrix[n], self.kind)
 
     @classmethod
     def from_matrix(cls, kind: str, values) -> "WeightSequence":
         """Rows of positive reals, one row per submodule."""
-        rows = np.asarray(values, dtype=float)
-        if rows.ndim != 2:
-            raise ShapeMismatch("weight matrix must be two-dimensional")
-        return cls([AlgebraElement.from_real(row, kind) for row in rows])
+        return cls(kind, values)
+
+    @classmethod
+    def from_elements(cls, elements: Sequence[AlgebraElement]) -> "WeightSequence":
+        """Self-adjoint (quaternion: central) elements of one kind and fiber count."""
+        if len({(w.kind, w.fiber_count) for w in elements}) != 1:
+            raise ShapeMismatch("need weights of one kind and fiber count")
+        if not all(np.max(w.imag_magnitudes()) <= _default_tol(w) for w in elements):
+            raise InvalidWeight("weights must be self-adjoint")
+        return cls(elements[0].kind, [w.real_parts() for w in elements])
 
     def add(self, other: "WeightSequence") -> "WeightSequence":
         if len(other) != len(self):
             raise LengthMismatch("weight sequences have different lengths")
-        return WeightSequence([a + b for a, b in zip(self.weights, other.weights)])
+        if other.kind != self.kind or other.fiber_count != self.fiber_count:
+            raise ShapeMismatch("weight sequences differ in kind or fiber count")
+        return WeightSequence(self.kind, self.matrix + other.matrix)
 
     def scale(self, factor: float) -> "WeightSequence":
         if factor <= 0:
             raise ValueError("rescaling factor must be positive")
-        return WeightSequence([factor * w for w in self.weights])
+        return WeightSequence(self.kind, self.matrix * factor)
 
     def q_weights(self) -> list[float]:
         """The squared algebra norms of the weights, used to weight ecarts."""
-        return [alg_norm(w) ** 2 for w in self.weights]
+        return [w**2 for w in self.matrix.max(axis=1).tolist()]
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -139,25 +134,23 @@ class WeightedFrame:
         submodules = tuple(self.submodules)
         if not submodules:
             raise LengthMismatch("a frame needs at least one submodule")
-        weights = self.weights
-        if not isinstance(weights, WeightSequence):
-            weights = WeightSequence(weights)
-        if len(weights) != len(submodules):
+        if not isinstance(self.weights, WeightSequence):
+            raise TypeError("weights must be a WeightSequence")
+        if len(self.weights) != len(submodules):
             raise LengthMismatch(
-                f"{len(submodules)} submodules but {len(weights)} weights"
+                f"{len(submodules)} submodules but {len(self.weights)} weights"
             )
         shape = submodules[0].shape
         for sub in submodules:
             if sub.shape != shape:
                 raise ShapeMismatch("submodules must share one shape")
-        if weights.kind != shape.kind or weights.fiber_count != shape.fiber_count:
+        if self.weights.kind != shape.kind or self.weights.fiber_count != shape.fiber_count:
             raise ShapeMismatch("weights do not match the module shape")
-        operator = _assemble_operator(shape, submodules, weights.matrix)
+        operator = _assemble_operator(shape, submodules, self.weights.matrix)
         eigvals = {m: np.linalg.eigvalsh(s) for m, s in operator.blocks.items()}
         extremes = shape.scatter({m: lam[:, [0, -1]] for m, lam in eigvals.items()})
         extremes.setflags(write=False)
         object.__setattr__(self, "submodules", submodules)
-        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "operator_fibers", operator)
         object.__setattr__(self, "_extremes", extremes)
@@ -379,12 +372,10 @@ def assemble_block_frame(
 ) -> WeightedFrame:
     """Build the coordinate-block frame for the given 1-based index sets and
     an (M, N) matrix of positive weights."""
-    matrix = np.asarray(weights, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != len(index_sets):
-        raise LengthMismatch("need one weight row per index set")
-    shape = ModuleShape(kind, (1,) * matrix.shape[1])
+    sequence = WeightSequence(kind, weights)
+    shape = ModuleShape(kind, (1,) * sequence.fiber_count)
     subs = [block_submodule(shape, idx) for idx in index_sets]
-    return WeightedFrame(subs, WeightSequence.from_matrix(kind, matrix))
+    return WeightedFrame(subs, sequence)
 
 
 def block_multiplier_check(
@@ -397,11 +388,9 @@ def block_multiplier_check(
     constant sqrt(sum_n a_{n,k}^2 d_{n,k}) per fiber.  The summability
     conditions that appear for infinite families hold vacuously here.
     """
-    matrix = np.asarray(weights, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != len(index_sets):
+    matrix = WeightSequence(kind, weights).matrix
+    if len(matrix) != len(index_sets):
         raise LengthMismatch("need one weight row per index set")
-    if np.any(matrix <= 0):
-        raise InvalidWeight("block weights must be positive")
     n_fibers = matrix.shape[1]
     sums = np.zeros(n_fibers)
     for n, idx in enumerate(index_sets):

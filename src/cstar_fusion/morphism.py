@@ -25,6 +25,13 @@ from .submodule import Submodule
 from .tolerance import UNITARY_TOL
 
 
+def identity_rotations(shape: ModuleShape) -> dict[int, np.ndarray]:
+    """Identity rotation blocks: unit matrices, or the unit quaternion rows."""
+    if shape.kind == COMPLEX:
+        return {m: np.tile(np.eye(m), (len(idx), 1, 1)) for m, idx in shape.groups.items()}
+    return {1: np.tile([1.0, 0.0, 0.0, 0.0], (shape.fiber_count, 1))}
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class OrthoMap(FiberBlocks):
     """Per-fiber positive scale and isometry; immutable and invertible.
@@ -60,11 +67,7 @@ class OrthoMap(FiberBlocks):
 
     @classmethod
     def identity(cls, shape: ModuleShape) -> "OrthoMap":
-        if shape.kind == COMPLEX:
-            rotations = {m: np.tile(np.eye(m), (len(idx), 1, 1)) for m, idx in shape.groups.items()}
-        else:
-            rotations = {1: np.tile([1.0, 0.0, 0.0, 0.0], (shape.fiber_count, 1))}
-        return cls(shape, np.ones(shape.fiber_count), rotations)
+        return cls(shape, np.ones(shape.fiber_count), identity_rotations(shape))
 
     def apply(self, x: ModuleVector) -> ModuleVector:
         self._check_same_shape(x)
@@ -108,6 +111,5 @@ def transport_frame(mapping: OrthoMap, frame: WeightedFrame) -> WeightedFrame:
                 moved = u @ sub.blocks[m] @ _adjoint(u)
                 blocks[m] = (moved + _adjoint(moved)) / 2.0
         new_subs.append(Submodule(frame.shape, blocks))
-    scale_element = AlgebraElement.from_real(mapping.scales, frame.shape.kind)
-    new_weights = WeightSequence([scale_element * w for w in frame.weights])
+    new_weights = WeightSequence(frame.shape.kind, frame.weights.matrix * mapping.scales)
     return WeightedFrame(new_subs, new_weights)

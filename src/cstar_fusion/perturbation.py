@@ -71,8 +71,8 @@ def ecart(
             f"lengths differ: {len(first)}, {len(second)}, {len(weights)} weights"
         )
     w = np.asarray(list(weights), dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("ecart weights must be positive")
+    if not np.all((w > 0) & (w < np.inf)):
+        raise ValueError("ecart weights must be positive and finite")
     return _root_sum_square(w, [proj_distance(u, v) for u, v in zip(first, second)])
 
 
@@ -83,7 +83,7 @@ def ball_membership(
     weights: Sequence[float],
 ) -> bool:
     """Strict open-ball test for the ecart topology."""
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError("radius must be nonnegative")
     return ecart(center, candidate, weights) < radius
 

@@ -14,7 +14,7 @@ import json
 import sys
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
 from typing import Callable
@@ -26,7 +26,7 @@ from .errors import CstarFusionError, ParseError, ValidationError
 from .frame import WeightedFrame, WeightSequence, assemble_block_frame, block_multiplier_check
 from .frame import cone_add, frame_bounds, reconstruct, tightness
 from .hilbert_module import ModuleShape, ModuleVector, inner_product
-from .morphism import OrthoMap, transport_frame
+from .morphism import OrthoMap, identity_rotations, transport_frame
 from .oracle import brute_force_frame_check, eigen_bounds, fiber_energies, flatten_frame_operator
 from .oracle import flatten_vector, random_unit_vector
 from .perturbation import perturbation_check, randomly_rotated
@@ -55,6 +55,11 @@ class Scenario:
     maps: dict[str, OrthoMap] = field(default_factory=dict)
     perturbations: dict[str, PerturbationSpec] = field(default_factory=dict)
     commands: list[dict] = field(default_factory=list)
+
+    def with_seed(self, seed: int) -> "Scenario":
+        """The same scenario under another seed, checked like the document's."""
+        _check_seed(seed, "seed")
+        return replace(self, raw={**self.raw, "seed": seed}, seed=seed)
 
 
 def _fail(path: str, message: str) -> None:
@@ -94,6 +99,11 @@ def _is_real(value) -> bool:
 
 def _is_bit(value) -> bool:
     return _is_real(value) and value in (0, 1)
+
+
+def _check_seed(value, path: str) -> None:
+    if not _is_int(value) or value < 0:
+        _fail(path, "seed must be a nonnegative integer")
 
 
 def _integers(value, path: str) -> list[int]:
@@ -255,7 +265,9 @@ def _build_map(name: str, spec: dict, shape: ModuleShape) -> OrthoMap:
     if len(scales) != n:
         _fail(path, f"expected {n} scales")
     rotations = spec.get("rotations")
-    if rotations is not None:
+    if rotations is None:
+        rotations = identity_rotations(shape)
+    else:
         if len(_sequence(rotations, f"{path}.rotations")) != n:
             _fail(path, f"expected {n} rotations")
         if shape.kind == COMPLEX:
@@ -265,8 +277,6 @@ def _build_map(name: str, spec: dict, shape: ModuleShape) -> OrthoMap:
             what = "expected a unit quaternion [w, x, y, z]"
             rotations = _per_fiber(_reals, rotations, f"{path}.rotations", 2, what)
     with _library_errors_at(path):
-        if rotations is None:
-            rotations = OrthoMap.identity(shape).rotations
         return OrthoMap(shape, scales, rotations)
 
 
@@ -462,8 +472,7 @@ def build_scenario(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ValidationError("scenario: expected a JSON object at top level")
     seed = raw.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        _fail("seed", "seed must be a nonnegative integer")
+    _check_seed(seed, "seed")
     shape = _build_shape(raw)
     scenario = Scenario(raw=raw, seed=seed, shape=shape)
 
@@ -519,9 +528,8 @@ def build_scenario(raw: dict) -> Scenario:
             angle = _require(_mapping(rotate, f"{path}.rotate"), "max_angle", f"{path}.rotate")
             if not (_is_real(angle) and 0 <= angle < np.inf):
                 _fail(f"{path}.rotate.max_angle", "must be a finite nonnegative number")
-            seed = rotate.get("seed")
-            if seed is not None and not (_is_int(seed) and seed >= 0):
-                _fail(f"{path}.rotate.seed", "seed must be a nonnegative integer")
+            if rotate.get("seed") is not None:
+                _check_seed(rotate["seed"], f"{path}.rotate.seed")
         scenario.perturbations[name] = PerturbationSpec(frame_name, candidates, rotate)
 
     commands = raw.get("commands", [])

@@ -844,3 +844,57 @@ def test_string_in_a_map_exits_2_without_numpy_text(tmp_path, capsys, name, path
     err = capsys.readouterr().err
     assert _error_path(err) == reported
     assert "convert" not in err
+
+
+class TestSeedOverride:
+    def _count_builds(self, monkeypatch):
+        import cstar_fusion.scenario as scenario_module
+
+        calls = []
+        real = scenario_module.build_scenario
+
+        def spy(raw):
+            calls.append(raw)
+            return real(raw)
+
+        monkeypatch.setattr(scenario_module, "build_scenario", spy)
+        # The runner must not rebuild through a name of its own either.
+        monkeypatch.setattr(cstar_fusion.cli, "build_scenario", spy, raising=False)
+        return calls
+
+    def test_seed_override_builds_once(self, tmp_path, monkeypatch):
+        calls = self._count_builds(monkeypatch)
+        path = write_scenario(tmp_path, EXAMPLE_SCENARIOS["perturbation_demo.json"])
+        out = tmp_path / "override.json"
+        assert main(["run", str(path), "--seed", "5", "--out", str(out)]) == 0
+        assert len(calls) == 1
+
+    def test_seed_override_matches_a_written_seed(self, tmp_path):
+        for name, doc in EXAMPLE_SCENARIOS.items():
+            override, written = tmp_path / "override.json", tmp_path / "written.json"
+            path = write_scenario(tmp_path, doc, "doc.json")
+            assert main(["run", str(path), "--seed", "5", "--out", str(override)]) in (0, 1)
+            seeded = write_scenario(tmp_path, {**doc, "seed": 5}, "seeded.json")
+            assert main(["run", str(seeded), "--out", str(written)]) in (0, 1)
+            assert override.read_bytes() == written.read_bytes(), name
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, BLOCK_SCENARIO)
+        assert main(["run", str(path), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed: seed must be a nonnegative integer\n"
+
+
+def test_a_map_without_rotations_is_validated_once(monkeypatch):
+    from cstar_fusion.morphism import OrthoMap
+
+    checked = []
+    real = OrthoMap.__post_init__
+
+    def spy(self):
+        checked.append(self.shape)
+        real(self)
+
+    monkeypatch.setattr(OrthoMap, "__post_init__", spy)
+    scenario = build_scenario(EXAMPLE_SCENARIOS["perturbation_demo.json"])
+    assert scenario.maps and "rotations" not in scenario.raw["maps"]["stretch"]
+    assert len(checked) == len(scenario.maps)

@@ -69,13 +69,13 @@ class TestWeightSequence:
     def test_rejects_non_central(self):
         spun = AlgebraElement.quaternions([[1, 0.5, 0, 0]])
         with pytest.raises(InvalidWeight):
-            WeightSequence([spun])
+            WeightSequence.from_elements([spun])
 
     def test_rejects_non_strictly_positive(self):
         with pytest.raises(InvalidWeight):
-            WeightSequence([AlgebraElement.complexes([1, 0])])
+            WeightSequence.from_elements([AlgebraElement.complexes([1, 0])])
         with pytest.raises(InvalidWeight):
-            WeightSequence([AlgebraElement.complexes([1, -2])])
+            WeightSequence.from_elements([AlgebraElement.complexes([1, -2])])
 
     @pytest.mark.parametrize("kind", [COMPLEX, QUATERNION])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -84,6 +84,51 @@ class TestWeightSequence:
             WeightSequence.from_matrix(kind, [[bad]])
         with pytest.raises(InvalidWeight):
             WeightSequence.from_matrix(kind, [[1.0, bad]])
+
+    def test_element_weight_is_stored_once_as_reals(self):
+        ws = WeightSequence.from_elements([AlgebraElement.complexes([1 + 5e-13j])])
+        assert [f for f in WeightSequence.__dataclass_fields__] == ["kind", "matrix"]
+        assert not ws.matrix.flags.writeable
+        assert ws[0].fibers.tolist() == [1 + 0j]
+        shape = ModuleShape(COMPLEX, (2,))
+        frame = WeightedFrame([block_submodule(shape, {1})], ws)
+        x = ModuleVector(shape, [[1, 0]])
+        back = synthesis_adjoint(frame, synthesis(frame, x))
+        assert back.fibers[0].tolist() == frame_operator(frame).apply(x).fibers[0].tolist()
+        assert np.all(back.fibers[0].imag == 0)
+
+    def test_element_path_shares_the_weight_rule(self):
+        for kind in (COMPLEX, QUATERNION):
+            w = AlgebraElement.from_real([1.0, 2.0], kind)
+            ws = WeightSequence.from_elements([w, w * 3.0])
+            assert ws.matrix.tolist() == [[1.0, 2.0], [3.0, 6.0]]
+            assert [v.fibers.tolist() for v in ws] == [w.fibers.tolist(), (w * 3.0).fibers.tolist()]
+        with pytest.raises(InvalidWeight, match="self-adjoint"):
+            WeightSequence.from_elements([AlgebraElement.complexes([1 + 1e-11j])])
+        with pytest.raises(InvalidWeight, match="strictly positive"):
+            WeightSequence.from_elements([AlgebraElement.complexes([1, 1e-13])])
+        with pytest.raises(ShapeMismatch):
+            WeightSequence.from_elements(
+                [AlgebraElement.complexes([1, 1]), AlgebraElement.from_real([1, 1], QUATERNION)]
+            )
+
+    def test_rule_floor_is_relative_to_the_largest_entry(self):
+        WeightSequence(COMPLEX, [[2e-12, 1.0]])
+        WeightSequence(QUATERNION, [[1e200, 1e189]])
+        with pytest.raises(InvalidWeight, match="strictly positive"):
+            WeightSequence(COMPLEX, [[1e-12, 1.0]])
+        with pytest.raises(InvalidWeight, match="strictly positive"):
+            WeightSequence(COMPLEX, [[1e200, 1e187]])
+
+    def test_frame_takes_only_a_weight_sequence(self):
+        shape = ModuleShape(COMPLEX, (2,))
+        with pytest.raises(TypeError):
+            WeightedFrame([block_submodule(shape, {1})], [AlgebraElement.complexes([1])])
+
+    @pytest.mark.parametrize("kind", [COMPLEX, QUATERNION])
+    def test_q_weights_are_the_squared_algebra_norms(self, kind):
+        ws = WeightSequence(kind, np.random.default_rng(3).uniform(1e-6, 1e6, (50, 7)))
+        assert ws.q_weights() == [alg_norm(w) ** 2 for w in ws]
 
     def test_matrix_roundtrip(self):
         ws = WeightSequence.from_matrix(COMPLEX, [[1, 2], [3, 4]])
@@ -401,6 +446,20 @@ class TestMultiplier:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange, match="fiber index 5 outside 1..3"):
             block_multiplier_check([[1, 2, 5]], [[1, 1, 1]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(InvalidWeight, match="weights must be finite"):
+            block_multiplier_check([[1, 2]], [[1.0, bad]])
+
+    def test_accepts_exactly_what_the_assembled_frame_accepts(self):
+        for weights in ([[1e-300, 1.0]], [[0.0, 1.0]], [[1.0, np.nan]]):
+            with pytest.raises(InvalidWeight):
+                assemble_block_frame(COMPLEX, [[1, 2]], weights)
+            with pytest.raises(InvalidWeight):
+                block_multiplier_check([[1, 2]], weights)
+        with pytest.raises(LengthMismatch):
+            block_multiplier_check([[1, 2]], [[1.0, 1.0], [1.0, 1.0]])
 
 
 class TestCone:

@@ -6,6 +6,7 @@ import pytest
 from cstar_fusion import (
     COMPLEX,
     QUATERNION,
+    AlgebraElement,
     ModuleShape,
     ModuleVector,
     NotAFrame,
@@ -192,6 +193,16 @@ class TestTransport:
             for nf, of in zip(new.fibers, old.fibers):
                 np.testing.assert_allclose(nf, of, atol=1e-10)
         np.testing.assert_allclose(back.weights.matrix, frame.weights.matrix, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", [COMPLEX, QUATERNION])
+    def test_weights_equal_the_algebra_products(self, kind):
+        rng = np.random.default_rng(11)
+        frame = random_complex_frame(rng) if kind == COMPLEX else random_quaternion_frame(rng)
+        mapping = random_ortho_map(rng, frame.shape)
+        scale = AlgebraElement.from_real(mapping.scales, kind)
+        products = [(scale * w).fibers.tolist() for w in frame.weights]
+        moved = transport_frame(mapping, frame)
+        assert [w.fibers.tolist() for w in moved.weights] == products
 
     def test_requires_frame(self):
         broken = assemble_block_frame(COMPLEX, [[1]], [[1, 1]])

@@ -182,8 +182,18 @@ class TestEcart:
         with pytest.raises(ValueError):
             ecart([line(plane, [1, 0])], [line(plane, [0, 1])], [0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weights(self, plane, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ecart([line(plane, [1, 0])], [line(plane, [0, 1])], [bad])
+
 
 class TestBallMembership:
+    def test_rejects_nan_radius(self, three_subspace_frame):
+        subs = three_subspace_frame.submodules
+        with pytest.raises(ValueError, match="radius"):
+            ball_membership(subs, np.nan, subs, [1, 1, 1])
+
     def test_center_in_every_ball(self, three_subspace_frame):
         subs = three_subspace_frame.submodules
         assert ball_membership(subs, 1e-12, subs, [1, 1, 1])
