@@ -9,13 +9,14 @@ noncommutative one whose center consists of the elements with real fibers.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NotInvertible, NotPositive, ShapeMismatch
+from .errors import NotFinite, NotInvertible, NotPositive, ShapeMismatch
 from .tolerance import ORDER_TOL
 
 COMPLEX = "complex"
@@ -44,6 +45,14 @@ def _quat_conj(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    """Raise NotFinite unless every entry is finite.  The squared norm is
+    finite only if every entry is, and one dot product is the cheapest test;
+    an overflowed norm is rechecked."""
+    if not cmath.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
+        raise NotFinite(f"{what} must be finite")
+
+
 def _quat_abs(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(a * a, axis=-1))
 
@@ -62,8 +71,8 @@ class AlgebraElement:
     """One scalar per fiber, all fibers of a single kind.
 
     Complex elements store a complex array of shape (N,); quaternion
-    elements a float array of shape (N, 4) with rows (w, x, y, z).
-    Instances are immutable.
+    elements a float array of shape (N, 4) with rows (w, x, y, z).  The
+    fibers are finite (else NotFinite).  Instances are immutable.
     """
 
     kind: str
@@ -80,6 +89,7 @@ class AlgebraElement:
                 raise ValueError("quaternion fibers must form an (N, 4) array")
         if arr.shape[0] < 1:
             raise ValueError("an algebra element needs at least one fiber")
+        _require_finite(arr, "algebra element fibers")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "fibers", arr)
@@ -175,16 +185,6 @@ class AlgebraElement:
 
     def __repr__(self) -> str:
         return f"AlgebraElement({self.kind!r}, {np.asarray(self.fibers).tolist()!r})"
-
-    # -- serialization -----------------------------------------------------
-
-    def to_payload(self) -> dict:
-        """Flat numeric array plus a kind tag.
-
-        Complex fibers are emitted as [re, im] pairs, quaternion fibers as
-        [w, x, y, z] quadruples, in fiber order.
-        """
-        return {"kind": self.kind, "data": self.fibers.reshape(-1).view(float).tolist()}
 
 
 def star(a: AlgebraElement) -> AlgebraElement:

@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, is_dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
 
+from .algebra import AlgebraElement
 from .errors import CstarFusionError, ParseError, ValidationError
+from .hilbert_module import ModuleVector
 from .scenario import COMMANDS, Scenario, _nest, load_scenario
 
 REPORT_VERSION = "cstar-fusion/1"
@@ -82,10 +85,26 @@ def dump_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _report_data(value):
+    """A handler's output as report data; the one place library values are
+    laid out (README, "Report format").  A result dataclass is the object of
+    its fields, a dict's values are converted and other values pass."""
+    if isinstance(value, AlgebraElement):
+        return {"kind": value.kind, "data": value.fibers.reshape(-1).view(float).tolist()}
+    if isinstance(value, ModuleVector):
+        data = np.concatenate(value.fibers).view(float).tolist()
+        return {"kind": value.shape.kind, "dims": list(value.shape.dims), "data": data}
+    if is_dataclass(value):
+        return {f.name: _report_data(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: _report_data(item) for key, item in value.items()}
+    return value
+
+
 def run_scenario(
     scenario: Scenario, only: str | None = None, seed: int | None = None
 ) -> tuple[dict, bool]:
-    """Execute the scenario's commands and build the report document.
+    """Execute the scenario's commands and build the report, plain JSON data.
 
     Returns the report and a flag that is True when no command errored.
     Each command draws randomness from a stream derived from the effective
@@ -104,7 +123,7 @@ def run_scenario(
         entry.update({k: v for k, v in cmd.items() if k != "run"})
         rng = np.random.default_rng([scenario.seed, index])
         try:
-            entry["output"] = COMMANDS[name].handler(scenario, cmd, rng)
+            entry["output"] = _report_data(COMMANDS[name].handler(scenario, cmd, rng))
         except CstarFusionError as exc:
             entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
             ok = False
@@ -223,6 +242,11 @@ def write_examples(directory: str | Path) -> list[Path]:
     return written
 
 
+def _unwritable(exc: OSError) -> int:
+    print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="cstar-fusion", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -239,7 +263,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.subcommand == "examples":
-        for path in write_examples(args.dir):
+        try:
+            written = write_examples(args.dir)
+        except OSError as exc:
+            return _unwritable(exc)
+        for path in written:
             print(path)
         return 0
 
@@ -259,7 +287,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {args.scenario}: nested too deeply to write the report", file=sys.stderr)
         return 2
     if args.out is not None:
-        args.out.write_text(text)
+        try:
+            args.out.write_text(text)
+        except OSError as exc:
+            return _unwritable(exc)
     else:
         sys.stdout.write(text)
     return 0 if ok else 1

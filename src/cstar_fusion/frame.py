@@ -217,16 +217,6 @@ class FrameBounds:
     scalar_upper: float
     per_fiber: tuple[tuple[float, float], ...]
 
-    def to_payload(self) -> dict:
-        return {
-            "is_frame": self.is_frame,
-            "lower_bound": self.lower.to_payload(),
-            "upper_bound": self.upper.to_payload(),
-            "scalar_lower": self.scalar_lower,
-            "scalar_upper": self.scalar_upper,
-            "per_fiber": [[lo, hi] for lo, hi in self.per_fiber],
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class TightnessResult:
@@ -234,28 +224,12 @@ class TightnessResult:
     constant: AlgebraElement | None
     parseval: bool
 
-    def to_payload(self) -> dict:
-        return {
-            "tight": self.tight,
-            "parseval": self.parseval,
-            "constant": None if self.constant is None else self.constant.to_payload(),
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class MultiplierResult:
     member: bool
     tight_constant: AlgebraElement | None
     note: str
-
-    def to_payload(self) -> dict:
-        return {
-            "member": self.member,
-            "tight_constant": None
-            if self.tight_constant is None
-            else self.tight_constant.to_payload(),
-            "note": self.note,
-        }
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,14 +14,14 @@ fiberwise operation is one numpy call per dimension.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .algebra import COMPLEX, QUATERNION, _KINDS, AlgebraElement, _hamilton, _quat_conj
-from .errors import NotFinite, QuaternionUnsupported, ShapeMismatch
+from .algebra import _require_finite
+from .errors import QuaternionUnsupported, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -144,10 +144,7 @@ class ModuleVector(FiberBlocks):
     def __post_init__(self, fibers) -> None:
         self._store(fibers, matrix=False)
         for block in self.blocks.values():
-            # The squared norm is finite only if every entry is, and one dot
-            # product is the cheapest test; an overflowed norm is rechecked.
-            if not cmath.isfinite(np.vdot(block, block)) and not np.isfinite(block).all():
-                raise NotFinite("module vector entries must be finite")
+            _require_finite(block, "module vector entries")
 
     @classmethod
     def zeros(cls, shape: ModuleShape) -> "ModuleVector":
@@ -174,12 +171,6 @@ class ModuleVector(FiberBlocks):
 
     def __repr__(self) -> str:
         return f"ModuleVector({self.shape!r}, {[f.tolist() for f in self.fibers]!r})"
-
-    def to_payload(self) -> dict:
-        """Shape header plus a flat scalar array in fiber-major order; a
-        complex entry is its (re, im) pair."""
-        flat = np.concatenate(self.fibers).view(float).tolist()
-        return {"kind": self.shape.kind, "dims": list(self.shape.dims), "data": flat}
 
 
 def _apply_fibers(op: FiberBlocks, x: ModuleVector) -> ModuleVector:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -102,9 +102,6 @@ class CriteriaResult:
     crit3_lhs: float | None
     crit3_rhs: float | None
 
-    def to_payload(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True, slots=True)
 class PerturbReport:
@@ -121,9 +118,6 @@ class PerturbReport:
     perturbed_is_frame: bool | None
     perturbed_scalar_lower: float | None
     perturbed_scalar_upper: float | None
-
-    def to_payload(self) -> dict:
-        return asdict(self)
 
 
 def _compare(frame: WeightedFrame, candidates: Sequence[Submodule]):

@@ -24,12 +24,13 @@ import numpy as np
 from .algebra import COMPLEX, QUATERNION, AlgebraElement, alg_norm
 from .errors import CstarFusionError, ParseError, ValidationError
 from .frame import WeightedFrame, WeightSequence, assemble_block_frame, block_multiplier_check
-from .frame import cone_add, frame_bounds, reconstruct, tightness
+from .frame import ReconstructionResult, TightnessResult, cone_add, frame_bounds, reconstruct
+from .frame import tightness
 from .hilbert_module import ModuleShape, ModuleVector, inner_product
 from .morphism import OrthoMap, identity_rotations, transport_frame
 from .oracle import brute_force_frame_check, eigen_bounds, fiber_energies, flatten_frame_operator
 from .oracle import flatten_vector, random_unit_vector
-from .perturbation import perturbation_check, randomly_rotated
+from .perturbation import PerturbReport, perturbation_check, randomly_rotated
 from .submodule import Submodule, block_submodule, span_submodule, validate_projection
 from .tolerance import MULTIPLIER_ATOL, ORACLE_SLACK
 
@@ -284,14 +285,15 @@ def _build_map(name: str, spec: dict, shape: ModuleShape) -> OrthoMap:
 
 
 def _frame_report(frame: WeightedFrame) -> dict:
+    """Bounds and tightness; a family that is not a frame is not tight."""
     bounds = frame_bounds(frame)
-    payload = bounds.to_payload()
-    if bounds.is_frame:
-        tight = tightness(frame)
-        payload.update(tight.to_payload())
-    else:
-        payload.update({"tight": False, "parseval": False, "constant": None})
-    return payload
+    tight = tightness(frame) if bounds.is_frame else TightnessResult(False, None, False)
+    return {
+        "is_frame": bounds.is_frame, "lower_bound": bounds.lower, "upper_bound": bounds.upper,
+        "scalar_lower": bounds.scalar_lower, "scalar_upper": bounds.scalar_upper,
+        "per_fiber": bounds.per_fiber,
+        "tight": tight.tight, "parseval": tight.parseval, "constant": tight.constant,
+    }
 
 
 def _cmd_check_frame(scenario: Scenario, cmd: dict, rng) -> dict:
@@ -307,20 +309,18 @@ def _cmd_bounds(scenario: Scenario, cmd: dict, rng) -> dict:
     return _frame_report(scenario.frames[cmd["frame"]])
 
 
-def _cmd_reconstruct(scenario: Scenario, cmd: dict, rng) -> dict:
-    result = reconstruct(scenario.frames[cmd["frame"]], scenario.vectors[cmd["vector"]])
-    return {"rel_error": result.rel_error, "vector": result.vector.to_payload()}
+def _cmd_reconstruct(scenario: Scenario, cmd: dict, rng) -> ReconstructionResult:
+    return reconstruct(scenario.frames[cmd["frame"]], scenario.vectors[cmd["vector"]])
 
 
-def _cmd_tightness(scenario: Scenario, cmd: dict, rng) -> dict:
-    return tightness(scenario.frames[cmd["frame"]]).to_payload()
+def _cmd_tightness(scenario: Scenario, cmd: dict, rng) -> TightnessResult:
+    return tightness(scenario.frames[cmd["frame"]])
 
 
 def _cmd_multiplier(scenario: Scenario, cmd: dict, rng) -> dict:
     index_sets = [list(ix) for ix in cmd["index_sets"]]
     weights = scenario.weights[cmd["weights"]]
     result = block_multiplier_check(index_sets, weights.matrix, scenario.shape.kind)
-    payload = result.to_payload()
     assembled = assemble_block_frame(scenario.shape.kind, index_sets, weights.matrix)
     bounds = frame_bounds(assembled)
     agrees = result.member == bounds.is_frame
@@ -331,10 +331,12 @@ def _cmd_multiplier(scenario: Scenario, cmd: dict, rng) -> dict:
             and np.allclose(constant, bounds.lower.real_parts(), atol=MULTIPLIER_ATOL)
             and np.allclose(constant, bounds.upper.real_parts(), atol=MULTIPLIER_ATOL)
         )
-    payload["assembled_scalar_lower"] = bounds.scalar_lower
-    payload["assembled_scalar_upper"] = bounds.scalar_upper
-    payload["agrees_with_frame_bounds"] = agrees
-    return payload
+    return {
+        "member": result.member, "tight_constant": result.tight_constant, "note": result.note,
+        "assembled_scalar_lower": bounds.scalar_lower,
+        "assembled_scalar_upper": bounds.scalar_upper,
+        "agrees_with_frame_bounds": agrees,
+    }
 
 
 def _cmd_cone(scenario: Scenario, cmd: dict, rng) -> dict:
@@ -345,10 +347,10 @@ def _cmd_cone(scenario: Scenario, cmd: dict, rng) -> dict:
 def _cmd_transport(scenario: Scenario, cmd: dict, rng) -> dict:
     mapping = scenario.maps[cmd["map"]]
     moved = transport_frame(mapping, scenario.frames[cmd["frame"]])
-    return {"nu": mapping.nu().to_payload(), "bounds": _frame_report(moved)}
+    return {"nu": mapping.nu(), "bounds": _frame_report(moved)}
 
 
-def _cmd_perturb(scenario: Scenario, cmd: dict, rng) -> dict:
+def _cmd_perturb(scenario: Scenario, cmd: dict, rng) -> PerturbReport:
     spec = scenario.perturbations[cmd["perturbation"]]
     frame = scenario.frames[spec.frame]
     if spec.candidates is not None:
@@ -362,7 +364,7 @@ def _cmd_perturb(scenario: Scenario, cmd: dict, rng) -> dict:
         else:
             stream = np.random.default_rng(rotate_seed)
         candidates = randomly_rotated(frame.submodules, spec.rotate["max_angle"], stream)
-    return perturbation_check(frame, candidates, p=cmd.get("p", 2.0)).to_payload()
+    return perturbation_check(frame, candidates, p=cmd.get("p", 2.0))
 
 
 def _fast_energy_matches(frame: WeightedFrame, operator, rng, slack: float) -> bool:
@@ -439,7 +441,7 @@ class Command:
     """The arguments a command takes, checked in this order, and its handler."""
 
     args: tuple[str, ...]
-    handler: Callable[[Scenario, dict, np.random.Generator], dict]
+    handler: Callable[[Scenario, dict, np.random.Generator], object]
 
 
 COMMANDS = {

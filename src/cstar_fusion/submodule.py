@@ -12,8 +12,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import COMPLEX
-from .errors import IndexOutOfRange, NotFinite, QuaternionUnsupported, ShapeMismatch
+from .algebra import COMPLEX, _require_finite
+from .errors import IndexOutOfRange, QuaternionUnsupported, ShapeMismatch
 from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint
 from .hilbert_module import _apply_fibers, _frexp_exponent, _ldexp
 from .tolerance import MGS_DROP, PROJECTION_TOL
@@ -21,7 +21,7 @@ from .tolerance import MGS_DROP, PROJECTION_TOL
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Submodule(FiberBlocks):
-    """Per-fiber projection data; immutable.
+    """Per-fiber projection data, finite (else NotFinite); immutable.
 
     Complex fiber k stores an (m_k, m_k) complex matrix; a quaternion fiber
     stores a (1, 1) float matrix whose single entry is the selector bit.
@@ -31,6 +31,8 @@ class Submodule(FiberBlocks):
 
     def __post_init__(self, fibers) -> None:
         self._store(fibers, matrix=True)
+        for block in self.blocks.values():
+            _require_finite(block, "projection entries")
 
 
 def _padded(sets, idx, m: int) -> np.ndarray:
@@ -58,8 +60,7 @@ def _span_projections(spans: np.ndarray) -> np.ndarray:
     later remainders unchanged.  Non-finite vectors raise NotFinite, since
     the drop test would silently drop a NaN remainder.
     """
-    if not np.isfinite(spans).all():
-        raise NotFinite("span vectors must be finite")
+    _require_finite(spans, "span vectors")
     # Scaling a fiber's vectors by a power of two is exact and keeps their
     # span; after it no norm below overflows or underflows.
     spans = _ldexp(spans, -_frexp_exponent(spans, (1, 2))[:, None, None])
@@ -117,11 +118,9 @@ def complement(sub: Submodule) -> Submodule:
 
 
 def validate_projection(sub: Submodule, tol: float = PROJECTION_TOL) -> bool:
-    """True iff every fiber matrix is finite, Hermitian and idempotent
-    within tol (spectral norm)."""
+    """True iff every fiber matrix is Hermitian and idempotent within tol
+    (spectral norm); a Submodule's entries are finite."""
     for p in sub.blocks.values():
-        if not np.all(np.isfinite(p)):
-            return False
         for defect in (p - _adjoint(p), p @ p - p):
             if np.any(np.linalg.norm(defect, 2, axis=(-2, -1)) > tol):
                 return False

@@ -9,6 +9,7 @@ from cstar_fusion import (
     COMPLEX,
     QUATERNION,
     AlgebraElement,
+    NotFinite,
     NotInvertible,
     NotPositive,
     PositivityClass,
@@ -21,6 +22,7 @@ from cstar_fusion import (
     sqrt_positive,
     star,
 )
+from cstar_fusion.cli import _report_data
 from helpers import random_algebra, random_positive_algebra
 
 def quat(w, x=0.0, y=0.0, z=0.0) -> AlgebraElement:
@@ -234,6 +236,22 @@ class TestConstructionAndSerialization:
         with pytest.raises(ShapeMismatch):
             AlgebraElement.complexes([1]) + AlgebraElement.ones(QUATERNION, 1)
 
+    @pytest.mark.parametrize("kind", [COMPLEX, QUATERNION])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fibers_rejected(self, kind, bad):
+        # A NaN element used to pass: its positivity class was
+        # STRICTLY_POSITIVE, a NaN quaternion was central and sqrt_positive
+        # returned NaN.
+        with pytest.raises(NotFinite, match="algebra element fibers must be finite"):
+            AlgebraElement.from_real([1.0, bad], kind)
+        with pytest.raises(NotFinite):
+            AlgebraElement.complexes([complex(0.0, bad)])
+        with pytest.raises(NotFinite):
+            AlgebraElement.quaternions([[1.0, 0.0, bad, 0.0]])
+        big = AlgebraElement.from_real([1e200], kind)
+        with np.errstate(over="ignore"), pytest.raises(NotFinite):
+            big * big  # a product that overflows
+
     def test_immutable(self):
         a = AlgebraElement.complexes([1, 2])
         with pytest.raises(AttributeError):
@@ -243,10 +261,10 @@ class TestConstructionAndSerialization:
 
     @pytest.mark.parametrize("kind", [COMPLEX, QUATERNION])
     def test_payload_roundtrip(self, kind):
-        """The payload lists the fibers in order, as [re, im] or [w, x, y, z]."""
+        """Report data lists the fibers in order, as [re, im] or [w, x, y, z]."""
         rng = np.random.default_rng(10)
         a = random_algebra(rng, kind, 3)
-        payload = a.to_payload()
+        payload = _report_data(a)
         assert payload["kind"] == kind
         data = np.array(payload["data"])
         if kind == COMPLEX:

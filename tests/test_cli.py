@@ -619,6 +619,28 @@ class TestMainEntry:
         assert done.stderr.startswith("error: ")
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize(
+        "case", ["out-in-missing-directory", "out-is-a-directory", "examples-dir-is-a-file"]
+    )
+    def test_unwritable_output_exit_code(self, tmp_path, case):
+        # Each of these escaped main as a traceback with exit status 1, the
+        # status of a failed command.
+        scenario = write_scenario(tmp_path, BLOCK_SCENARIO)
+        argv, where = {
+            "out-in-missing-directory": (["run", scenario, "--out"], tmp_path / "no" / "r.json"),
+            "out-is-a-directory": (["run", scenario, "--out"], tmp_path),
+            "examples-dir-is-a-file": (["examples", "--dir"], scenario),
+        }[case]
+        env = dict(os.environ, PYTHONPATH=str(Path(cstar_fusion.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "cstar_fusion.cli", *map(str, argv), str(where)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"error: {where}: ")
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+        assert not done.stdout
+
     def test_lone_surrogate_rotation_name_runs(self, tmp_path):
         # Seeding the rotation from the name's crc raised UnicodeEncodeError.
         doc = json.loads(json.dumps(EXAMPLE_SCENARIOS["perturbation_demo.json"]))
@@ -708,6 +730,52 @@ def test_bundled_report_matches_its_golden_file(name):
     tests/golden (written by ``cstar-fusion run <name> --out``)."""
     report, _ = run_scenario(build_scenario(EXAMPLE_SCENARIOS[name]))
     assert (dump_json(report) + "\n").encode() == (GOLDEN / name).read_bytes()
+
+
+# The report branches no bundled example reaches: a non-frame `bounds` (and
+# the error record of its `tightness`), a non-member `multiplier`, `perturb`
+# with `p: null` and a quaternion `transport`.
+BRANCH_SCENARIO = {
+    "seed": 11,
+    "algebra": {"kind": "quaternion", "fibers": 3},
+    "submodules": {
+        "u1": {"blocks": [1, 2]},
+        "u2": {"blocks": [2, 3]},
+        "u3": {"selectors": [1, 0, 1]},
+    },
+    "weights": {"one": [[1, 1, 1]], "pair": [[1, 2, 1], [1, 1, 3]]},
+    "frames": {
+        "partial": {"submodules": ["u1"], "weights": "one"},
+        "f": {"submodules": ["u1", "u2"], "weights": "pair"},
+    },
+    "maps": {
+        "turn": {
+            "scales": [2, 1, 0.5],
+            "rotations": [[0, 1, 0, 0], [1, 0, 0, 0], [0.6, 0, 0.8, 0]],
+        }
+    },
+    "perturbations": {"swap": {"frame": "f", "candidates": ["u1", "u3"]}},
+    "commands": [
+        {"run": "bounds", "frame": "partial"},
+        {"run": "tightness", "frame": "partial"},
+        {"run": "multiplier", "index_sets": [[1], [2]], "weights": "pair"},
+        {"run": "perturb", "perturbation": "swap", "p": None},
+        {"run": "transport", "frame": "f", "map": "turn"},
+    ],
+}
+
+
+def test_report_branches_match_their_golden_file():
+    report, ok = run_scenario(build_scenario(BRANCH_SCENARIO))
+    assert not ok
+    golden = GOLDEN / "report_branches.json"
+    assert (dump_json(report) + "\n").encode() == golden.read_bytes()
+    outputs = [entry.get("output") for entry in report["results"]]
+    assert (outputs[0]["is_frame"], outputs[0]["tight"], outputs[0]["constant"]) == (
+        False, False, None)
+    assert outputs[2]["member"] is False and outputs[2]["tight_constant"] is None
+    assert outputs[3]["criteria"]["crit3"] is None
+    assert outputs[4]["nu"]["kind"] == "quaternion"
 
 
 # -- fuzzing -----------------------------------------------------------------

@@ -19,6 +19,7 @@ from cstar_fusion import (
     module_norm,
     star,
 )
+from cstar_fusion.cli import _report_data
 from cstar_fusion.scenario import build_scenario
 from helpers import pairs, random_algebra, random_positive_algebra, random_vector, scenario_doc
 
@@ -223,14 +224,14 @@ def sum_inner(xs, ys):
 class TestSerialization:
     @pytest.mark.parametrize("kind,dims", [(COMPLEX, (2, 3)), (QUATERNION, (1, 1))])
     def test_payload_roundtrip(self, kind, dims):
-        """A scenario vector is read exactly, and its payload lists the fibers
-        in order, as [re, im] pairs or [w, x, y, z] rows."""
+        """A scenario vector is read exactly, and its report data lists the
+        fibers in order, as [re, im] pairs or [w, x, y, z] rows."""
         rng = np.random.default_rng(29)
         shape = ModuleShape(kind, dims)
         x = random_vector(rng, shape)
         entries = [pairs(f) if kind == COMPLEX else f.tolist() for f in x.fibers]
         read = build_scenario(scenario_doc(shape, vectors={"x": entries})).vectors["x"]
-        payload = read.to_payload()
+        payload = _report_data(read)
         assert (payload["kind"], payload["dims"]) == (kind, list(dims))
         data = np.array(payload["data"])
         if kind == COMPLEX:

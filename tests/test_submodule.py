@@ -237,6 +237,16 @@ class TestValidation:
         half = Submodule(shape, [np.array([[0.5]])])
         assert not validate_projection(half)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_projection_rejected(self, bad):
+        # A NaN projection used to pass, and a frame over it reported
+        # per-fiber extremes (nan, nan) without an error.
+        shape = ModuleShape(COMPLEX, (2, 1))
+        with pytest.raises(NotFinite, match="projection entries must be finite"):
+            Submodule(shape, [np.array([[1, 0], [0, bad]]), np.eye(1)])
+        with pytest.raises(NotFinite):
+            Submodule(ModuleShape(QUATERNION, (1, 1)), [[[1.0]], [[bad]]])
+
 
 class TestSerialization:
     def test_selector_payload(self):
