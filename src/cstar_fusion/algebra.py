@@ -230,14 +230,25 @@ def sqrt_positive(a: AlgebraElement) -> AlgebraElement:
 
 
 def invert(a: AlgebraElement) -> AlgebraElement:
-    """Fiberwise inverse; fails if any fiber modulus is zero."""
-    moduli = a.fiber_moduli()
-    if float(np.min(moduli)) <= 0.0:
-        raise NotInvertible(f"fiber modulus {float(np.min(moduli))!r} is not positive")
-    if a.kind == COMPLEX:
-        return AlgebraElement(COMPLEX, 1.0 / a.fibers)
-    conj = _quat_conj(np.asarray(a.fibers))
-    return AlgebraElement(QUATERNION, conj / (moduli**2)[:, None])
+    """Fiberwise inverse; fails, naming the fiber, if a fiber is zero or its
+    inverse lies outside the float range.
+
+    Each fiber a is inverted as conj(a) / |a|^2 at the exact scale 2^-e, e
+    the ``np.frexp`` exponent of its largest real component, so |a|^2
+    neither underflows nor overflows.
+    """
+    parts = a.fibers.view(float).reshape(a.fiber_count, -1)  # (re, im) or (w, x, y, z)
+    e = np.frexp(np.abs(parts).max(axis=1))[1][:, None]
+    scaled = np.ldexp(parts, -e)
+    invertible = scaled.any(axis=1)
+    squared = np.where(invertible, np.sum(scaled * scaled, axis=1), 1.0)[:, None]
+    scaled[:, 1:] *= -1.0
+    with np.errstate(over="ignore"):
+        inverse = np.ldexp(scaled / squared, -e)
+    invertible &= np.isfinite(inverse).all(axis=1)
+    if not invertible.all():
+        raise NotInvertible(f"fiber {int(np.argmin(invertible))} has no finite inverse")
+    return AlgebraElement(a.kind, inverse.view(a.fibers.dtype).reshape(a.fibers.shape))
 
 
 def order_leq(a: AlgebraElement, b: AlgebraElement, tol: float | None = None) -> bool:

@@ -248,17 +248,17 @@ def frame_bounds(frame: WeightedFrame) -> FrameBounds:
     operator.
 
     The family is reported as a frame when the smallest per-fiber eigenvalue
-    exceeds FRAME_TOL times max(1, largest eigenvalue).
+    exceeds FRAME_TOL times the largest, so the verdict does not depend on
+    the unit of the weights.
     """
     lam_min, lam_max = frame._extremes.T
     c = float(np.min(lam_min))
     d = float(np.max(lam_max))
-    threshold = FRAME_TOL * max(1.0, d)
     kind = frame.shape.kind
     lower = AlgebraElement.from_real(np.sqrt(np.clip(lam_min, 0.0, None)), kind)
     upper = AlgebraElement.from_real(np.sqrt(np.clip(lam_max, 0.0, None)), kind)
     return FrameBounds(
-        is_frame=bool(c > threshold),
+        is_frame=bool(c > FRAME_TOL * d),
         lower=lower,
         upper=upper,
         scalar_lower=max(c, 0.0),
@@ -333,7 +333,7 @@ def tightness(frame: WeightedFrame) -> TightnessResult:
     if not bounds.is_frame:
         raise NotAFrame("tightness is only defined for frames")
     lo, hi = frame._extremes.T
-    if not np.all(hi - lo <= TIGHT_TOL * np.maximum(1.0, hi)):
+    if not np.all(hi - lo <= TIGHT_TOL * hi):
         return TightnessResult(tight=False, constant=None, parseval=False)
     levels = np.sqrt((lo + hi) / 2.0)
     constant = AlgebraElement.from_real(levels, frame.shape.kind)

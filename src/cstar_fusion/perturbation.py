@@ -11,7 +11,6 @@ itself a frame, with scalar bounds predictable from the ecart.
 
 from __future__ import annotations
 
-import logging
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,10 +23,6 @@ from .frame import WeightedFrame, frame_bounds
 from .hilbert_module import _adjoint
 from .submodule import Submodule
 from .tolerance import SNAP_TO_ONE
-
-_LOW32 = np.uint64(0xFFFFFFFF)
-
-_log = logging.getLogger(__name__)
 
 
 def proj_distance(first: Submodule, second: Submodule) -> float:
@@ -218,78 +213,17 @@ def perturbation_check(
     )
 
 
-def _loop_draws(dims: Sequence[int], max_angle: float, rng: np.random.Generator):
-    """The reference stream: per fiber of dimension m >= 2, a plane from
-    ``rng.choice(m, 2, replace=False)`` and an angle from
-    ``rng.uniform(0, max_angle)``, drawn fiber by fiber."""
+def _draws(dims: np.ndarray, max_angle: float, rng: np.random.Generator):
+    """The plane (i, j) and angle of each fiber, as ``randomly_rotated``
+    documents them; rows of fibers with m < 2 stay zero."""
     planes = np.zeros((len(dims), 2), dtype=int)
     thetas = np.zeros(len(dims))
-    for k, m in enumerate(dims):
-        if m >= 2:
-            planes[k] = rng.choice(m, size=2, replace=False)
-            thetas[k] = rng.uniform(0.0, max_angle)
-    return planes, thetas
-
-
-def _lemire(u: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's bounded draw in [0, r) from the 32-bit words ``u``: the
-    values, and where numpy would reject the word and draw again."""
-    prod = u * r
-    return prod >> 32, (prod & _LOW32) < (2**32 - r) % r
-
-
-def _vector_draws(dims: np.ndarray, max_angle: float, rng: np.random.Generator):
-    """``_loop_draws`` decoded from raw 64-bit words in one pass, or None,
-    with the generator left as it was, when only the loop reproduces it.
-
-    Per fiber with m >= 2 the loop makes, in order: Floyd's draw in [0, m-2]
-    (none when m = 2), Floyd's draw in [0, m-1], the shuffle's draw in
-    [0, 1], and the angle.  Each bounded draw takes a 32-bit half of a word,
-    the low half first, and keeps the high half for the next one; the angle
-    takes a whole word and leaves that buffer alone.  So the 32-bit draws
-    are, in order, the half buffered on entry and then both halves of every
-    word that is not an angle word.
-    """
-    bitgen = rng.bit_generator
-    saved = bitgen.state
-    if "has_uint32" not in saved:
-        _log.debug("randomly_rotated: per-fiber loop, generator has no 32-bit buffer")
-        return None
-    planes = np.zeros((len(dims), 2), dtype=int)
-    thetas = np.zeros(len(dims))
-    moved = np.flatnonzero(dims >= 2)
-    if moved.size == 0:
-        return planes, thetas
-    m = dims[moved].astype(np.uint64)
-    wide = m > 2
-    buffered = int(saved["has_uint32"])
-    ends = np.cumsum(np.where(wide, 3, 2))  # 32-bit draws through each fiber
-    angle_at = (ends - buffered + 1) // 2 + np.arange(m.size)
-    raw = bitgen.random_raw(int(angle_at[-1]) + 1)
-    halves_of = np.ones(raw.size, dtype=bool)
-    halves_of[angle_at] = False
-    words = raw[halves_of]
-    stream = np.column_stack([words & _LOW32, words >> 32]).ravel()
-    if buffered:
-        stream = np.concatenate([[np.uint64(saved["uinteger"])], stream])
-    first, bad_first = _lemire(stream[np.maximum(ends - 3, 0)], m - 1)
-    second, bad_second = _lemire(stream[ends - 2], m)
-    if np.any(wide & bad_first) or np.any(bad_second):
-        bitgen.state = saved
-        _log.debug("randomly_rotated: per-fiber loop, a bounded draw was rejected")
-        return None
-    first = np.where(wide, first, 0)
-    second = np.where(second == first, m - 1, second)  # Floyd's collision rule
-    swap = (stream[ends - 1] >> 31) == 0  # the shuffle's draw in [0, 1] is 0
-    planes[moved] = np.where(swap[:, None], np.column_stack([second, first]),
-                             np.column_stack([first, second]))
-    # uniform(0, a) is 0.0 + a * next_double, next_double = (word >> 11) / 2**53;
-    # the 0.0 + changes nothing, since a is never -0.0 here
-    thetas[moved] = max_angle * ((raw[angle_at] >> 11) * (1.0 / 2**53))
-    state = bitgen.state
-    state["has_uint32"] = stream.size - int(ends[-1])
-    state["uinteger"] = int(stream[-1])
-    bitgen.state = state
+    moved = dims >= 2
+    m = dims[moved]
+    i, j = np.divmod(rng.integers(0, m * (m - 1)), m - 1)
+    j += j >= i  # unrank r in [0, m(m-1)) to an ordered pair with i != j
+    planes[moved] = np.column_stack([i, j])
+    thetas[moved] = rng.uniform(0.0, max_angle, size=m.size)
     return planes, thetas
 
 
@@ -298,21 +232,20 @@ def randomly_rotated(
 ) -> list[Submodule]:
     """Perturb each submodule by one random Givens rotation per fiber.
 
-    The rotation plane is drawn uniformly and the angle uniformly from
-    [0, max_angle]; one-dimensional and quaternion fibers are unchanged.
-    The draws are exactly those of ``rng.choice(m, 2, replace=False)``
-    followed by ``rng.uniform(0, max_angle)``, submodule by submodule and
-    fiber by fiber, and leave ``rng`` in the same state.  They are decoded
-    from the generator's raw words in one vectorised pass; the per-fiber
-    loop runs instead for generators without a 32-bit buffer (MT19937) and
-    when numpy would reject a bounded draw and draw again.
+    The rotation plane is an ordered pair (i, j), i != j, drawn uniformly,
+    and the angle is drawn uniformly from [0, max_angle]; one-dimensional
+    and quaternion fibers are unchanged and draw nothing.  Over the fibers
+    of dimension m >= 2, submodule by submodule and fiber by fiber, one
+    ``rng.integers(0, m * (m - 1))`` call (m an array) draws every plane's
+    rank r, unranked to i = r // (m - 1), j = r % (m - 1), j += j >= i;
+    then one ``rng.uniform(0, max_angle, size=count)`` call draws every
+    angle.  The same two calls run for every bit generator.
     """
     if not 0.0 <= max_angle <= sys.float_info.max:  # also an int too large for a float
         raise ValueError("max_angle must be finite and nonnegative")
     max_angle = float(max_angle) + 0.0  # uniform(0, -0.0) raises; take -0.0 as +0.0
-    dims = [m for sub in submodules for m in sub.shape.dims]
-    draws = _vector_draws(np.array(dims, dtype=int), max_angle, rng)
-    all_planes, all_thetas = draws if draws is not None else _loop_draws(dims, max_angle, rng)
+    dims = np.array([m for sub in submodules for m in sub.shape.dims], dtype=int)
+    all_planes, all_thetas = _draws(dims, max_angle, rng)
     moved = []
     start = 0
     for sub in submodules:

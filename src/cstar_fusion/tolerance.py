@@ -7,8 +7,8 @@ PROJECTION_TOL).  Every other check uses its constant here.
 """
 
 ORDER_TOL = 1e-12  # positivity, order and centrality tests, times max(1, |a|)
-FRAME_TOL = 1e-10  # a frame's smallest eigenvalue exceeds this times max(1, largest)
-TIGHT_TOL = 1e-10  # tight: eigenvalue spread <= this * max(1, largest); Parseval: |level - 1|
+FRAME_TOL = 1e-10  # a frame's smallest eigenvalue exceeds this times the largest
+TIGHT_TOL = 1e-10  # tight: each fiber's spread <= this * its largest; Parseval: |level - 1|
 MGS_DROP = 1e-10  # Gram-Schmidt drops a remainder <= this * the fiber's largest input norm
 UNITARY_TOL = 1e-10  # a rotation U is unitary when ||U^H U - I||_2 <= this
 PROJECTION_TOL = 1e-12  # a declared projection is Hermitian and idempotent within this

@@ -130,3 +130,22 @@ def random_ortho_map(
     else:
         rotations = [random_unit_quaternion(rng) for _ in shape.dims]
     return OrthoMap(shape, scales, rotations)
+
+
+def rotation_draws(dims, max_angle, rng):
+    """The documented rotation stream, unranked in a plain loop: one
+    ``integers`` call ranks every plane of the fibers with m >= 2, then one
+    ``uniform`` call draws their angles.  Rows of other fibers stay zero."""
+    planes = np.zeros((len(dims), 2), dtype=int)
+    thetas = np.zeros(len(dims))
+    moved = [k for k, m in enumerate(dims) if m >= 2]
+    sizes = np.array([dims[k] for k in moved], dtype=int)
+    ranks = rng.integers(0, sizes * (sizes - 1))
+    angles = rng.uniform(0.0, max_angle, size=len(moved))
+    for k, m, r, theta in zip(moved, sizes, ranks, angles):
+        i, j = divmod(int(r), int(m) - 1)
+        if j >= i:
+            j += 1
+        planes[k] = i, j
+        thetas[k] = theta
+    return planes, thetas

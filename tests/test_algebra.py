@@ -166,6 +166,33 @@ class TestNormAndPositivity:
         with pytest.raises(NotInvertible):
             invert(AlgebraElement.complexes([1, 0]))
 
+    @pytest.mark.parametrize(
+        "element",
+        [AlgebraElement.complexes([1e-320]), AlgebraElement.complexes([2, 3e-309j]),
+         AlgebraElement.quaternions([[1, 0, 0, 0], [1e-320, 0, 0, 0]])],
+        ids=["complex-subnormal", "complex-second-fiber", "quaternion-subnormal"],
+    )
+    def test_inverse_outside_the_float_range_is_refused(self, element):
+        # the inverse's modulus exceeds the largest float; no warning either
+        # (tier-1 turns RuntimeWarnings into errors)
+        with pytest.raises(NotInvertible, match=f"fiber {element.fiber_count - 1} "):
+            invert(element)
+
+    def test_quaternion_inverse_survives_an_underflowing_modulus(self):
+        # |q|^2 = 1e-340 underflows to 0, but 1/q = 1e170 is a float
+        inverse = invert(quat(1e-170))
+        assert inverse.fibers[0, 0] == pytest.approx(1e170, rel=1e-15)
+        assert not inverse.fibers[0, 1:].any()
+
+    @pytest.mark.parametrize("kind", [COMPLEX, QUATERNION])
+    def test_inverse_roundtrip_across_the_float_range(self, kind):
+        rng = np.random.default_rng(61)
+        directions = random_algebra(rng, kind, 61)
+        moduli = 10.0 ** np.linspace(-300, 300, 61)  # one per fiber
+        a = AlgebraElement(kind, (directions.fibers.T * moduli / directions.fiber_moduli()).T)
+        prod = a * invert(a)
+        np.testing.assert_allclose(prod.fibers, AlgebraElement.ones(kind, 61).fibers, rtol=0, atol=8e-16)
+
     def test_strictly_positive_inverse_norm(self):
         a = AlgebraElement.complexes([0.5, 2, 4])
         assert 1.0 / alg_norm(invert(a)) == pytest.approx(0.5)

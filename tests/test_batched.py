@@ -41,6 +41,7 @@ from helpers import (
     random_span_submodule,
     random_unitary,
     random_vector,
+    rotation_draws,
 )
 
 TOL = 1e-13
@@ -97,21 +98,28 @@ def ref_proj_distance(first, second):
     return worst
 
 
-def ref_rotated(sub, max_angle, rng):
-    fibers = []
-    for m, p in zip(sub.shape.dims, sub.fibers):
-        if sub.shape.kind != COMPLEX or m < 2:
-            fibers.append(p)
-            continue
-        i, j = rng.choice(m, size=2, replace=False)
-        theta = rng.uniform(0.0, max_angle)
-        giv = np.eye(m)
-        giv[i, i] = giv[j, j] = np.cos(theta)
-        giv[i, j] = -np.sin(theta)
-        giv[j, i] = np.sin(theta)
-        rotated = giv @ p @ giv.T
-        fibers.append((rotated + rotated.conj().T) / 2.0)
-    return fibers
+def ref_rotated(subs, max_angle, rng):
+    """Each submodule's fibers, rotated fiber by fiber with the family's
+    draws from the documented two-call stream."""
+    dims = [m for sub in subs for m in sub.shape.dims]
+    planes, thetas = rotation_draws(dims, max_angle, rng)
+    draws = iter(zip(planes, thetas))
+    moved = []
+    for sub in subs:
+        fibers = []
+        for m, p in zip(sub.shape.dims, sub.fibers):
+            (i, j), theta = next(draws)
+            if m < 2:
+                fibers.append(p)
+                continue
+            giv = np.eye(m)
+            giv[i, i] = giv[j, j] = np.cos(theta)
+            giv[i, j] = -np.sin(theta)
+            giv[j, i] = np.sin(theta)
+            rotated = giv @ p @ giv.T
+            fibers.append((rotated + rotated.conj().T) / 2.0)
+        moved.append(fibers)
+    return moved
 
 
 def assert_fibers_close(got, want, scale=1.0):
@@ -300,8 +308,8 @@ class TestProjections:
             subs = random_quaternion_frame(rng).submodules
         ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
         moved = randomly_rotated(subs, 0.3, ours)
-        for sub, got in zip(subs, moved):
-            assert_fibers_close(got.fibers, ref_rotated(sub, 0.3, theirs))
+        for got, want in zip(moved, ref_rotated(subs, 0.3, theirs), strict=True):
+            assert_fibers_close(got.fibers, want)
         assert ours.random() == theirs.random()
 
     def test_transport_matches_reference(self):

@@ -46,6 +46,14 @@ from helpers import (
 )
 
 
+def coordinate_lines(w1, w2):
+    """The two coordinate lines of one 2-dimensional fiber, weights w1, w2:
+    S = diag(w1^2, w2^2)."""
+    shape = ModuleShape(COMPLEX, (2,))
+    subs = [span_submodule(shape, [[row]]) for row in np.eye(2)]
+    return WeightedFrame(subs, WeightSequence.from_matrix(COMPLEX, [[w1], [w2]]))
+
+
 @pytest.fixture
 def three_subspace_frame():
     """Three lines in a single 2-dimensional fiber, unit weights."""
@@ -191,6 +199,20 @@ class TestFrameBounds:
     def test_uncovered_fiber_is_not_a_frame(self):
         frame = assemble_block_frame(COMPLEX, [[1, 2], [2]], [[1, 1, 1], [1, 1, 1]])
         assert not frame_bounds(frame).is_frame
+
+    @pytest.mark.parametrize("w", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_verdict_does_not_depend_on_the_weights_unit(self, w):
+        # S = w^2 I has condition number 1 at every scale
+        frame = coordinate_lines(w, w)
+        assert frame_bounds(frame).is_frame
+        result = tightness(frame)
+        assert result.tight and result.parseval == (w == 1.0)
+        np.testing.assert_allclose(result.constant.real_parts(), [w], rtol=1e-15)
+
+    def test_frame_verdict_is_a_ratio(self):
+        # lambda_max = 1e-6: a frame iff lambda_min > FRAME_TOL * 1e-6
+        assert frame_bounds(coordinate_lines(1e-7, 1e-3)).is_frame
+        assert not frame_bounds(coordinate_lines(1e-9, 1e-3)).is_frame
 
     def test_frame_inequality_with_optimal_bounds(self):
         rng = np.random.default_rng(42)
@@ -386,6 +408,11 @@ class TestTightness:
 
     def test_not_tight(self, three_subspace_frame):
         result = tightness(three_subspace_frame)
+        assert not result.tight and result.constant is None
+
+    def test_spread_is_relative_to_the_largest_eigenvalue(self):
+        # extremes 9e-10 and 9.61e-10 are 6.8 % apart
+        result = tightness(coordinate_lines(3e-5, 3.1e-5))
         assert not result.tight and result.constant is None
 
     def test_requires_frame(self):

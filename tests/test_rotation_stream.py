@@ -1,13 +1,15 @@
-"""randomly_rotated against the per-fiber draw loop, bit for bit.
+"""randomly_rotated against its documented two-call stream, bit for bit.
 
-The reference below is the loop ``randomly_rotated`` ran before its draws
-were decoded from raw generator words in one pass: per fiber of dimension
-m >= 2, ``rng.choice(m, 2, replace=False)`` then ``rng.uniform(0,
-max_angle)``.  The rotated fibers and the generator's whole state afterwards
-must be equal, not close.
+The reference below draws, over the fibers of dimension m >= 2 of the whole
+family (submodule by submodule, fiber by fiber), every plane's rank with one
+``rng.integers(0, m * (m - 1))`` call and then every angle with one
+``rng.uniform(0, max_angle, size=count)`` call, and unranks each plane in a
+plain loop.  The rotated fibers and the generator's whole state afterwards
+must be equal, not close, for every bit generator.
 """
 
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,28 +23,28 @@ from cstar_fusion import (
 )
 from cstar_fusion import perturbation
 from cstar_fusion.hilbert_module import _adjoint
-from helpers import random_quaternion_frame, random_span_submodule
+from helpers import random_quaternion_frame, random_span_submodule, rotation_draws
 
-BUFFERED = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
-ALL_GENERATORS = BUFFERED + (np.random.MT19937,)
-
-
-def ref_draws(dims, max_angle, rng):
-    planes = np.zeros((len(dims), 2), dtype=int)
-    thetas = np.zeros(len(dims))
-    for k, m in enumerate(dims):
-        if m >= 2:
-            planes[k] = rng.choice(m, size=2, replace=False)
-            thetas[k] = rng.uniform(0.0, max_angle)
-    return planes, thetas
+ALL_GENERATORS = (
+    np.random.PCG64,
+    np.random.PCG64DXSM,
+    np.random.Philox,
+    np.random.SFC64,
+    np.random.MT19937,
+)
+SRC = Path(__file__).resolve().parents[1] / "src" / "cstar_fusion"
 
 
 def ref_rotated(submodules, max_angle, rng):
+    dims = [m for sub in submodules for m in sub.shape.dims]
+    all_planes, all_thetas = rotation_draws(dims, max_angle, rng)
     moved = []
+    start = 0
     for sub in submodules:
         shape = sub.shape
-        planes, thetas = ref_draws(shape.dims, max_angle, rng)
-        planes, thetas = shape.gather(planes), shape.gather(thetas)
+        fibers = slice(start, start + shape.fiber_count)
+        start += shape.fiber_count
+        planes, thetas = shape.gather(all_planes[fibers]), shape.gather(all_thetas[fibers])
         blocks = dict(sub.blocks)
         for m in blocks.keys() - {1}:
             i, j = planes[m].T
@@ -97,16 +99,14 @@ def complex_family(rng, dims, count=3):
     [(2, 2, 2, 2, 2), (3, 1, 4, 3, 2, 1, 4, 4), (1, 7, 12, 2, 1, 5)],
     ids=["m2-only", "mixed", "wider"],
 )
-def test_matches_the_loop(bit_generator, buffered_half, dims):
+def test_matches_the_two_call_reference(bit_generator, buffered_half, dims):
     subs = complex_family(np.random.default_rng(len(dims)), dims)
     ours, theirs = twin_generators(bit_generator, 41, buffered_half)
-    if buffered_half and bit_generator is not np.random.MT19937:
-        assert ours.bit_generator.state["has_uint32"] == 1
     assert_same_rotation(subs, 0.3, ours, theirs)
 
 
 @pytest.mark.parametrize("bit_generator", ALL_GENERATORS, ids=lambda g: g.__name__)
-def test_many_families_match_the_loop(bit_generator):
+def test_many_families_match_the_reference(bit_generator):
     meta = np.random.default_rng(5)
     for case in range(25):
         dims = tuple(int(m) for m in meta.integers(1, 9, int(meta.integers(1, 12))))
@@ -115,17 +115,46 @@ def test_many_families_match_the_loop(bit_generator):
         assert_same_rotation(subs, float(meta.uniform(0.0, 3.0)), ours, theirs)
 
 
-@pytest.mark.parametrize("bit_generator", BUFFERED, ids=lambda g: g.__name__)
-@pytest.mark.parametrize("buffered_half", [False, True], ids=["empty-buffer", "buffered-half"])
-def test_wide_fiber_draws_match_the_loop(bit_generator, buffered_half):
+@pytest.mark.parametrize("bit_generator", ALL_GENERATORS, ids=lambda g: g.__name__)
+def test_wide_fiber_draws_match_the_reference(bit_generator):
     # Givens assembly at m >= 1000 is slow, so the draws are compared alone.
     dims = np.array([1000, 1, 4096, 2, 1500, 1000])
-    ours, theirs = twin_generators(bit_generator, 8, buffered_half)
-    got = perturbation._vector_draws(dims, 0.7, ours)
-    want = ref_draws(dims.tolist(), 0.7, theirs)
-    assert got is not None
+    ours, theirs = twin_generators(bit_generator, 8)
+    got = perturbation._draws(dims, 0.7, ours)
+    want = rotation_draws(dims.tolist(), 0.7, theirs)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert same_state(ours.bit_generator.state, theirs.bit_generator.state)
+
+
+# chi2.ppf(0.999, df) for df = m(m-1) - 1, taken from scipy.stats
+CHI2_999 = {2: 10.828, 3: 20.515, 4: 31.264, 5: 43.820}
+
+
+@pytest.mark.parametrize("m", sorted(CHI2_999))
+def test_planes_are_uniform_over_ordered_pairs(m):
+    count = 600 * m * (m - 1)
+    dims = np.full(count, m)
+    dims[::7] = 1  # fibers that draw nothing are skipped, not counted
+    planes, _ = perturbation._draws(dims, 0.5, np.random.default_rng(2024 + m))
+    planes = planes[dims >= 2]
+    i, j = planes.T
+    assert np.all((0 <= i) & (i < m) & (0 <= j) & (j < m) & (i != j))
+    observed = np.bincount(i * m + j, minlength=m * m).reshape(m, m)
+    assert not observed.diagonal().any()
+    observed = observed[~np.eye(m, dtype=bool)]
+    expected = planes.shape[0] / (m * (m - 1))
+    assert np.sum((observed - expected) ** 2 / expected) < CHI2_999[m]
+
+
+@pytest.mark.parametrize("max_angle", [0.0, 1e-300, 0.05, np.pi, 1e300])
+def test_angles_lie_in_the_closed_range(max_angle):
+    dims = np.array([1, 2, 3, 4] * 500)
+    _, thetas = perturbation._draws(dims, max_angle, np.random.default_rng(17))
+    assert np.all(thetas[dims == 1] == 0.0)
+    angles = thetas[dims >= 2]
+    assert np.all((0.0 <= angles) & (angles <= max_angle))
+    if max_angle > 0:
+        assert np.unique(angles).size == angles.size
 
 
 @pytest.mark.parametrize("bit_generator", ALL_GENERATORS, ids=lambda g: g.__name__)
@@ -169,55 +198,10 @@ def test_block_family_over_mixed_dims():
     assert_same_rotation(subs, 1.2, ours, theirs)
 
 
-class TestRejection:
-    def test_lemire_rejects_below_the_threshold(self):
-        # r = 3 (Floyd's first draw at m = 4): the threshold is 2**32 mod 3 = 1.
-        words = np.array([0, 1, 2**31, 2**32 - 1], dtype=np.uint64)
-        values, rejected = perturbation._lemire(words, np.uint64(3))
-        assert rejected.tolist() == [True, False, False, False]
-        assert values.tolist() == [0, 0, 1, 2]
-        # r = 2 (the shuffle) never rejects, and its value is bit 31.
-        values, rejected = perturbation._lemire(words, np.uint64(2))
-        assert not rejected.any()
-        assert values.tolist() == [0, 0, 1, 1]
-
-    def test_lemire_matches_numpy_values(self):
-        # numpy's bounded draws in [0, r) from a fresh generator's 32-bit words.
-        for r in (2, 3, 4, 7, 1000, 4097):
-            rng = np.random.default_rng(r)
-            raw = np.random.default_rng(r).bit_generator.random_raw(50)
-            halves = np.column_stack([raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)]).ravel()
-            values, rejected = perturbation._lemire(halves, np.uint64(r))
-            assert not rejected.any()
-            assert values.tolist() == rng.integers(0, r, 100).tolist()
-
-    @pytest.mark.parametrize("bit_generator", BUFFERED, ids=lambda g: g.__name__)
-    def test_rejected_draw_takes_the_loop(self, bit_generator, monkeypatch, caplog):
-        decode = perturbation._lemire
-
-        def rejecting(u, r):
-            return decode(u, r)[0], np.ones(u.shape, dtype=bool)
-
-        monkeypatch.setattr(perturbation, "_lemire", rejecting)
-        subs = complex_family(np.random.default_rng(6), (3, 1, 4, 2))
-        ours, theirs = twin_generators(bit_generator, 13, buffered_half=True)
-        with caplog.at_level(logging.DEBUG, logger="cstar_fusion.perturbation"):
-            assert_same_rotation(subs, 0.3, ours, theirs)
-        assert "rejected" in caplog.text
-
-
-def test_generator_without_buffer_logs_the_loop(caplog):
-    subs = complex_family(np.random.default_rng(7), (3, 2))
-    ours, theirs = twin_generators(np.random.MT19937, 14)
-    with caplog.at_level(logging.DEBUG, logger="cstar_fusion.perturbation"):
-        assert_same_rotation(subs, 0.3, ours, theirs)
-    assert "no 32-bit buffer" in caplog.text
-
-
-def test_vectorised_pass_logs_nothing(caplog):
+def test_rotation_logs_nothing(caplog):
     subs = complex_family(np.random.default_rng(8), (3, 2))
-    with caplog.at_level(logging.DEBUG, logger="cstar_fusion.perturbation"):
-        randomly_rotated(subs, 0.3, np.random.default_rng(15))
+    with caplog.at_level(logging.DEBUG, logger="cstar_fusion"):
+        randomly_rotated(subs, 0.3, np.random.Generator(np.random.MT19937(15)))
     assert caplog.records == []
 
 
@@ -232,3 +216,11 @@ def test_max_angle_checked_before_any_draw(bad, family):
     with pytest.raises(ValueError, match="max_angle must be finite and nonnegative"):
         randomly_rotated(subs, bad, rng)
     assert same_state(rng.bit_generator.state, np.random.default_rng(16).bit_generator.state)
+
+
+@pytest.mark.parametrize("internal", ["random_raw", "bit_generator", "has_uint32"])
+def test_library_reads_no_generator_internals(internal):
+    # The stream is defined by public Generator calls alone; raw words and
+    # the 32-bit buffer are numpy implementation details.
+    for path in sorted(SRC.rglob("*.py")):
+        assert internal not in path.read_text(encoding="utf-8"), path.name
