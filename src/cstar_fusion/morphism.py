@@ -52,10 +52,14 @@ class OrthoMap(FiberBlocks):
             raise ValueError("scales must be positive and finite")
         self._store(self.rotations, matrix=shape.kind == COMPLEX)
         if shape.kind == COMPLEX:
-            # Spectral norm of the Hermitian U^H U - I: its largest |eigenvalue|.
             gram = {m: _adjoint(u) @ u - np.eye(m) for m, u in self.blocks.items()}
-            extremes = {m: np.abs(np.linalg.eigvalsh(g)).max(-1) for m, g in gram.items()}
-            defects = shape.scatter(extremes)
+            # The Frobenius norm bounds the spectral one; half the threshold
+            # absorbs rounding, so every fiber at most that passes at once.
+            defects = shape.scatter({m: np.linalg.norm(g, axis=(1, 2)) for m, g in gram.items()})
+            if not defects.max() <= UNITARY_TOL / 2:
+                # Spectral norm of the Hermitian U^H U - I: its largest |eigenvalue|.
+                extremes = {m: np.abs(np.linalg.eigvalsh(g)).max(-1) for m, g in gram.items()}
+                defects = shape.scatter(extremes)
         else:
             defects = np.abs(np.linalg.norm(self.blocks[1], axis=-1) - 1.0)
         k = int(np.argmax(defects))

@@ -6,10 +6,16 @@ quantities by direct dense linear algebra or random sampling, for tests and
 the CLI verification command; the dense dimension is capped at DENSE_CAP.
 
 The dense extremes are taken block by block: ``eigen_bounds`` splits the
-matrix into the contiguous diagonal blocks its own exact zeros give, and
-runs one ``eigvalsh`` per block size.  The split reads nothing of the module
-shape or fiber layout, so an entry the assembly misplaces merges blocks
-instead of being dropped, and the oracle stays independent of the fast path.
+matrix into the contiguous diagonal blocks its own exact zeros give, checks
+that it is Hermitian and runs one ``eigvalsh`` per block size, all on the
+gathered blocks.  The split reads nothing of the module shape or fiber
+layout, so an entry the assembly misplaces merges blocks instead of being
+dropped, and the oracle stays independent of the fast path.
+
+Every pass over the whole matrix reads it in memory order, and neither
+function copies it: ``flatten_frame_operator`` sums and symmetrises each
+fiber dimension's blocks on their own stack before writing them into the
+zero matrix once, and hands that matrix to ``DenseOperator`` as it is.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 from .algebra import COMPLEX
 from .errors import NotFinite, NotHermitian, ShapeMismatch
 from .frame import FrameBounds, WeightedFrame, frame_bounds
-from .hilbert_module import ModuleShape, ModuleVector
+from .hilbert_module import ModuleShape, ModuleVector, _adjoint
 from .tolerance import DENSE_CAP, HERMITIAN_TOL, ORACLE_SLACK, SAMPLE_REDRAW
 
 # Sampled coordinates held at once, so memory stays bounded for any sample count.
@@ -30,12 +36,23 @@ _BATCH_COORDINATES = 1 << 16
 
 @dataclass(frozen=True, slots=True, eq=False)
 class DenseOperator:
-    """A single square complex matrix acting on the flattened module."""
+    """A single square complex matrix acting on the flattened module.
+
+    A complex ndarray that is read-only and owns its data is kept as it is;
+    any other input is copied into one.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.matrix, dtype=complex)
+        arr = self.matrix
+        if not (
+            isinstance(arr, np.ndarray)
+            and arr.dtype == complex
+            and not arr.flags.writeable
+            and arr.flags.owndata
+        ):
+            arr = np.array(arr, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
             raise ShapeMismatch("a dense operator must be a nonempty square matrix")
         if not np.isfinite(arr).all():
@@ -71,9 +88,12 @@ def _fiber_offsets(shape: ModuleShape) -> np.ndarray:
 
 
 def flatten_frame_operator(frame: WeightedFrame) -> DenseOperator:
-    """Assemble the frame operator as one dense block-diagonal matrix, adding
-    each submodule's weighted fiber projections into their blocks, submodule
-    by submodule, with one scatter per submodule and fiber dimension."""
+    """Assemble the frame operator as one dense block-diagonal matrix.
+
+    Each fiber dimension's blocks are summed on their own (count, m, m)
+    stack, submodule by submodule, symmetrised there, and written into the
+    zero matrix once; the matrix itself is neither copied nor transposed.
+    """
     shape = frame.shape
     offsets = _fiber_offsets(shape)
     total = int(offsets[-1])
@@ -81,30 +101,31 @@ def flatten_frame_operator(frame: WeightedFrame) -> DenseOperator:
         raise ShapeMismatch(f"dense dimension {total} exceeds the cap {DENSE_CAP}")
     out = np.zeros((total, total), dtype=complex)
     wmatrix = frame.weights.matrix
-    places = {}  # each dimension's (rows, cols) indices of its fibers' blocks
     for m, idx in shape.groups.items():
-        at = offsets[idx][:, None, None] + np.arange(m if shape.kind == COMPLEX else 2)
-        places[m] = (np.swapaxes(at, 1, 2), at)
-    for n, sub in enumerate(frame.submodules):
-        for m, idx in shape.groups.items():
+        width = m if shape.kind == COMPLEX else 2
+        acc = np.zeros((len(idx), width, width), dtype=complex)
+        for n, sub in enumerate(frame.submodules):
             # A quaternion selector p acts on its two complex coordinates as p * I_2.
             block = sub.blocks[m] if shape.kind == COMPLEX else sub.blocks[m] * np.eye(2)
-            out[places[m]] += (wmatrix[n, idx] ** 2)[:, None, None] * block
-    out += out.conj().T
-    out /= 2.0
+            acc += (wmatrix[n, idx] ** 2)[:, None, None] * block
+        at = offsets[idx][:, None, None] + np.arange(width)
+        out[np.swapaxes(at, 1, 2), at] = (acc + _adjoint(acc)) / 2.0
+    out.setflags(write=False)
     return DenseOperator(out)
 
 
-def _diagonal_blocks(h: np.ndarray):
-    """The contiguous diagonal blocks of a Hermitian matrix, stacked by size
-    as (count, s, s) arrays.
+def _diagonal_blocks(m: np.ndarray):
+    """The contiguous diagonal blocks of a square matrix, stacked by size
+    as (count, s, s) arrays gathered from m.
 
-    h splits at i when h[:i, i:] is all exactly zero: when no row above i
-    reaches column i, which is each row's last nonzero column (its diagonal
-    counting) in a running max.
+    m splits at i when m[:i, i:] and m[i:, :i] are all exactly zero: when
+    no row above i reaches column i in m or in its transpose, which is each
+    row's last such column (its diagonal counting) in a running max.  So m
+    and m^H are both zero off the blocks.
     """
-    n = len(h)
-    nonzero = h != 0
+    n = len(m)
+    nonzero = m != 0
+    nonzero |= nonzero.T
     nonzero[np.diag_indices(n)] = True
     last = n - 1 - np.argmax(nonzero[:, ::-1], axis=1)
     ends = np.flatnonzero(np.maximum.accumulate(last) == np.arange(n)) + 1
@@ -112,27 +133,30 @@ def _diagonal_blocks(h: np.ndarray):
     sizes = ends - starts
     for s in np.unique(sizes):
         at = starts[sizes == s][:, None, None] + np.arange(s)
-        yield h[np.swapaxes(at, 1, 2), at]
+        yield m[np.swapaxes(at, 1, 2), at]
 
 
 def eigen_bounds(op: DenseOperator) -> dict:
     """Extreme eigenvalues of a Hermitian m, one with
     ||m - m^H||_2 <= HERMITIAN_TOL * max(1, ||m||_2).
 
-    The extremes are those over the contiguous diagonal blocks of
-    h = (m + m^H) / 2, split only where h itself is exactly zero, with one
-    batched ``eigvalsh`` per block size; a matrix with no such split is one
-    block.  Each block's eigenvalues are accurate to eps * ||block||, at most
+    m is split into its contiguous diagonal blocks b (``_diagonal_blocks``);
+    m - m^H is zero off them.  The extremes are those of the blocks of
+    h = (m + m^H) / 2, (b + b^H) / 2, with one batched ``eigvalsh`` per block
+    size; a matrix with no split is one block.  For a Hermitian m, h = m.
+    Each block's eigenvalues are accurate to eps * ||block||, at most
     eps * ||m||.  The split reads neither the module shape nor the fiber
     offsets, so a misplaced entry merges blocks rather than being lost.
     """
-    m = np.asarray(op.matrix)
-    # The Frobenius norm bounds the spectral one; half the threshold absorbs rounding.
-    if not np.linalg.norm(m - m.conj().T) <= HERMITIAN_TOL / 2:
+    m = op.matrix
+    blocks = list(_diagonal_blocks(m))
+    # The Frobenius norm of m - m^H, taken on the blocks, bounds the spectral
+    # one; half the threshold absorbs rounding.
+    if not np.linalg.norm([np.linalg.norm(b - _adjoint(b)) for b in blocks]) <= HERMITIAN_TOL / 2:
         defect = float(np.linalg.norm(m - m.conj().T, 2))
         if defect > HERMITIAN_TOL * max(1.0, float(np.linalg.norm(m, 2))):
             raise NotHermitian(f"operator deviates from Hermitian by {defect:.2e}")
-    eigvals = [np.linalg.eigvalsh(stack) for stack in _diagonal_blocks((m + m.conj().T) / 2.0)]
+    eigvals = [np.linalg.eigvalsh((b + _adjoint(b)) / 2.0) for b in blocks]
     return {
         "lambda_min": float(min(e[:, 0].min() for e in eigvals)),
         "lambda_max": float(max(e[:, -1].max() for e in eigvals)),

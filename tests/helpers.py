@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from cstar_fusion import (
@@ -17,6 +19,23 @@ from cstar_fusion import (
     block_submodule,
     frame_bounds,
 )
+
+
+def peak_bytes(fn) -> int:
+    """The most memory ``fn()`` held at once, in bytes, its result
+    included, as tracemalloc counts it; numpy reports its array buffers
+    there."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def pairs(z) -> list:

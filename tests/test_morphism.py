@@ -117,6 +117,39 @@ class TestApplyMap:
             OrthoMap(plane, [1.0], [np.full((2, 2), np.nan)])
 
 
+def _eigvalsh_calls(monkeypatch) -> list:
+    """Record every call of np.linalg.eigvalsh."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return calls
+
+
+class TestUnitaryGate:
+    def test_a_unitary_map_takes_no_eigendecomposition(self, monkeypatch):
+        rng = np.random.default_rng(88)
+        shape = ModuleShape(COMPLEX, (1, 3, 4, 3, 2))
+        calls = _eigvalsh_calls(monkeypatch)
+        mapping = random_ortho_map(rng, shape)
+        mapping.inverse()
+        OrthoMap.identity(shape)
+        assert calls == []
+
+    def test_past_the_frobenius_gate_the_spectral_test_decides(self, monkeypatch, plane):
+        # U^H U - I = diag(2d + d^2, 0): Frobenius and spectral norm ~8e-11,
+        # above UNITARY_TOL / 2 but within UNITARY_TOL.
+        calls = _eigvalsh_calls(monkeypatch)
+        OrthoMap(plane, [1.0], [np.diag([1.0 + 4e-11, 1.0])])
+        assert calls == [(1, 2, 2)]
+        with pytest.raises(ValueError, match=r"not unitary \(defect 1\.20e-10\)$"):
+            OrthoMap(plane, [1.0], [np.diag([1.0 + 6e-11, 1.0])])
+
+
 class TestNu:
     def test_identity_gives_unit(self, plane):
         nu = OrthoMap.identity(plane).nu()

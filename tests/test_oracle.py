@@ -36,7 +36,9 @@ from cstar_fusion import (
     span_submodule,
     star,
 )
+from cstar_fusion.tolerance import HERMITIAN_TOL
 from helpers import (
+    peak_bytes,
     random_complex_frame,
     random_quaternion_frame,
     random_span_submodule,
@@ -65,6 +67,43 @@ def ref_flatten_frame_operator(frame) -> np.ndarray:
             scale[lo:hi] = wmatrix[n, k] ** 2
         out += scale[:, None] * dense
     return (out + out.conj().T) / 2.0
+
+
+def ref_eigen_bounds(op) -> dict:
+    """The whole-matrix formulation: the Hermitian gate on m - m^H, then
+    the blocks that h = (m + m^H) / 2's own zeros split off."""
+    m = op.matrix
+    if not np.linalg.norm(m - m.conj().T) <= HERMITIAN_TOL / 2:
+        defect = float(np.linalg.norm(m - m.conj().T, 2))
+        if defect > HERMITIAN_TOL * max(1.0, float(np.linalg.norm(m, 2))):
+            raise NotHermitian(f"operator deviates from Hermitian by {defect:.2e}")
+    h = (m + m.conj().T) / 2.0
+    n = len(h)
+    nonzero = h != 0
+    nonzero[np.diag_indices(n)] = True
+    last = n - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    ends = np.flatnonzero(np.maximum.accumulate(last) == np.arange(n)) + 1
+    starts = np.concatenate([[0], ends[:-1]])
+    sizes = ends - starts
+    eigvals = []
+    for s in np.unique(sizes):
+        at = starts[sizes == s][:, None, None] + np.arange(s)
+        eigvals.append(np.linalg.eigvalsh(h[np.swapaxes(at, 1, 2), at]))
+    return {
+        "lambda_min": float(min(e[:, 0].min() for e in eigvals)),
+        "lambda_max": float(max(e[:, -1].max() for e in eigvals)),
+    }
+
+
+def _dense_frame(fibers: int = 64, dim: int = 8) -> WeightedFrame:
+    """Five random spans and one full block over ``fibers`` fibers of
+    dimension ``dim``: a dense operator of side fibers * dim."""
+    rng = np.random.default_rng(87)
+    shape = ModuleShape(COMPLEX, (dim,) * fibers)
+    subs = [random_span_submodule(rng, shape) for _ in range(5)]
+    subs.append(block_submodule(shape, range(1, fibers + 1)))
+    weights = WeightSequence.from_matrix(COMPLEX, rng.uniform(0.5, 2.0, (6, fibers)))
+    return WeightedFrame(subs, weights)
 
 
 @pytest.fixture
@@ -167,6 +206,38 @@ class TestEigenBounds:
         with pytest.raises(NotHermitian, match=r"by 1\.00e-03$"):
             eigen_bounds(self._skewed(1e-3))
 
+    def test_bit_identical_to_the_whole_matrix_formulation(self):
+        rng = np.random.default_rng(89)
+        frames = [random_complex_frame(rng) for _ in range(10)]
+        frames += [random_quaternion_frame(rng) for _ in range(10)]
+        frames.append(_dense_frame(fibers=16))
+        for frame in frames:
+            op = flatten_frame_operator(frame)
+            assert eigen_bounds(op) == ref_eigen_bounds(op)
+
+    @staticmethod
+    def _skew_coupled(skew: float) -> np.ndarray:
+        # Two Hermitian blocks coupled by m[0, 2] = -conj(m[2, 0]) = skew (1 + 1j):
+        # h = (m + m^H) / 2 is zero there, m is not.
+        m = _block_diagonal([np.array([[2.0, 1.0], [1.0, 2.0]]), [[5.0]]])
+        m[0, 2] = skew * (1 + 1j)
+        m[2, 0] = -np.conj(m[0, 2])
+        return m
+
+    def test_a_skew_coupling_within_tolerance_keeps_the_extremes(self, monkeypatch):
+        shapes = _eigvalsh_shapes(monkeypatch)
+        m = self._skew_coupled(1e-11)
+        got = eigen_bounds(DenseOperator(m))
+        assert shapes == [(1, 3, 3)]  # m's own zeros merge the blocks h would split
+        want = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+        assert got["lambda_min"] == pytest.approx(want[0], rel=0.0, abs=1e-14)
+        assert got["lambda_max"] == pytest.approx(want[-1], rel=0.0, abs=1e-14)
+
+    def test_a_skew_coupling_beyond_tolerance_is_rejected(self):
+        # ||m - m^H||_2 = 2 sqrt(2) 1e-4, past HERMITIAN_TOL * ||m||_2 = 5e-10.
+        with pytest.raises(NotHermitian, match=r"by 2\.83e-04$"):
+            eigen_bounds(DenseOperator(self._skew_coupled(1e-4)))
+
     def test_hermitian_input_takes_no_spectral_norm(self, monkeypatch):
         norm = np.linalg.norm
         orders = []
@@ -214,6 +285,63 @@ class TestDenseOperator:
         # eigen_bounds of a 0x0 operator raised IndexError.
         with pytest.raises(ShapeMismatch):
             DenseOperator(np.zeros((0, 0)))
+
+    def test_a_writable_input_is_copied(self):
+        a = np.eye(2, dtype=complex)
+        op = DenseOperator(a)
+        assert op.matrix is not a and a.flags.writeable
+        assert not op.matrix.flags.writeable
+        a[0, 0] = 7.0
+        assert op.matrix[0, 0] == 1.0
+
+    def test_a_read_only_complex_array_owning_its_data_is_kept(self):
+        a = np.eye(3, dtype=complex)
+        a.setflags(write=False)
+        assert DenseOperator(a).matrix is a
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.eye(2),  # real
+            lambda: np.eye(4, dtype=complex)[:2, :2],  # a view
+            lambda: [[1.0, 0.0], [0.0, 1.0]],  # not an array
+        ],
+        ids=["real", "view", "list"],
+    )
+    def test_other_read_only_inputs_are_copied(self, make):
+        a = make()
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+        op = DenseOperator(a)
+        assert op.matrix is not a and op.matrix.dtype == complex
+        assert op.matrix.flags.owndata and not op.matrix.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_kept_array_is_still_checked(self, bad):
+        a = np.eye(2, dtype=complex)
+        a[1, 1] = bad
+        a.setflags(write=False)
+        with pytest.raises(NotFinite):
+            DenseOperator(a)
+        empty = np.zeros((0, 0), dtype=complex)
+        empty.setflags(write=False)
+        with pytest.raises(ShapeMismatch):
+            DenseOperator(empty)
+
+
+class TestMemory:
+    # A D = 512 operator: one dense matrix is 16 * 512**2 bytes (4 MiB).
+    DENSE = 16 * 512**2
+
+    def test_flattening_holds_one_dense_matrix(self):
+        frame = _dense_frame()
+        flatten_frame_operator(frame)  # caches the frame's blocks and weights
+        assert peak_bytes(lambda: flatten_frame_operator(frame)) <= 1.1 * self.DENSE
+
+    def test_eigen_bounds_allocates_less_than_a_dense_matrix(self):
+        op = flatten_frame_operator(_dense_frame())
+        assert len(op.matrix) == 512
+        assert peak_bytes(lambda: eigen_bounds(op)) < self.DENSE
 
 
 class TestBlockSplit:
