@@ -269,8 +269,6 @@ def frame_bounds(frame: WeightedFrame) -> FrameBounds:
 
 def synthesis(frame: WeightedFrame, x: ModuleVector) -> ModuleSequence:
     """The sequence (w_n P_n(x)), one entry per submodule."""
-    if frame.shape != x.shape:
-        raise ShapeMismatch(f"module shapes differ: {frame.shape} vs {x.shape}")
     return ModuleSequence(
         [left_action(w, project(sub, x)) for sub, w in zip(frame.submodules, frame.weights)]
     )
@@ -280,8 +278,6 @@ def synthesis_adjoint(frame: WeightedFrame, ys: ModuleSequence) -> ModuleVector:
     """sum_n w_n P_n(y_n); the adjoint of ``synthesis``."""
     if len(ys) != len(frame):
         raise LengthMismatch(f"{len(frame)} submodules but {len(ys)} sequence entries")
-    if ys[0].shape != frame.shape:
-        raise ShapeMismatch(f"module shapes differ: {frame.shape} vs {ys[0].shape}")
     acc = ModuleVector.zeros(frame.shape)
     for sub, w, y in zip(frame.submodules, frame.weights, ys):
         acc = acc + left_action(w, project(sub, y))

@@ -8,9 +8,13 @@ the CLI verification command; the dense dimension is capped at DENSE_CAP.
 The dense extremes are taken block by block: ``eigen_bounds`` splits the
 matrix into the contiguous diagonal blocks its own exact zeros give, checks
 that it is Hermitian and runs one ``eigvalsh`` per block size, all on the
-gathered blocks.  The split reads nothing of the module shape or fiber
-layout, so an entry the assembly misplaces merges blocks instead of being
-dropped, and the oracle stays independent of the fast path.
+gathered blocks; no norm or decomposition of the whole matrix is taken.
+The split reads nothing of the module shape or fiber layout, so an entry
+the assembly misplaces merges blocks instead of being dropped, and the
+oracle stays independent of the fast path.
+
+The samples come from a stream defined here: each vector is one
+``standard_normal(2 D)`` draw read as D complex coordinates.
 
 Every pass over the whole matrix reads it in memory order, and neither
 function copies it: ``flatten_frame_operator`` sums and symmetrises each
@@ -141,20 +145,22 @@ def eigen_bounds(op: DenseOperator) -> dict:
     ||m - m^H||_2 <= HERMITIAN_TOL * max(1, ||m||_2).
 
     m is split into its contiguous diagonal blocks b (``_diagonal_blocks``);
-    m - m^H is zero off them.  The extremes are those of the blocks of
-    h = (m + m^H) / 2, (b + b^H) / 2, with one batched ``eigvalsh`` per block
-    size; a matrix with no split is one block.  For a Hermitian m, h = m.
-    Each block's eigenvalues are accurate to eps * ||block||, at most
-    eps * ||m||.  The split reads neither the module shape nor the fiber
-    offsets, so a misplaced entry merges blocks rather than being lost.
+    m and m^H are zero off them, so ||m - m^H||_2 and ||m||_2 are the largest
+    ||b - b^H||_2 and ||b||_2, taken on the block stacks.  The extremes are
+    those of the blocks of h = (m + m^H) / 2, (b + b^H) / 2, with one batched
+    ``eigvalsh`` per block size; a matrix with no split is one block.  For a
+    Hermitian m, h = m.  Each block's eigenvalues are accurate to
+    eps * ||block||, at most eps * ||m||.  The split reads neither the module
+    shape nor the fiber offsets, so a misplaced entry merges blocks rather
+    than being lost.
     """
-    m = op.matrix
-    blocks = list(_diagonal_blocks(m))
+    blocks = list(_diagonal_blocks(op.matrix))
     # The Frobenius norm of m - m^H, taken on the blocks, bounds the spectral
     # one; half the threshold absorbs rounding.
     if not np.linalg.norm([np.linalg.norm(b - _adjoint(b)) for b in blocks]) <= HERMITIAN_TOL / 2:
-        defect = float(np.linalg.norm(m - m.conj().T, 2))
-        if defect > HERMITIAN_TOL * max(1.0, float(np.linalg.norm(m, 2))):
+        defect = max(float(np.linalg.norm(b - _adjoint(b), 2, axis=(1, 2)).max()) for b in blocks)
+        norm = max(float(np.linalg.norm(b, 2, axis=(1, 2)).max()) for b in blocks)
+        if defect > HERMITIAN_TOL * max(1.0, norm):
             raise NotHermitian(f"operator deviates from Hermitian by {defect:.2e}")
     eigvals = [np.linalg.eigvalsh((b + _adjoint(b)) / 2.0) for b in blocks]
     return {
@@ -167,24 +173,17 @@ def _unit_samples(shape: ModuleShape, rng: np.random.Generator, count: int) -> n
     """``count`` random vectors of module norm one (largest fiber length 1),
     as the rows of a (count, D) array in ``flatten_vector``'s layout.
 
-    Each vector is one ``standard_normal(2 D)`` draw: the real then the
-    imaginary parts of each complex fiber in turn, or the (w, x, y, z) rows
-    of quaternion fibers.  A vector of norm at most SAMPLE_REDRAW is redrawn
-    from the next numbers of the stream, so the vectors and the generator's
-    end state are those of drawing one vector at a time.
+    Each vector is one ``standard_normal(2 D)`` draw read as D complex
+    coordinates (re, im) in that layout, which for quaternion fibers is
+    their (w, x, y, z) rows.  A vector of norm at most SAMPLE_REDRAW is
+    redrawn from the next numbers of the stream, so the vectors and the
+    generator's end state are those of drawing one vector at a time.
     """
     offsets = _fiber_offsets(shape)
     total = int(offsets[-1])
-    pairs = np.arange(2 * total)  # where each coordinate's (re, im) is drawn
-    if shape.kind == COMPLEX:
-        dims = np.diff(offsets)
-        fiber = np.repeat(np.arange(len(dims)), dims)
-        real_at = np.arange(total) + offsets[fiber]  # fiber k's parts start at 2 offsets[k]
-        pairs = np.stack([real_at, real_at + dims[fiber]], axis=1).reshape(-1)
     rows = np.empty((0, total), dtype=complex)
     while len(rows) < count:
-        draws = rng.standard_normal((count - len(rows), 2 * total))
-        x = np.ascontiguousarray(draws[:, pairs]).view(complex)
+        x = rng.standard_normal((count - len(rows), 2 * total)).view(complex)
         lengths = np.add.reduceat(x.real**2 + x.imag**2, offsets[:-1], axis=1)
         norms = np.sqrt(lengths.max(axis=1))
         keep = norms > SAMPLE_REDRAW

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import alg_norm
-from .errors import LengthMismatch, NotAFrame, ShapeMismatch
+from .errors import LengthMismatch, NotAFrame
 from .frame import WeightedFrame, frame_bounds
 from .hilbert_module import _adjoint
 from .submodule import Submodule
@@ -125,9 +125,6 @@ def _compare(frame: WeightedFrame, candidates: Sequence[Submodule]):
         raise LengthMismatch(
             f"{len(frame)} submodules but {len(candidates)} candidates"
         )
-    for sub in candidates:
-        if sub.shape != frame.shape:
-            raise ShapeMismatch("candidate shapes do not match the frame")
     dists = tuple(proj_distance(u, v) for u, v in zip(frame.submodules, candidates))
     angles = tuple(float(np.arcsin(d)) for d in dists)
     q_weights = np.asarray(frame.weights.q_weights())

@@ -216,34 +216,26 @@ def _build_submodule(name: str, spec: dict, shape: ModuleShape) -> Submodule:
     if len(forms) != 1:
         _fail(path, "need exactly one of blocks / selectors / span / projection")
     form = forms[0]
+    at = f"{path}.{form}"
     with _library_errors_at(path):
         if form == "blocks":
-            return block_submodule(shape, _integers(spec["blocks"], f"{path}.blocks"))
-        if form == "selectors":
-            bits = _sequence(spec["selectors"], f"{path}.selectors")
-            if len(bits) != shape.fiber_count:
-                _fail(path, f"expected {shape.fiber_count} selector bits")
-            if not all(map(_is_bit, bits)):
-                _fail(path, "selector bits must be 0 or 1")
-            return block_submodule(shape, [k + 1 for k, b in enumerate(bits) if b == 1])
+            return block_submodule(shape, _integers(spec[form], at))
+        entries = _sequence(spec[form], at)
+        if len(entries) != shape.fiber_count:
+            _fail(at, f"expected {shape.fiber_count} fibers")
         if form == "span":
-            spans = _sequence(spec["span"], f"{path}.span")
-            if len(spans) != shape.fiber_count:
-                _fail(path, f"expected spans for {shape.fiber_count} fibers")
             what = "expected a list of [re, im] pairs per vector"
-            return span_submodule(shape, _per_fiber(_complexes, spans, f"{path}.span", 3, what))
-        mats = _sequence(spec["projection"], f"{path}.projection")
-        if len(mats) != shape.fiber_count:
-            _fail(path, f"expected {shape.fiber_count} projection matrices")
-        if shape.kind == QUATERNION:  # a quaternion fiber's projection is a 0/1 selector
-            for k, bit in enumerate(mats):
+            return span_submodule(shape, _per_fiber(_complexes, entries, at, 3, what))
+        if form == "selectors" or shape.kind == QUATERNION:
+            # a quaternion fiber's projection is a 0/1 selector
+            for k, bit in enumerate(entries):
                 if not _is_bit(bit):
-                    _fail(f"{path}.projection[{k}]", "a quaternion selector must be 0 or 1")
-            return block_submodule(shape, [k + 1 for k, b in enumerate(mats) if b == 1])
+                    _fail(f"{at}[{k}]", "selector bits must be 0 or 1")
+            return block_submodule(shape, [k + 1 for k, b in enumerate(entries) if b == 1])
         what = "expected a row-major matrix of [re, im] entries"
-        sub = Submodule(shape, _per_fiber(_complexes, mats, f"{path}.projection", 3, what))
+        sub = Submodule(shape, _per_fiber(_complexes, entries, at, 3, what))
         if not validate_projection(sub):
-            _fail(f"{path}.projection", "not a Hermitian idempotent matrix in every fiber")
+            _fail(at, "not a Hermitian idempotent matrix in every fiber")
         return sub
 
 

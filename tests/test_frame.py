@@ -537,6 +537,12 @@ class TestShapeChecks:
         with pytest.raises(ShapeMismatch):
             synthesis(three_subspace_frame, x)
 
+    def test_synthesis_adjoint_shape_mismatch(self, three_subspace_frame):
+        other = ModuleVector(ModuleShape(COMPLEX, (3,)), [[1, 0, 0]])
+        ys = ModuleSequence([other] * len(three_subspace_frame))
+        with pytest.raises(ShapeMismatch, match="module shapes differ"):
+            synthesis_adjoint(three_subspace_frame, ys)
+
     def test_weights_must_match_kind(self):
         shape = ModuleShape(QUATERNION, (1, 1))
         subs = [block_submodule(shape, {1, 2})]

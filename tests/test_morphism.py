@@ -95,6 +95,16 @@ class TestApplyMap:
         back = mapping.inverse().apply(mapping.apply(x))
         np.testing.assert_allclose(back.fibers[0], x.fibers[0], atol=1e-12)
 
+    def test_quaternion_inverse_roundtrip(self):
+        rng = np.random.default_rng(54)
+        shape = ModuleShape(QUATERNION, (1, 1, 1))
+        mapping = random_ortho_map(rng, shape)
+        x = random_vector(rng, shape)
+        back = mapping.inverse().apply(mapping.apply(x))
+        np.testing.assert_allclose(back.blocks[1], x.blocks[1], atol=1e-12)
+        product = mapping.inverse().nu() * mapping.nu()
+        np.testing.assert_allclose(product.real_parts(), 1.0, rtol=1e-15)
+
     def test_shape_mismatch(self, plane):
         mapping = OrthoMap.identity(plane)
         x = ModuleVector(ModuleShape(COMPLEX, (3,)), [[1, 0, 0]])

@@ -238,6 +238,27 @@ class TestEigenBounds:
         with pytest.raises(NotHermitian, match=r"by 2\.83e-04$"):
             eigen_bounds(DenseOperator(self._skew_coupled(1e-4)))
 
+    def test_a_defect_past_the_gate_takes_its_norms_on_the_blocks(self, monkeypatch):
+        # One entry of a D = 512 operator off by 1e-9: past the Frobenius
+        # gate, within HERMITIAN_TOL * ||m||_2.  Both spectral norms are taken
+        # on the 8x8 block stacks, never on the whole matrix.
+        m = np.array(flatten_frame_operator(_dense_frame()).matrix)
+        m[0, 1] += 1e-9
+        op = DenseOperator(m)
+        norm = np.linalg.norm
+        shapes = []
+
+        def spy(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                shapes.append(np.shape(x))
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", spy)
+        got = eigen_bounds(op)
+        monkeypatch.undo()
+        assert len(shapes) == 2 and all(len(s) == 3 and s[1:] == (8, 8) for s in shapes)
+        assert got == ref_eigen_bounds(op)
+
     def test_hermitian_input_takes_no_spectral_norm(self, monkeypatch):
         norm = np.linalg.norm
         orders = []
@@ -486,19 +507,33 @@ class TestRandomUnitVector:
         assert module_norm(x) == pytest.approx(1.0, rel=1e-12)
 
 
-def parent_random_unit_vector(shape, rng):
-    """The per-fiber draw loop that the batched sampler replaced, kept as
-    the reference for its stream: one standard_normal call per real and
-    imaginary part of each complex fiber, or per quaternion fiber."""
+def stream_unit_vector(shape, rng):
+    """The sampling stream drawn one vector at a time: one
+    standard_normal(2 D) draw per vector, read as D complex coordinates
+    (re, im) and split by fiber; a vector of norm at most 1e-8 is redrawn."""
+    width = sum(shape.dims) if shape.kind == COMPLEX else 2 * shape.fiber_count
     while True:
+        draw = rng.standard_normal(2 * width)
         if shape.kind == COMPLEX:
-            fibers = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in shape.dims]
+            fibers = np.split(draw.view(complex), np.cumsum(shape.dims)[:-1])
         else:
-            fibers = [rng.standard_normal(4) for _ in shape.dims]
+            fibers = draw.reshape(-1, 4)
         x = ModuleVector(shape, fibers)
         norm = module_norm(x)
         if norm > 1e-8:
             return x * (1.0 / norm)
+
+
+def per_fiber_unit_vector(shape, rng):
+    """The per-fiber draw loop of earlier samplers, for quaternion fibers:
+    one standard_normal(4) call per fiber, scaled by the reciprocal of the
+    largest fiber length, |w + xi|^2 + |y + zi|^2 summed in that order."""
+    while True:
+        rows = np.array([rng.standard_normal(4) for _ in shape.dims])
+        squares = rows**2
+        norm = np.sqrt(np.max((squares[:, 0] + squares[:, 1]) + (squares[:, 2] + squares[:, 3])))
+        if norm > 1e-8:
+            return ModuleVector(shape, rows * (1.0 / norm))
 
 
 class ZeroedStart:
@@ -544,7 +579,7 @@ class TestSamplingStream:
         theirs = np.random.Generator(bit_generator(80))
         for _ in range(5):
             got = random_unit_vector(shape, ours)
-            want = parent_random_unit_vector(shape, theirs)
+            want = stream_unit_vector(shape, theirs)
             for g, w in zip(got.fibers, want.fibers):
                 np.testing.assert_allclose(g, w, rtol=0, atol=1e-15)
             assert _state(ours.bit_generator) == _state(theirs.bit_generator)
@@ -554,16 +589,30 @@ class TestSamplingStream:
         width = 2 * flatten_vector(ModuleVector.zeros(shape)).size
         ours, theirs = ZeroedStart(81, width), ZeroedStart(81, width)
         got = random_unit_vector(shape, ours)
-        want = parent_random_unit_vector(shape, theirs)
+        want = stream_unit_vector(shape, theirs)
         for g, w in zip(got.fibers, want.fibers):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-15)
         assert _state(ours.rng.bit_generator) == _state(theirs.rng.bit_generator)
         # A batch redraws the rejected vector after the rest of its draws.
         ours, theirs = ZeroedStart(82, width), ZeroedStart(82, width)
         rows = oracle._unit_samples(shape, ours, 4)
-        want = [flatten_vector(parent_random_unit_vector(shape, theirs)) for _ in range(4)]
+        want = [flatten_vector(stream_unit_vector(shape, theirs)) for _ in range(4)]
         np.testing.assert_allclose(rows, want, rtol=0, atol=1e-15)
         assert _state(ours.rng.bit_generator) == _state(theirs.rng.bit_generator)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+    def test_quaternion_samples_equal_the_per_fiber_loop(self, bit_generator):
+        # A quaternion fiber's (w, x, y, z) row already is its two complex
+        # coordinates (re, im), so these samples are the per-fiber loop's.
+        shape = ModuleShape(QUATERNION, (1,) * 6)
+        ours = np.random.Generator(bit_generator(88))
+        theirs = np.random.Generator(bit_generator(88))
+        rows = oracle._unit_samples(shape, ours, 5)
+        want = [flatten_vector(per_fiber_unit_vector(shape, theirs)) for _ in range(5)]
+        np.testing.assert_array_equal(rows, want)
+        got = random_unit_vector(shape, ours)
+        np.testing.assert_array_equal(got.fibers, per_fiber_unit_vector(shape, theirs).fibers)
+        assert _state(ours.bit_generator) == _state(theirs.bit_generator)
 
     @pytest.mark.parametrize("kind", ["complex", "quaternion"])
     def test_batches_draw_one_stream(self, monkeypatch, kind):

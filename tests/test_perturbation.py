@@ -262,6 +262,12 @@ class TestPerturbationCheck:
         with pytest.raises(LengthMismatch):
             perturbation_check(three_subspace_frame, list(three_subspace_frame.submodules[:2]))
 
+    @pytest.mark.parametrize("check", [perturbation_check, angle_criteria])
+    def test_candidate_shape_checked(self, three_subspace_frame, check):
+        other = block_submodule(ModuleShape(COMPLEX, (1, 1)), {1})
+        with pytest.raises(ShapeMismatch, match="module shapes differ"):
+            check(three_subspace_frame, [other] * len(three_subspace_frame))
+
 
 class TestAngleCriteria:
     def test_unmoved_candidates_satisfy_all(self, three_subspace_frame):

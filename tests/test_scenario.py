@@ -1,0 +1,133 @@
+"""Scenario validation branches: each error names the key path of its value."""
+
+import re
+
+import numpy as np
+import pytest
+
+from cstar_fusion import COMPLEX, QUATERNION, ModuleShape, ValidationError
+from cstar_fusion.cli import run_scenario
+from cstar_fusion.scenario import build_scenario
+from helpers import scenario_doc
+
+PLANE = ModuleShape(COMPLEX, (2, 2))
+QUAT = ModuleShape(QUATERNION, (1, 1))
+IDENTITY = np.stack([np.eye(2), np.zeros((2, 2))], -1).tolist()  # I_2 as [re, im] entries
+
+
+def _doc(shape=PLANE, **sections) -> dict:
+    """Two fibers, the two block submodules and a frame of them."""
+    base = {
+        "submodules": {"a": {"blocks": [1, 2]}, "b": {"blocks": [1, 2]}},
+        "weights": {"w": [[1, 1], [1, 1]]},
+        "frames": {"f": {"submodules": ["a", "b"], "weights": "w"}},
+    }
+    return scenario_doc(shape, **{**base, **sections})
+
+
+def _rejected(doc, path: str, message: str) -> None:
+    with pytest.raises(ValidationError, match=f"^{re.escape(path)}: {re.escape(message)}"):
+        build_scenario(doc)
+
+
+def _perturb_output(rotate: dict, seed=None) -> dict:
+    doc = _doc(
+        seed=11,
+        submodules={
+            "a": {"span": [[[[1, 0], [0, 0]]], [[[1, 0], [1, 0]]]]},
+            "b": {"span": [[[[0, 0], [1, 0]]], [[[1, 0], [0, 1]]]]},
+        },
+        perturbations={"p": {"frame": "f", "rotate": rotate}},
+        commands=[{"run": "perturb", "perturbation": "p"}],
+    )
+    report, ok = run_scenario(build_scenario(doc), seed=seed)
+    assert ok
+    return report["results"][0]["output"]
+
+
+class TestPerturbations:
+    def test_an_explicit_rotate_seed_ignores_the_scenario_seed(self):
+        seeded = {"max_angle": 0.2, "seed": 3}
+        assert _perturb_output(seeded) == _perturb_output(seeded, seed=5)
+        assert _perturb_output(seeded) != _perturb_output({"max_angle": 0.2})
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"frame": "f"},
+            {"frame": "f", "candidates": ["a", "b"], "rotate": {"max_angle": 0.1}},
+        ],
+        ids=["neither", "both"],
+    )
+    def test_exactly_one_of_candidates_and_rotate(self, spec):
+        doc = _doc(perturbations={"p": spec})
+        _rejected(doc, "perturbations.p", "need exactly one of candidates / rotate")
+
+    def test_an_unknown_candidate(self):
+        doc = _doc(perturbations={"p": {"frame": "f", "candidates": ["a", "ghost"]}})
+        _rejected(doc, "perturbations.p.candidates", "unknown submodule 'ghost'")
+
+    def test_a_candidate_count_other_than_the_frame_length(self):
+        doc = _doc(perturbations={"p": {"frame": "f", "candidates": ["a"]}})
+        _rejected(doc, "perturbations.p.candidates", "frame has 2 submodules, got 1 candidates")
+
+
+class TestSubmodules:
+    @pytest.mark.parametrize(
+        "spec", [{}, {"blocks": [1], "selectors": [1, 0]}], ids=["none", "two"]
+    )
+    def test_exactly_one_form(self, spec):
+        doc = _doc(submodules={"u": spec})
+        _rejected(doc, "submodules.u", "need exactly one of blocks / selectors / span / projection")
+
+    @pytest.mark.parametrize("shape", [PLANE, QUAT], ids=["complex", "quaternion"])
+    def test_a_selector_bit_names_its_index(self, shape):
+        doc = _doc(shape, submodules={"u": {"selectors": [0, 2]}})
+        _rejected(doc, "submodules.u.selectors[1]", "selector bits must be 0 or 1")
+
+    @pytest.mark.parametrize(
+        "shape, form, entries",
+        [
+            (PLANE, "selectors", [0, 1, 1]),
+            (PLANE, "span", [[[[1, 0], [0, 0]]]]),
+            (PLANE, "projection", [IDENTITY] * 3),
+            (QUAT, "projection", [1]),
+        ],
+        ids=["selectors", "span", "complex-projection", "quaternion-projection"],
+    )
+    def test_a_list_of_another_fiber_count(self, shape, form, entries):
+        doc = _doc(shape, submodules={"u": {form: entries}})
+        _rejected(doc, f"submodules.u.{form}", "expected 2 fibers")
+
+
+class TestValues:
+    def test_a_complex_leaf_of_length_three(self):
+        doc = _doc(vectors={"x": [[[1, 0, 0], [0, 0, 0]], [[1, 0, 0], [0, 0, 0]]]})
+        _rejected(doc, "vectors.x[0]", "expected a list of [re, im] pairs")
+
+    def test_a_weight_matrix_of_another_column_count(self):
+        doc = _doc(weights={"w": [[1, 1, 1], [1, 1, 1]]})
+        _rejected(doc, "weights.w", "expected rows of 2 positive reals")
+
+    def test_an_unknown_algebra_kind(self):
+        doc = _doc()
+        doc["algebra"]["kind"] = "octonion"
+        _rejected(doc, "algebra.kind", "unknown kind 'octonion'")
+
+
+class TestMaps:
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"scales": [1.0, 2.0, 3.0]}, "expected 2 scales"),
+            ({"rotations": [IDENTITY]}, "expected 2 rotations"),
+        ],
+        ids=["scales", "rotations"],
+    )
+    def test_a_count_other_than_the_fiber_count(self, spec, message):
+        _rejected(_doc(maps={"m": spec}), "maps.m", message)
+
+    def test_a_quaternion_map_without_rotations_turns_nothing(self):
+        mapping = build_scenario(_doc(QUAT, maps={"m": {"scales": [2.0, 3.0]}})).maps["m"]
+        np.testing.assert_array_equal(mapping.blocks[1], [[1.0, 0.0, 0.0, 0.0]] * 2)
+        np.testing.assert_array_equal(mapping.nu().real_parts(), [4.0, 9.0])
