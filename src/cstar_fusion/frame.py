@@ -21,10 +21,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import _KINDS, COMPLEX, QUATERNION, AlgebraElement, _default_tol, alg_norm
-from .errors import IndexOutOfRange, InvalidWeight, LengthMismatch, NotAFrame, ShapeMismatch
+from .errors import InvalidWeight, LengthMismatch, NotAFrame, ShapeMismatch
 from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint, _apply_fibers
 from .hilbert_module import _frexp_exponent, _ldexp, inner_product, left_action, module_norm
-from .submodule import Submodule, block_submodule, project
+from .submodule import Submodule, _fiber_flags, block_submodule, project
 from .tolerance import FRAME_TOL, ORDER_TOL, TIGHT_TOL
 
 
@@ -75,18 +75,6 @@ class WeightSequence:
         if not all(np.max(w.imag_magnitudes()) <= _default_tol(w) for w in elements):
             raise InvalidWeight("weights must be self-adjoint")
         return cls(elements[0].kind, [w.real_parts() for w in elements])
-
-    def add(self, other: "WeightSequence") -> "WeightSequence":
-        if len(other) != len(self):
-            raise LengthMismatch("weight sequences have different lengths")
-        if other.kind != self.kind or other.fiber_count != self.fiber_count:
-            raise ShapeMismatch("weight sequences differ in kind or fiber count")
-        return WeightSequence(self.kind, self.matrix + other.matrix)
-
-    def scale(self, factor: float) -> "WeightSequence":
-        if factor <= 0:
-            raise ValueError("rescaling factor must be positive")
-        return WeightSequence(self.kind, self.matrix * factor)
 
     def q_weights(self) -> list[float]:
         """The squared algebra norms of the weights, used to weight ecarts."""
@@ -157,10 +145,6 @@ class WeightedFrame:
 
     def __len__(self) -> int:
         return len(self.submodules)
-
-    @property
-    def per_fiber_extremes(self) -> tuple[tuple[float, float], ...]:
-        return tuple(map(tuple, self._extremes.tolist()))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -263,7 +247,7 @@ def frame_bounds(frame: WeightedFrame) -> FrameBounds:
         upper=upper,
         scalar_lower=max(c, 0.0),
         scalar_upper=d,
-        per_fiber=frame.per_fiber_extremes,
+        per_fiber=tuple(map(tuple, frame._extremes.tolist())),
     )
 
 
@@ -354,20 +338,15 @@ def block_multiplier_check(
     """Closed-form multiplier test for coordinate-block families.
 
     At finite truncation the weight matrix is a multiplier exactly when
-    every fiber is covered by some index set; the family is then tight with
-    constant sqrt(sum_n a_{n,k}^2 d_{n,k}) per fiber.  The summability
+    every fiber is covered by some index set (a repeated index counts once);
+    the family is then tight with constant sqrt(sum_n a_{n,k}^2 d_{n,k}) per
+    fiber, equal to the assembled frame's bounds exactly.  The summability
     conditions that appear for infinite families hold vacuously here.
     """
     matrix = WeightSequence(kind, weights).matrix
     if len(matrix) != len(index_sets):
         raise LengthMismatch("need one weight row per index set")
-    n_fibers = matrix.shape[1]
-    sums = np.zeros(n_fibers)
-    for n, idx in enumerate(index_sets):
-        for i in idx:
-            if not 1 <= int(i) <= n_fibers:
-                raise IndexOutOfRange(f"fiber index {i} outside 1..{n_fibers}")
-            sums[int(i) - 1] += matrix[n, int(i) - 1] ** 2
+    sums = sum(_fiber_flags(matrix.shape[1], idx) * w**2 for idx, w in zip(index_sets, matrix))
     member = bool(np.all(sums > 0))
     constant = AlgebraElement.from_real(np.sqrt(sums), kind) if member else None
     return MultiplierResult(
@@ -379,18 +358,23 @@ def cone_add(frame: WeightedFrame, other: WeightSequence) -> WeightedFrame:
     """The frame over the same submodules with weights added entrywise.
 
     Both inputs must verify as frames; the sum then does as well (the
-    multiplier set of a submodule sequence is a convex cone).
+    multiplier set of a submodule sequence is a convex cone).  ``other`` is
+    checked as the weights of a frame over the same submodules.
     """
     if not frame_bounds(frame).is_frame:
         raise NotAFrame("first summand is not a frame")
     second = WeightedFrame(frame.submodules, other)
     if not frame_bounds(second).is_frame:
         raise NotAFrame("second summand is not a frame")
-    return WeightedFrame(frame.submodules, frame.weights.add(other))
+    summed = WeightSequence(other.kind, frame.weights.matrix + other.matrix)
+    return WeightedFrame(frame.submodules, summed)
 
 
 def cone_scale(frame: WeightedFrame, factor: float) -> WeightedFrame:
     """Positive rescaling of the weights; bounds scale by the same factor."""
     if not frame_bounds(frame).is_frame:
         raise NotAFrame("input is not a frame")
-    return WeightedFrame(frame.submodules, frame.weights.scale(factor))
+    if factor <= 0:
+        raise ValueError("rescaling factor must be positive")
+    scaled = WeightSequence(frame.weights.kind, frame.weights.matrix * factor)
+    return WeightedFrame(frame.submodules, scaled)

@@ -102,8 +102,7 @@ def transport_frame(mapping: OrthoMap, frame: WeightedFrame) -> WeightedFrame:
     which pick up the factor nu^(1/2) = (c_k), so the transported frame
     verifies with optimal bounds exactly nu^(1/2) times the originals.
     """
-    if mapping.shape != frame.shape:
-        raise ShapeMismatch(f"module shapes differ: {mapping.shape} vs {frame.shape}")
+    mapping._check_same_shape(frame)
     if not frame_bounds(frame).is_frame:
         raise NotAFrame("transport requires a frame")
     new_subs = []

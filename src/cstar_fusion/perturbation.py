@@ -115,22 +115,6 @@ class PerturbReport:
     perturbed_scalar_upper: float | None
 
 
-def _compare(frame: WeightedFrame, candidates: Sequence[Submodule]):
-    """The frame's bounds, each pair's projection distance and angle, the
-    q-weights and the guarantee threshold; each distance is computed once."""
-    bounds = frame_bounds(frame)
-    if not bounds.is_frame:
-        raise NotAFrame("the reference family is not a frame")
-    if len(candidates) != len(frame):
-        raise LengthMismatch(
-            f"{len(frame)} submodules but {len(candidates)} candidates"
-        )
-    dists = tuple(proj_distance(u, v) for u, v in zip(frame.submodules, candidates))
-    angles = tuple(float(np.arcsin(d)) for d in dists)
-    q_weights = np.asarray(frame.weights.q_weights())
-    return bounds, dists, angles, q_weights, float(np.sqrt(bounds.scalar_lower))
-
-
 def _evaluate_criteria(
     angles: np.ndarray, q_weights: np.ndarray, threshold: float, p: float | None
 ) -> CriteriaResult:
@@ -165,14 +149,14 @@ def _evaluate_criteria(
 def angle_criteria(
     frame: WeightedFrame, candidates: Sequence[Submodule], p: float | None = None
 ) -> CriteriaResult:
-    """Evaluate the three sufficient angle conditions for the candidate
-    family; any true one implies the ecart falls below the threshold."""
-    _, _, angles, q_weights, threshold = _compare(frame, candidates)
-    return _evaluate_criteria(np.asarray(angles), q_weights, threshold, p)
+    """The three sufficient angle conditions, as ``perturbation_check``
+    reports them (no third when p is None); any true one implies the ecart
+    falls below the threshold."""
+    return perturbation_check(frame, candidates, p).criteria
 
 
 def perturbation_check(
-    frame: WeightedFrame, candidates: Sequence[Submodule], p: float = 2.0
+    frame: WeightedFrame, candidates: Sequence[Submodule], p: float | None = 2.0
 ) -> PerturbReport:
     """Compare a candidate submodule family against a frame.
 
@@ -183,15 +167,22 @@ def perturbation_check(
     verified scalar bounds are reported next to the predictions
     (threshold - ecart)^2 and (upper-bound norm + ecart)^2.
     """
-    bounds, dists, angles, q_weights, threshold = _compare(frame, candidates)
+    bounds = frame_bounds(frame)
+    if not bounds.is_frame:
+        raise NotAFrame("the reference family is not a frame")
+    if len(candidates) != len(frame):
+        raise LengthMismatch(f"{len(frame)} submodules but {len(candidates)} candidates")
+    dists = tuple(proj_distance(u, v) for u, v in zip(frame.submodules, candidates))
+    angles = tuple(float(np.arcsin(d)) for d in dists)
+    q_weights = np.asarray(frame.weights.q_weights())
+    threshold = float(np.sqrt(bounds.scalar_lower))
     ecart_value = _root_sum_square(q_weights, dists)
     guaranteed = bool(ecart_value < threshold)
     upper_norm = alg_norm(bounds.upper)
     criteria = _evaluate_criteria(np.asarray(angles), q_weights, threshold, p)
     perturbed_is_frame = perturbed_lower = perturbed_upper = None
     if guaranteed:
-        moved = WeightedFrame(candidates, frame.weights)
-        moved_bounds = frame_bounds(moved)
+        moved_bounds = frame_bounds(WeightedFrame(candidates, frame.weights))
         perturbed_is_frame = moved_bounds.is_frame
         perturbed_lower = moved_bounds.scalar_lower
         perturbed_upper = moved_bounds.scalar_upper

@@ -31,7 +31,8 @@ from .morphism import OrthoMap, identity_rotations, transport_frame
 from .oracle import brute_force_frame_check, eigen_bounds, fiber_energies, flatten_frame_operator
 from .oracle import flatten_vector, random_unit_vector
 from .perturbation import PerturbReport, perturbation_check, randomly_rotated
-from .submodule import Submodule, block_submodule, span_submodule, validate_projection
+from .submodule import Submodule, _fiber_flags, block_submodule, span_submodule
+from .submodule import validate_projection
 from .tolerance import MULTIPLIER_ATOL, ORACLE_SLACK
 
 
@@ -217,7 +218,7 @@ def _build_submodule(name: str, spec: dict, shape: ModuleShape) -> Submodule:
         _fail(path, "need exactly one of blocks / selectors / span / projection")
     form = forms[0]
     at = f"{path}.{form}"
-    with _library_errors_at(path):
+    with _library_errors_at(at):
         if form == "blocks":
             return block_submodule(shape, _integers(spec[form], at))
         entries = _sequence(spec[form], at)
@@ -254,15 +255,17 @@ def _build_vector(name: str, entries, shape: ModuleShape) -> ModuleVector:
 def _build_map(name: str, spec: dict, shape: ModuleShape) -> OrthoMap:
     path = f"maps.{name}"
     n = shape.fiber_count
-    scales = _reals(_mapping(spec, path).get("scales", [1.0] * n), path, 1, f"expected {n} scales")
+    at = f"{path}.scales"
+    scales = _mapping(spec, path).get("scales", [1.0] * n)
+    scales = _reals(scales, at, 1, "expected a list of reals")
     if len(scales) != n:
-        _fail(path, f"expected {n} scales")
+        _fail(at, f"expected {n} fibers")
     rotations = spec.get("rotations")
     if rotations is None:
         rotations = identity_rotations(shape)
     else:
         if len(_sequence(rotations, f"{path}.rotations")) != n:
-            _fail(path, f"expected {n} rotations")
+            _fail(f"{path}.rotations", f"expected {n} fibers")
         if shape.kind == COMPLEX:
             what = "expected a row-major matrix of [re, im] entries"
             rotations = _per_fiber(_complexes, rotations, f"{path}.rotations", 3, what)
@@ -310,17 +313,14 @@ def _cmd_tightness(scenario: Scenario, cmd: dict, rng) -> TightnessResult:
 
 
 def _cmd_multiplier(scenario: Scenario, cmd: dict, rng) -> dict:
-    index_sets = [list(ix) for ix in cmd["index_sets"]]
-    weights = scenario.weights[cmd["weights"]]
-    result = block_multiplier_check(index_sets, weights.matrix, scenario.shape.kind)
-    assembled = assemble_block_frame(scenario.shape.kind, index_sets, weights.matrix)
-    bounds = frame_bounds(assembled)
+    index_sets, weights = cmd["index_sets"], scenario.weights[cmd["weights"]].matrix
+    result = block_multiplier_check(index_sets, weights, scenario.shape.kind)
+    bounds = frame_bounds(assemble_block_frame(scenario.shape.kind, index_sets, weights))
     agrees = result.member == bounds.is_frame
     if result.member and bounds.is_frame:
         constant = result.tight_constant.real_parts()
         agrees = bool(
-            agrees
-            and np.allclose(constant, bounds.lower.real_parts(), atol=MULTIPLIER_ATOL)
+            np.allclose(constant, bounds.lower.real_parts(), atol=MULTIPLIER_ATOL)
             and np.allclose(constant, bounds.upper.real_parts(), atol=MULTIPLIER_ATOL)
         )
     return {
@@ -396,12 +396,21 @@ def _cmd_verify_oracle(scenario: Scenario, cmd: dict, rng) -> dict:
 
 def _check_index_sets(cmd: dict, path: str, scenario: Scenario) -> None:
     index_sets = _sequence(_require(cmd, "index_sets", path), f"{path}.index_sets")
-    n = scenario.shape.fiber_count
     for k, index_set in enumerate(index_sets):
         at = f"{path}.index_sets[{k}]"
-        for i in _integers(index_set, at):
-            if not 1 <= i <= n:
-                _fail(at, f"fiber index {i} outside 1..{n}")
+        with _library_errors_at(at):
+            _fiber_flags(scenario.shape.fiber_count, _integers(index_set, at))
+
+
+def _check_weight_rows(cmd: dict, path: str, args: tuple[str, ...], scenario: Scenario) -> None:
+    """One weight row per index set, or per submodule of the frame."""
+    rows = len(scenario.weights[cmd["weights"]])
+    sets = len(cmd["index_sets"]) if "index_sets" in args else rows
+    if sets != rows:
+        _fail(f"{path}.index_sets", f"weights have {rows} rows, got {sets} index sets")
+    count = len(scenario.frames[cmd["frame"]]) if "frame" in args else rows
+    if count != rows:
+        _fail(f"{path}.weights", f"frame has {count} submodules, got {rows} weight rows")
 
 
 def _check_p(cmd: dict, path: str, scenario: Scenario) -> None:
@@ -459,6 +468,8 @@ def _validate_command(cmd, path: str, scenario: Scenario) -> None:
             _reference(cmd, arg, path, getattr(scenario, section), what)
         else:
             _CHECKS[arg](cmd, path, scenario)
+    if "weights" in COMMANDS[name].args:
+        _check_weight_rows(cmd, path, COMMANDS[name].args, scenario)
 
 
 def build_scenario(raw: dict) -> Scenario:
@@ -508,15 +519,13 @@ def build_scenario(raw: dict) -> Scenario:
         if (candidates is None) == (rotate is None):
             _fail(path, "need exactly one of candidates / rotate")
         if candidates is not None:
-            for cand in _sequence(candidates, f"{path}.candidates"):
+            at = f"{path}.candidates"
+            for cand in _sequence(candidates, at):
                 if not isinstance(cand, str) or cand not in scenario.submodules:
-                    _fail(f"{path}.candidates", f"unknown submodule {cand!r}")
-            frame = scenario.frames[frame_name]
-            if len(candidates) != len(frame):
-                _fail(
-                    f"{path}.candidates",
-                    f"frame has {len(frame)} submodules, got {len(candidates)} candidates",
-                )
+                    _fail(at, f"unknown submodule {cand!r}")
+            count = len(scenario.frames[frame_name])
+            if len(candidates) != count:
+                _fail(at, f"frame has {count} submodules, got {len(candidates)} candidates")
             candidates = tuple(candidates)
         else:
             angle = _require(_mapping(rotate, f"{path}.rotate"), "max_angle", f"{path}.rotate")

@@ -77,15 +77,20 @@ def _span_projections(spans: np.ndarray) -> np.ndarray:
     return np.swapaxes(basis, -1, -2) @ np.conj(basis)
 
 
+def _fiber_flags(n: int, index_set: Iterable[int]) -> np.ndarray:
+    """(n,) flags of the fibers a 1-based index set names; repeats count once."""
+    flags = np.zeros(n, dtype=bool)
+    for i in map(int, index_set):
+        if not 1 <= i <= n:
+            raise IndexOutOfRange(f"fiber index {i} outside 1..{n}")
+        flags[i - 1] = True
+    return flags
+
+
 def block_submodule(shape: ModuleShape, index_set: Iterable[int]) -> Submodule:
     """Coordinate submodule: identity on the fibers named by the 1-based
     index set, zero elsewhere.  Valid for both scalar kinds."""
-    indices = set(int(i) for i in index_set)
-    n = shape.fiber_count
-    for i in indices:
-        if not 1 <= i <= n:
-            raise IndexOutOfRange(f"fiber index {i} outside 1..{n}")
-    flags = shape.gather(np.isin(np.arange(1, n + 1), list(indices)))
+    flags = shape.gather(_fiber_flags(shape.fiber_count, index_set))
     return Submodule(shape, {m: np.eye(m) * flags[m][:, None, None] for m in shape.groups})
 
 

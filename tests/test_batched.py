@@ -229,7 +229,7 @@ class TestFramePipeline:
                 np.testing.assert_allclose(got, want, rtol=0, atol=TOL * max(1.0, scale))
                 lam = np.linalg.eigvalsh(want)
                 np.testing.assert_allclose(
-                    frame.per_fiber_extremes[k], (lam[0], lam[-1]),
+                    frame_bounds(frame).per_fiber[k], (lam[0], lam[-1]),
                     rtol=0, atol=TOL * max(1.0, scale),
                 )
 

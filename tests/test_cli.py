@@ -448,7 +448,7 @@ class TestValidation:
 
     def test_span_length_mismatch_keeps_its_message(self):
         span = [np.ones((1, 2, 2)).tolist()] * 2
-        with pytest.raises(ValidationError, match=r"submodules\.s: span vector has length 2, expected 3"):
+        with pytest.raises(ValidationError, match=r"submodules\.s\.span: span vector has length 2, expected 3"):
             build_scenario(self.span_doc(span, [3, 3]))
 
     def test_parse_error_carries_location(self, tmp_path):
@@ -549,6 +549,16 @@ class TestMainEntry:
                 lambda doc: doc["commands"][4].update(index_sets=[[1, 2, 5], [2, 3]]),
                 "commands[4].index_sets[0]",
             ),
+            (
+                "block_tight.json",
+                lambda doc: doc["commands"][4]["index_sets"].append([1]),
+                "commands[4].index_sets",
+            ),
+            (
+                "block_tight.json",
+                lambda doc: doc["weights"]["double"].append([2, 2, 2]),
+                "commands[5].weights",
+            ),
         ],
         ids=[
             "p-below-one",
@@ -557,11 +567,14 @@ class TestMainEntry:
             "vector-inf",
             "quaternion-nan",
             "multiplier-index-out-of-range",
+            "multiplier-index-set-count",
+            "cone-weight-rows",
         ],
     )
     def test_bad_value_in_example_exit_code(self, tmp_path, capsys, example, edit, path):
         # Each of these ran (NaN span vectors were dropped, NaN vectors
-        # reconstructed with rel_error 0) or raised past main before.
+        # reconstructed with rel_error 0, a count mismatch exited 1 with a
+        # LengthMismatch record) or raised past main before.
         doc = json.loads(json.dumps(EXAMPLE_SCENARIOS[example]))
         edit(doc)
         assert main(["run", str(write_scenario(tmp_path, doc))]) == 2
@@ -574,7 +587,8 @@ class TestMainEntry:
              "submodules.s1.span[0]"),
             (lambda doc: doc["vectors"]["x"][0].__setitem__(0, [10**400, 0]), "vectors.x[0]"),
             (lambda doc: doc["weights"]["ones"][0].__setitem__(0, 10**400), "weights.ones"),
-            (lambda doc: doc["maps"]["stretch"].__setitem__("scales", [10**400]), "maps.stretch"),
+            (lambda doc: doc["maps"]["stretch"].__setitem__("scales", [10**400]),
+             "maps.stretch.scales"),
             (lambda doc: doc["perturbations"]["wiggle"]["rotate"].update(max_angle=10**400),
              "perturbations.wiggle.rotate.max_angle"),
             (lambda doc: doc["commands"][3].update(p=10**400), "commands[3].p"),
@@ -899,7 +913,7 @@ def test_bool_at_a_numeric_leaf_exits_2_at_its_key_path(tmp_path, capsys, doc, p
 @pytest.mark.parametrize(
     "name, path, value, reported",
     [
-        ("perturbation_demo.json", ("maps", "stretch", "scales"), ["a"], "maps.stretch"),
+        ("perturbation_demo.json", ("maps", "stretch", "scales"), ["a"], "maps.stretch.scales"),
         ("quaternion_tight.json", ("maps", "turn", "rotations", 1), ["a", 0, 0, 0],
          "maps.turn.rotations[1]"),
     ],

@@ -466,6 +466,31 @@ class TestMultiplier:
                     atol=1e-12,
                 )
 
+    def test_a_repeated_index_counts_once(self):
+        # As block_submodule reads the index set: [1, 1] names fiber 1 once.
+        result = block_multiplier_check([[1, 1], [2]], [[1, 1], [1, 1]])
+        np.testing.assert_array_equal(result.tight_constant.real_parts(), [1.0, 1.0])
+
+    @pytest.mark.parametrize("kind", [COMPLEX, QUATERNION])
+    def test_constant_is_the_assembled_bounds_bit_for_bit(self, kind):
+        # Index sets with repeats, and weights over four decades (a wider spread
+        # puts lambda_min below FRAME_TOL * lambda_max, so no frame verdict).
+        rng = np.random.default_rng(50)
+        for _ in range(300):
+            n, count = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+            index_sets = [
+                rng.integers(1, n + 1, size=int(rng.integers(1, 2 * n + 1))).tolist()
+                for _ in range(count)
+            ]
+            weights = 10.0 ** rng.uniform(-2.0, 2.0, size=(count, n))
+            result = block_multiplier_check(index_sets, weights, kind)
+            bounds = frame_bounds(assemble_block_frame(kind, index_sets, weights))
+            assert result.member == bounds.is_frame
+            if result.member:
+                constant = result.tight_constant.real_parts()
+                assert np.array_equal(constant, bounds.lower.real_parts())
+                assert np.array_equal(constant, bounds.upper.real_parts())
+
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(InvalidWeight):
             block_multiplier_check([[1]], [[0.0]])
@@ -529,6 +554,12 @@ class TestCone:
             cone_scale(broken, 2.0)
         with pytest.raises(ValueError):
             cone_scale(parseval_frame, -1.0)
+
+    def test_rejects_a_second_summand_that_is_not_a_frame(self):
+        # Positive weights, but fiber 2 at 1e-12 of fiber 1: below FRAME_TOL.
+        frame = assemble_block_frame(COMPLEX, [[1, 2]], [[1.0, 1.0]])
+        with pytest.raises(NotAFrame, match="^second summand is not a frame$"):
+            cone_add(frame, WeightSequence.from_matrix(COMPLEX, [[1.0, 1e-6]]))
 
 
 class TestShapeChecks:

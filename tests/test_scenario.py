@@ -99,6 +99,20 @@ class TestSubmodules:
         doc = _doc(shape, submodules={"u": {form: entries}})
         _rejected(doc, f"submodules.u.{form}", "expected 2 fibers")
 
+    @pytest.mark.parametrize(
+        "form, entries, message",
+        [
+            ("blocks", [1, 3], "fiber index 3 outside 1..2"),
+            ("span", [[[[1, 0], [0, 0], [0, 0]]], [[[1, 0], [0, 0]]]],
+             "span vector has length 3, expected 2"),
+            ("projection", [np.stack([np.eye(3), np.zeros((3, 3))], -1).tolist(), IDENTITY],
+             "fiber 0 has shape (3, 3), expected (2, 2)"),
+        ],
+        ids=["blocks-index", "span-vector-length", "projection-fiber-shape"],
+    )
+    def test_a_library_error_names_its_form(self, form, entries, message):
+        _rejected(_doc(submodules={"u": {form: entries}}), f"submodules.u.{form}", message)
+
 
 class TestValues:
     def test_a_complex_leaf_of_length_three(self):
@@ -117,17 +131,44 @@ class TestValues:
 
 class TestMaps:
     @pytest.mark.parametrize(
-        "spec, message",
+        "spec, key",
         [
-            ({"scales": [1.0, 2.0, 3.0]}, "expected 2 scales"),
-            ({"rotations": [IDENTITY]}, "expected 2 rotations"),
+            ({"scales": [1.0, 2.0, 3.0]}, "scales"),
+            ({"rotations": [IDENTITY]}, "rotations"),
         ],
         ids=["scales", "rotations"],
     )
-    def test_a_count_other_than_the_fiber_count(self, spec, message):
-        _rejected(_doc(maps={"m": spec}), "maps.m", message)
+    def test_a_count_other_than_the_fiber_count(self, spec, key):
+        _rejected(_doc(maps={"m": spec}), f"maps.m.{key}", "expected 2 fibers")
+
+    @pytest.mark.parametrize(
+        "scales", [["a", 1.0], 2.0, [[1.0, 2.0]]], ids=["string", "number", "nested"]
+    )
+    def test_scales_of_another_type(self, scales):
+        _rejected(_doc(maps={"m": {"scales": scales}}), "maps.m.scales", "expected a list of reals")
 
     def test_a_quaternion_map_without_rotations_turns_nothing(self):
         mapping = build_scenario(_doc(QUAT, maps={"m": {"scales": [2.0, 3.0]}})).maps["m"]
         np.testing.assert_array_equal(mapping.blocks[1], [[1.0, 0.0, 0.0, 0.0]] * 2)
         np.testing.assert_array_equal(mapping.nu().real_parts(), [4.0, 9.0])
+
+
+class TestCommands:
+    def test_index_sets_other_than_the_weight_rows(self):
+        command = {"run": "multiplier", "index_sets": [[1], [2], [1, 2]], "weights": "w"}
+        doc = _doc(commands=[command])
+        _rejected(doc, "commands[0].index_sets", "weights have 2 rows, got 3 index sets")
+
+    def test_cone_weight_rows_other_than_the_frame_length(self):
+        doc = _doc(
+            weights={"w": [[1, 1], [1, 1]], "w3": [[1, 1]] * 3},
+            commands=[{"run": "cone", "frame": "f", "weights": "w3"}],
+        )
+        _rejected(doc, "commands[0].weights", "frame has 2 submodules, got 3 weight rows")
+
+    def test_a_repeated_index_counts_once_in_the_multiplier(self):
+        command = {"run": "multiplier", "index_sets": [[1, 1], [2]], "weights": "w"}
+        report, ok = run_scenario(build_scenario(_doc(commands=[command])))
+        output = report["results"][0]["output"]
+        assert ok and output["agrees_with_frame_bounds"] is True
+        assert output["tight_constant"]["data"] == [1.0, 0.0, 1.0, 0.0]
