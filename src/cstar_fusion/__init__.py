@@ -23,6 +23,7 @@ from .algebra import (
 from .errors import (
     CstarFusionError,
     IndexOutOfRange,
+    InvalidMap,
     InvalidWeight,
     LengthMismatch,
     NotAFrame,

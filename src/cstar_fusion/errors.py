@@ -25,6 +25,16 @@ class InvalidWeight(CstarFusionError):
     """A weight is not finite, not self-adjoint or not strictly positive."""
 
 
+class InvalidMap(CstarFusionError, ValueError):
+    """An ``OrthoMap`` argument is out of range: ``key`` names it
+    (``"scales"`` or ``"rotations"``), ``fiber`` the bad rotation's index."""
+
+    def __init__(self, message: str, key: str, fiber: int | None = None) -> None:
+        super().__init__(message)
+        self.key = key
+        self.fiber = fiber
+
+
 class NotAFrame(CstarFusionError):
     """A weighted submodule family failed frame verification."""
 

@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import _KINDS, COMPLEX, QUATERNION, AlgebraElement, _default_tol, alg_norm
 from .errors import InvalidWeight, LengthMismatch, NotAFrame, ShapeMismatch
 from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint, _apply_fibers
-from .hilbert_module import _frexp_exponent, _ldexp, inner_product, left_action, module_norm
+from .hilbert_module import _common_exponent, _ldexp, inner_product, left_action, module_norm
 from .submodule import Submodule, _fiber_flags, block_submodule, project
 from .tolerance import FRAME_TOL, ORDER_TOL, TIGHT_TOL
 
@@ -291,7 +291,7 @@ def reconstruct(frame: WeightedFrame, x: ModuleVector) -> ReconstructionResult:
         raise NotAFrame("cannot reconstruct: the family is not a frame")
     # At the common scale 2^-e subnormal input keeps full precision, and
     # rel_error is measured even where the norm of x exceeds the float range.
-    e = max(_frexp_exponent(b, None) for b in x.blocks.values())
+    e = _common_exponent(x.blocks.values())
 
     def scaled(v: ModuleVector, k: int) -> ModuleVector:
         return ModuleVector(v.shape, {m: _ldexp(b, k) for m, b in v.blocks.items()})

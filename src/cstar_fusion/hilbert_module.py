@@ -204,6 +204,13 @@ def _frexp_exponent(a: np.ndarray, axis) -> np.ndarray:
     return np.frexp(abs(a.view(float)).max(axis=axis, initial=0.0))[1]
 
 
+def _common_exponent(blocks) -> int:
+    """The ``np.frexp`` exponent of the largest absolute real or imaginary
+    component over every block (0 where all are zero); not the largest
+    per-block exponent, which an all-zero block would raise to 0."""
+    return int(np.frexp(max(abs(b.view(float)).max(initial=0.0) for b in blocks))[1])
+
+
 def _ldexp(a: np.ndarray, e) -> np.ndarray:
     """``a * 2**e``, exact unless the result overflows or underflows."""
     return np.ldexp(a.view(float), e).view(a.dtype)
@@ -212,11 +219,11 @@ def _ldexp(a: np.ndarray, e) -> np.ndarray:
 def module_norm(x: ModuleVector) -> float:
     """Largest Euclidean fiber length; equals the algebra norm of |x|.
 
-    It is taken of the entries scaled by 2^-e (``_frexp_exponent``), which
+    It is taken of the entries scaled by 2^-e (``_common_exponent``), which
     is exact, so it overflows or underflows only where the norm itself does.
     """
     blocks = x.blocks.values()
-    e = max(_frexp_exponent(b, None) for b in blocks)
+    e = _common_exponent(blocks)
     return float(np.ldexp(max(np.linalg.norm(_ldexp(b, -e), axis=-1).max() for b in blocks), e))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import COMPLEX, AlgebraElement, _hamilton, _quat_conj
-from .errors import NotAFrame, ShapeMismatch
+from .errors import InvalidMap, NotAFrame, ShapeMismatch
 from .frame import WeightedFrame, WeightSequence, frame_bounds
 from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint
 from .submodule import Submodule
@@ -49,7 +49,7 @@ class OrthoMap(FiberBlocks):
         if scale_arr.shape[0] != shape.fiber_count:
             raise ShapeMismatch("need one scale per fiber")
         if not np.all((scale_arr > 0) & (scale_arr < np.inf)):
-            raise ValueError("scales must be positive and finite")
+            raise InvalidMap("scales must be positive and finite", "scales")
         self._store(self.rotations, matrix=shape.kind == COMPLEX)
         if shape.kind == COMPLEX:
             gram = {m: _adjoint(u) @ u - np.eye(m) for m, u in self.blocks.items()}
@@ -64,7 +64,8 @@ class OrthoMap(FiberBlocks):
             defects = np.abs(np.linalg.norm(self.blocks[1], axis=-1) - 1.0)
         k = int(np.argmax(defects))
         if not defects[k] <= UNITARY_TOL:
-            raise ValueError(f"fiber {k} rotation is not unitary (defect {defects[k]:.2e})")
+            message = f"fiber {k} rotation is not unitary (defect {defects[k]:.2e})"
+            raise InvalidMap(message, "rotations", k)
         scale_arr.setflags(write=False)
         object.__setattr__(self, "scales", scale_arr)
         object.__setattr__(self, "rotations", self.fibers)

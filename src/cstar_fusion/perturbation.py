@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import alg_norm
 from .errors import LengthMismatch, NotAFrame
 from .frame import WeightedFrame, frame_bounds
-from .hilbert_module import _adjoint
+from .hilbert_module import _adjoint, _common_exponent, _ldexp
 from .submodule import Submodule
 from .tolerance import SNAP_TO_ONE
 
@@ -32,13 +32,39 @@ def proj_distance(first: Submodule, second: Submodule) -> float:
     roundoff of the endpoints snap to them, so orthogonal pairs report
     exactly 1 (arcsin is infinitely steep there, and the snap keeps the
     angle of an orthogonal pair at exactly pi/2).
+
+    Only fibers that can hold the maximum are eigendecomposed.  For each
+    fiber's Hermitian difference D, ||D e_i||_2 <= ||D||_2 <= ||D||_F, so
+    the largest column norm over all fibers is a floor under the answer;
+    a fiber whose squared Frobenius norm is at most (1 - 1e-8) times the
+    squared floor cannot hold the maximum and is dropped.  The norms are
+    taken of the differences scaled by one exact common 2^-e (e the
+    ``np.frexp`` exponent of the largest entry), so tiny distances do not
+    underflow; where a difference overflows, no fiber is dropped.
+    ``eigvalsh`` works matrix by matrix, so the distance equals the largest
+    |eigenvalue| over every fiber bit for bit.
     """
     first._check_same_shape(second)
-    worst = 0.0
+    diffs = {}
     for m, p in first.blocks.items():
         diff = p - second.blocks[m]
-        diff = (diff + _adjoint(diff)) / 2.0
-        worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh(diff)))))
+        diffs[m] = (diff + _adjoint(diff)) / 2.0
+    e = _common_exponent(diffs.values())
+    # Squared column norms, taken at the common scale 2^-e.
+    columns = {m: (abs(_ldexp(d, -e)) ** 2).sum(axis=-2) for m, d in diffs.items()}
+    floor = np.max([c.max() for c in columns.values()])
+    if not floor < np.inf:  # an overflowed difference: no fiber can be ruled out
+        floor = -np.inf
+    worst = 0.0
+    for m, d in diffs.items():
+        # The margin 1e-8 on the squared norms is far above their ~m * eps
+        # error and that of eigvalsh, so the computed eigenvalues of a
+        # dropped fiber stay below those of the fiber with the largest
+        # column.  When every difference is zero no fiber is kept; a NaN
+        # norm is kept.
+        keep = ~(columns[m].sum(axis=-1) <= floor * (1.0 - 1e-8))
+        if keep.any():
+            worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh(d[keep])))))
     if worst >= 1.0 - SNAP_TO_ONE:
         return 1.0
     return max(worst, 0.0)

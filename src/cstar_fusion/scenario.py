@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import COMPLEX, QUATERNION, AlgebraElement, alg_norm
-from .errors import CstarFusionError, ParseError, ValidationError
+from .errors import CstarFusionError, InvalidMap, ParseError, ValidationError
 from .frame import WeightedFrame, WeightSequence, assemble_block_frame, block_multiplier_check
 from .frame import ReconstructionResult, TightnessResult, cone_add, frame_bounds, reconstruct
 from .frame import tightness
@@ -272,8 +272,12 @@ def _build_map(name: str, spec: dict, shape: ModuleShape) -> OrthoMap:
         else:
             what = "expected a unit quaternion [w, x, y, z]"
             rotations = _per_fiber(_reals, rotations, f"{path}.rotations", 2, what)
-    with _library_errors_at(path):
-        return OrthoMap(shape, scales, rotations)
+    with _library_errors_at(f"{path}.rotations"):  # a rotation fiber of the wrong shape
+        try:
+            return OrthoMap(shape, scales, rotations)
+        except InvalidMap as exc:
+            index = "" if exc.fiber is None else f"[{exc.fiber}]"
+            _fail(f"{path}.{exc.key}{index}", str(exc))
 
 
 # -- commands ------------------------------------------------------------------

@@ -4,13 +4,19 @@ Each reference below is the fiber-by-fiber loop the library used before
 per-fiber data was stored as one block per fiber dimension.  The batched
 kernels do the same arithmetic with a different summation order and LAPACK
 batching, so their results must agree within 1e-13 * max(1, |S_k|), a bound
-fixed from float64 eps (2.2e-16) before the comparison was run.  Module
-shapes mix fiber dimensions so that grouping and scattering are exercised.
+fixed from float64 eps (2.2e-16) before the comparison was run.  Projection
+distances are the exception: eigendecomposing only the fibers that can hold
+the maximum changes no arithmetic, so they must equal the reference exactly.
+Module shapes mix fiber dimensions so that grouping and scattering are
+exercised.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cstar_fusion import perturbation
 from cstar_fusion import (
     COMPLEX,
     QUATERNION,
@@ -91,11 +97,12 @@ def ref_reconstruct(frame, x):
 
 
 def ref_proj_distance(first, second):
+    """Every fiber's eigenvalues, no gate; snapped to 1 within 1e-13."""
     worst = 0.0
     for p, q in zip(first.fibers, second.fibers):
         diff = p - q
         worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)))))
-    return worst
+    return 1.0 if worst >= 1.0 - 1e-13 else worst
 
 
 def ref_rotated(subs, max_angle, rng):
@@ -293,9 +300,7 @@ class TestProjections:
         shape = ModuleShape(COMPLEX, MIXED_DIMS)
         for _ in range(20):
             u, v = random_span_submodule(rng, shape), random_span_submodule(rng, shape)
-            want = ref_proj_distance(u, v)
-            got = proj_distance(u, v)
-            assert got == pytest.approx(1.0 if want >= 1 - 1e-13 else want, abs=TOL)
+            assert proj_distance(u, v) == ref_proj_distance(u, v)
 
     @pytest.mark.parametrize("kind", [COMPLEX, QUATERNION])
     def test_rotation_keeps_the_seeded_stream(self, kind):
@@ -323,3 +328,113 @@ class TestProjections:
                 r = u @ p @ u.conj().T
                 want.append((r + r.conj().T) / 2.0)
             assert_fibers_close(new.fibers, want)
+
+
+# -- projection distances, bit for bit -----------------------------------------
+
+
+def rank_one(m, theta):
+    """The projection onto cos(theta) e_1 + sin(theta) e_2 in C^m."""
+    v = np.zeros(m)
+    v[:2] = np.cos(theta), np.sin(theta)
+    return np.outer(v, v)
+
+
+class TestDistanceGate:
+    """``proj_distance`` eigendecomposes only the fibers that can hold the
+    maximum; every answer must equal the ungated reference exactly."""
+
+    @pytest.mark.parametrize("max_angle", [0.05, 1e-160])
+    def test_rotated_pairs(self, max_angle):
+        rng = np.random.default_rng(35)
+        shape = ModuleShape(COMPLEX, MIXED_DIMS)
+        moved = 0
+        for i in range(40):
+            if i % 2:
+                u = random_span_submodule(rng, shape)
+            else:
+                # A rotation by 1e-160 is lost to rounding against nonzero
+                # entries, but moves the exact zeros of a 0/1 diagonal.
+                u = Submodule(shape, [np.diag(rng.integers(0, 2, m)) for m in MIXED_DIMS])
+            (v,) = randomly_rotated([u], max_angle, rng)
+            got = proj_distance(u, v)
+            assert got == ref_proj_distance(u, v) <= max_angle
+            moved += got > 0.0
+        # At 1e-160 the squared entries lie below the smallest subnormal,
+        # and the one-dimensional fibers are zero: the common scale must
+        # come from the largest entry, not the largest per-dimension
+        # exponent, or no fiber passes the gate.
+        assert moved >= 10
+
+    def test_identical_and_orthogonal_pairs(self):
+        rng = np.random.default_rng(36)
+        shape = ModuleShape(COMPLEX, MIXED_DIMS)
+        u = random_span_submodule(rng, shape)
+        assert proj_distance(u, u) == ref_proj_distance(u, u) == 0.0
+        assert proj_distance(u, complement(u)) == ref_proj_distance(u, complement(u)) == 1.0
+
+    def test_quaternion_selectors(self):
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            subs = random_quaternion_frame(rng).submodules
+            for u, v in zip(subs, subs[1:] + subs[:1]):
+                assert proj_distance(u, v) == ref_proj_distance(u, v)
+
+    @pytest.mark.parametrize("dims", [(2, 4), (4, 2), (3, 3)])
+    def test_near_tie_across_fibers(self, dims):
+        theta = 0.3
+        near = theta + 4 * np.spacing(theta)
+        first = Submodule(ModuleShape(COMPLEX, dims), [rank_one(m, 0.0) for m in dims])
+        second = Submodule(first.shape, [rank_one(dims[0], theta), rank_one(dims[1], near)])
+        each = [
+            ref_proj_distance(Submodule(ModuleShape(COMPLEX, (m,)), [p]),
+                              Submodule(ModuleShape(COMPLEX, (m,)), [q]))
+            for m, p, q in zip(dims, first.fibers, second.fibers)
+        ]
+        assert 0 < abs(each[1] - each[0]) <= 16 * np.spacing(each[0])
+        assert proj_distance(first, second) == ref_proj_distance(first, second) == max(each)
+
+    def test_fiber_below_the_floor_is_never_decomposed(self, monkeypatch):
+        # Fiber 0 has a column of norm sin(0.5) ~ 0.48; fiber 1's Frobenius
+        # norm is sqrt(2) sin(0.1) ~ 0.14, below that floor.
+        shape = ModuleShape(COMPLEX, (2, 2, 1))
+        first = Submodule(shape, [rank_one(2, 0.0), rank_one(2, 0.0), np.ones((1, 1))])
+        second = Submodule(shape, [rank_one(2, 0.5), rank_one(2, 0.1), np.ones((1, 1))])
+        want = ref_proj_distance(first, second)
+        seen = []
+        eigvalsh = perturbation.np.linalg.eigvalsh
+
+        def spy(a):
+            seen.append(np.array(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(perturbation.np.linalg, "eigvalsh", spy)
+        assert proj_distance(first, second) == want == pytest.approx(np.sin(0.5), rel=1e-15)
+        (decomposed,) = seen
+        d = first.fibers[0] - second.fibers[0]
+        np.testing.assert_array_equal(decomposed, [(d + d.conj().T) / 2.0])
+        seen.clear()
+        assert proj_distance(first, first) == 0.0
+        assert seen == []
+        # Entries of 1e308 are no projection, but their difference overflows
+        # to inf: the gate proves nothing then, and every fiber is decomposed.
+        huge = Submodule(shape, [np.full((2, 2), 1e308), rank_one(2, 0.0), np.ones((1, 1))])
+        with np.errstate(all="ignore"):
+            proj_distance(huge, Submodule(shape, [-f for f in huge.fibers]))
+        assert [len(a) for a in seen] == [1, 2]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 5), min_size=1, max_size=8),
+        max_angle=st.sampled_from([None, 1.0, 0.05, 1e-8, 1e-160]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_ungated_rule(self, dims, max_angle, seed):
+        rng = np.random.default_rng(seed)
+        shape = ModuleShape(COMPLEX, tuple(dims))
+        u = random_span_submodule(rng, shape)
+        if max_angle is None:
+            v = random_span_submodule(rng, shape)
+        else:
+            (v,) = randomly_rotated([u], max_angle, rng)
+        assert proj_distance(u, v) == ref_proj_distance(u, v)

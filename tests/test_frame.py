@@ -355,6 +355,15 @@ class TestReconstruction:
         x = np.array([1.0, 0.3]) * scale
         result = reconstruct(three_subspace_frame, ModuleVector(three_subspace_frame.shape, [x]))
         assert result.rel_error <= 1e-15
+        # Next to a zero fiber of another dimension the common scale was 2^0,
+        # so the solve ran on the subnormal numbers as before.
+        shape = ModuleShape(COMPLEX, (1, 2))
+        subs = [span_submodule(shape, [[[1.0]], [np.array(v)]])
+                for v in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])]
+        frame = WeightedFrame(subs, WeightSequence.from_matrix(COMPLEX, np.ones((3, 2))))
+        result = reconstruct(frame, ModuleVector(shape, [[0.0], x]))
+        assert result.rel_error <= 1e-15
+        np.testing.assert_allclose(result.vector.fibers[1], x, rtol=1e-14, atol=0)
 
     def test_zero_vector_has_zero_error(self, three_subspace_frame):
         result = reconstruct(three_subspace_frame, ModuleVector.zeros(three_subspace_frame.shape))

@@ -144,6 +144,9 @@ class TestNormAndAction:
         assert module_norm(x) == pytest.approx(scale * np.sqrt(2), rel=1e-15, abs=0)
         q = ModuleVector(ModuleShape(QUATERNION, (1,)), [[0, 0, scale, scale]])
         assert module_norm(q) == pytest.approx(scale * np.sqrt(2), rel=1e-15, abs=0)
+        # A zero fiber of another dimension once set the common scale to 2^0.
+        mixed = ModuleVector(ModuleShape(COMPLEX, (1, 2)), [[0], [scale, scale]])
+        assert module_norm(mixed) == pytest.approx(scale * np.sqrt(2), rel=1e-15, abs=0)
 
     def test_norm_matches_inner_product(self):
         rng = np.random.default_rng(25)

@@ -147,6 +147,23 @@ class TestMaps:
     def test_scales_of_another_type(self, scales):
         _rejected(_doc(maps={"m": {"scales": scales}}), "maps.m.scales", "expected a list of reals")
 
+    @pytest.mark.parametrize("scales", [[1.0, -1.0], [0.0, 1.0]], ids=["negative", "zero"])
+    def test_a_scale_out_of_range_fails_at_the_scales(self, scales):
+        message = "scales must be positive and finite"
+        _rejected(_doc(maps={"m": {"scales": scales}}), "maps.m.scales", message)
+
+    def test_a_rotation_that_is_not_unitary_fails_at_its_fiber(self):
+        sheared = np.stack([[[1.0, 1.0], [0.0, 1.0]], np.zeros((2, 2))], -1).tolist()
+        doc = _doc(maps={"m": {"rotations": [IDENTITY, sheared]}})
+        _rejected(doc, "maps.m.rotations[1]", "fiber 1 rotation is not unitary")
+        doc = _doc(QUAT, maps={"m": {"rotations": [[0.0, 2.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]}})
+        _rejected(doc, "maps.m.rotations[0]", "fiber 0 rotation is not unitary")
+
+    def test_a_rotation_of_another_shape_fails_at_the_rotations(self):
+        wide = np.stack([np.eye(3), np.zeros((3, 3))], -1).tolist()
+        doc = _doc(maps={"m": {"rotations": [IDENTITY, wide]}})
+        _rejected(doc, "maps.m.rotations", "fiber 1 has shape (3, 3), expected (2, 2)")
+
     def test_a_quaternion_map_without_rotations_turns_nothing(self):
         mapping = build_scenario(_doc(QUAT, maps={"m": {"scales": [2.0, 3.0]}})).maps["m"]
         np.testing.assert_array_equal(mapping.blocks[1], [[1.0, 0.0, 0.0, 0.0]] * 2)

@@ -1,0 +1,94 @@
+"""Run the benchmark in pairs: a parent checkout against this one.
+
+    python tools/bench_pairs.py PARENT --workload W --pairs N --seconds S [--size tiny] [--seed K]
+
+Each pair runs ``bench/run.py --trace 0`` once in PARENT and once in the
+checkout that holds this file, each from the root of its own checkout, so
+each side imports its own ``src/``.  The side that goes first alternates
+from pair to pair.  For every end-to-end metric that ``BENCHMARK.json``
+lists, the script prints both sides' medians, the interquartile range of
+the parent's runs, and in how many pairs the change read better (ties
+count for neither side), then each side's failed and attempted ops.  It
+gates nothing: the exit code is 0 when every run completed, 1 when one did
+not.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_once(checkout: Path, args) -> dict:
+    """The last line of one ``--trace 0`` run in ``checkout``, parsed."""
+    command = [
+        sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(args.seed),
+        "--seconds", str(args.seconds), "--trace", "0", "--size", args.size,
+    ]
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{checkout}: bench/run.py exited {done.returncode}\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def summarize(metrics, parent: list[dict], change: list[dict]) -> list[str]:
+    """One line per end-to-end metric, then the ops each side failed."""
+    lines = [f"# {'metric':<12} {'unit':<5} {'parent':>10} {'change':>10} "
+             f"{'parent_iqr':>10}  change_won"]
+    for spec in metrics:
+        name = spec["name"]
+        old = np.array([run["metrics"][name]["value"] for run in parent])
+        new = np.array([run["metrics"][name]["value"] for run in change])
+        q1, q3 = np.percentile(old, [25, 75])
+        sign = 1.0 if spec["better"] == "higher" else -1.0
+        won = int(np.sum(sign * (new - old) > 0))
+        lines.append(f"  {name:<12} {spec['unit']:<5} {np.median(old):>10.4g} "
+                     f"{np.median(new):>10.4g} {q3 - q1:>10.4g}  {won}/{len(old)}")
+    for side, runs in (("parent", parent), ("change", change)):
+        failed = sum(run["failed"] for run in runs)
+        attempted = sum(run["attempted"] for run in runs)
+        lines.append(f"  {side} failed {failed} of {attempted} ops")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="root of the parent commit's checkout")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--size", choices=("full", "tiny"), default="full")
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    print(f"# {args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, "
+          f"seed {args.seed}, size {args.size}", flush=True)
+    try:
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run_once(sides[side], args))
+            first = metrics[0]["name"]
+            print(f"# pair {pair + 1}: {order[0]} first; {first} parent "
+                  f"{runs['parent'][-1]['metrics'][first]['value']:.4g}, change "
+                  f"{runs['change'][-1]['metrics'][first]['value']:.4g}", flush=True)
+    except RuntimeError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    print("\n".join(summarize(metrics, runs["parent"], runs["change"])))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
