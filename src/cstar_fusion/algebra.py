@@ -53,6 +53,19 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise NotFinite(f"{what} must be finite")
 
 
+def _frexp_exponent(a: np.ndarray, axis=None) -> np.ndarray:
+    """The exponent e of every exact 2^-e scaling: the ``np.frexp`` exponent
+    of the largest |re| or |im| over ``axis`` (0 where all are zero); the
+    complex modulus could itself overflow.  Any memory layout is taken."""
+    floats = np.require(a, requirements="C").view(float)  # a view needs a contiguous last axis
+    return np.frexp(abs(floats).max(axis=axis, initial=0.0))[1]
+
+
+def _ldexp(a: np.ndarray, e) -> np.ndarray:
+    """``a * 2**e`` for any memory layout, exact unless it overflows or underflows."""
+    return np.ldexp(np.require(a, requirements="C").view(float), e).view(a.dtype)
+
+
 def _quat_abs(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(a * a, axis=-1))
 
@@ -234,17 +247,17 @@ def invert(a: AlgebraElement) -> AlgebraElement:
     inverse lies outside the float range.
 
     Each fiber a is inverted as conj(a) / |a|^2 at the exact scale 2^-e, e
-    the ``np.frexp`` exponent of its largest real component, so |a|^2
-    neither underflows nor overflows.
+    the exponent of its largest real component (``_frexp_exponent``), so
+    |a|^2 neither underflows nor overflows.
     """
     parts = a.fibers.view(float).reshape(a.fiber_count, -1)  # (re, im) or (w, x, y, z)
-    e = np.frexp(np.abs(parts).max(axis=1))[1][:, None]
-    scaled = np.ldexp(parts, -e)
+    e = _frexp_exponent(parts, 1)[:, None]
+    scaled = _ldexp(parts, -e)
     invertible = scaled.any(axis=1)
     squared = np.where(invertible, np.sum(scaled * scaled, axis=1), 1.0)[:, None]
     scaled[:, 1:] *= -1.0
     with np.errstate(over="ignore"):
-        inverse = np.ldexp(scaled / squared, -e)
+        inverse = _ldexp(scaled / squared, -e)
     invertible &= np.isfinite(inverse).all(axis=1)
     if not invertible.all():
         raise NotInvertible(f"fiber {int(np.argmin(invertible))} has no finite inverse")

@@ -2,7 +2,13 @@
 
 
 class CstarFusionError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  ``key`` names the
+    argument at fault and ``fiber`` the fiber's index; None where unknown."""
+
+    def __init__(self, message: str = "", key: str | None = None, fiber: int | None = None):
+        super().__init__(message)
+        self.key = key
+        self.fiber = fiber
 
 
 class ShapeMismatch(CstarFusionError):
@@ -26,13 +32,7 @@ class InvalidWeight(CstarFusionError):
 
 
 class InvalidMap(CstarFusionError, ValueError):
-    """An ``OrthoMap`` argument is out of range: ``key`` names it
-    (``"scales"`` or ``"rotations"``), ``fiber`` the bad rotation's index."""
-
-    def __init__(self, message: str, key: str, fiber: int | None = None) -> None:
-        super().__init__(message)
-        self.key = key
-        self.fiber = fiber
+    """An ``OrthoMap`` argument is out of range; ``key`` is "scales" or "rotations"."""
 
 
 class NotAFrame(CstarFusionError):

@@ -20,10 +20,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import _KINDS, COMPLEX, QUATERNION, AlgebraElement, _default_tol, alg_norm
+from .algebra import _KINDS, COMPLEX, QUATERNION, AlgebraElement, _default_tol, _ldexp, alg_norm
 from .errors import InvalidWeight, LengthMismatch, NotAFrame, ShapeMismatch
-from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint, _apply_fibers
-from .hilbert_module import _common_exponent, _ldexp, inner_product, left_action, module_norm
+from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _apply_fibers, _common_scale
+from .hilbert_module import _hermitian, inner_product, left_action, module_norm
 from .submodule import Submodule, _fiber_flags, block_submodule, project
 from .tolerance import FRAME_TOL, ORDER_TOL, TIGHT_TOL
 
@@ -103,7 +103,7 @@ def _assemble_operator(
     blocks = {}
     for m, w2 in squares.items():
         acc = sum(w2[:, n, None, None] * sub.blocks[m] for n, sub in enumerate(submodules))
-        blocks[m] = (acc + _adjoint(acc)) / 2.0
+        blocks[m] = _hermitian(acc)
     return FrameOperatorFibers(shape, blocks)
 
 
@@ -282,8 +282,8 @@ def reconstruct(frame: WeightedFrame, x: ModuleVector) -> ReconstructionResult:
 
     Solves the frame operator directly (LU, batched over the fibers of each
     dimension), then re-applies the weighted projection sum and reports the
-    relative error.  Both steps run on x * 2^-e, e the ``np.frexp`` exponent
-    of its largest component, and the result is scaled back by 2^e; that is
+    relative error.  Both steps run on x at its common scale 2^-e
+    (``_common_scale``), and the result is scaled back by 2^e; that is
     exact, so only over- or underflow of the result itself loses precision.
     """
     bounds = frame_bounds(frame)
@@ -291,19 +291,16 @@ def reconstruct(frame: WeightedFrame, x: ModuleVector) -> ReconstructionResult:
         raise NotAFrame("cannot reconstruct: the family is not a frame")
     # At the common scale 2^-e subnormal input keeps full precision, and
     # rel_error is measured even where the norm of x exceeds the float range.
-    e = _common_exponent(x.blocks.values())
-
-    def scaled(v: ModuleVector, k: int) -> ModuleVector:
-        return ModuleVector(v.shape, {m: _ldexp(b, k) for m, b in v.blocks.items()})
-
-    xs = scaled(x, -e)
+    e, blocks = _common_scale(x.blocks)
+    xs = ModuleVector(x.shape, blocks)
     mid = _solve_operator(frame, xs)
     acc = ModuleVector.zeros(frame.shape)
     for sub, w in zip(frame.submodules, frame.weights):
         acc = acc + left_action(w * w, project(sub, mid))
     denom = module_norm(xs)
     rel = module_norm(acc - xs) / denom if denom > 0 else 0.0
-    return ReconstructionResult(vector=scaled(acc, e), rel_error=float(rel))
+    back = ModuleVector(acc.shape, {m: _ldexp(b, e) for m, b in acc.blocks.items()})
+    return ReconstructionResult(vector=back, rel_error=float(rel))
 
 
 def tightness(frame: WeightedFrame) -> TightnessResult:

@@ -19,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import COMPLEX, QUATERNION, _KINDS, AlgebraElement, _hamilton, _quat_conj
-from .algebra import _require_finite
+from .algebra import COMPLEX, QUATERNION, _KINDS, AlgebraElement, _frexp_exponent, _hamilton
+from .algebra import _ldexp, _quat_conj, _require_finite
 from .errors import QuaternionUnsupported, ShapeMismatch
 
 
@@ -56,10 +56,14 @@ class ModuleShape:
         """Split an array indexed by fiber into one block per dimension."""
         return {m: values[idx] for m, idx in self.groups.items()}
 
+    @cached_property
+    def fiber_order(self) -> np.ndarray:
+        """Where each fiber sits in the blocks laid end to end in group order."""
+        return np.argsort(np.concatenate(list(self.groups.values())))
+
     def scatter(self, blocks: dict[int, np.ndarray]) -> np.ndarray:
         """Inverse of ``gather``: blocks back into one array indexed by fiber."""
-        order = np.argsort(np.concatenate(list(self.groups.values())))
-        return np.concatenate([blocks[m] for m in self.groups])[order]
+        return np.concatenate([blocks[m] for m in self.groups])[self.fiber_order]
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -67,10 +71,15 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    """The Hermitian part (a + a^H) / 2 of every matrix in a stack."""
+    return (a + _adjoint(a)) / 2.0
+
+
 def _fiber(entry, k: int, tail: tuple[int, ...], dtype, exact: bool) -> np.ndarray:
     arr = np.asarray(entry, dtype=dtype)
     if arr.shape != tail and (exact or arr.size != np.prod(tail)):
-        raise ShapeMismatch(f"fiber {k} has shape {arr.shape}, expected {tail}")
+        raise ShapeMismatch(f"fiber {k} has shape {arr.shape}, expected {tail}", fiber=k)
     return arr.reshape(tail)
 
 
@@ -121,8 +130,7 @@ class FiberBlocks:
         """Read-only per-fiber views into ``blocks``, in fiber order."""
         if self._views is None:
             views = [view for block in self.blocks.values() for view in block]
-            order = np.argsort(np.concatenate(list(self.shape.groups.values())))
-            object.__setattr__(self, "_views", tuple(views[k] for k in order))
+            object.__setattr__(self, "_views", tuple(views[k] for k in self.shape.fiber_order))
         return self._views
 
     def _check_same_shape(self, other: "FiberBlocks") -> None:
@@ -197,34 +205,22 @@ def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     return AlgebraElement(QUATERNION, _hamilton(x.blocks[1], _quat_conj(y.blocks[1])))
 
 
-def _frexp_exponent(a: np.ndarray, axis) -> np.ndarray:
-    """The ``np.frexp`` exponent of the largest absolute real or imaginary
-    component over ``axis`` (0 where all are zero); the complex modulus
-    could itself overflow.  Complex entries are viewed as (re, im) pairs."""
-    return np.frexp(abs(a.view(float)).max(axis=axis, initial=0.0))[1]
-
-
-def _common_exponent(blocks) -> int:
-    """The ``np.frexp`` exponent of the largest absolute real or imaginary
-    component over every block (0 where all are zero); not the largest
-    per-block exponent, which an all-zero block would raise to 0."""
-    return int(np.frexp(max(abs(b.view(float)).max(initial=0.0) for b in blocks))[1])
-
-
-def _ldexp(a: np.ndarray, e) -> np.ndarray:
-    """``a * 2**e``, exact unless the result overflows or underflows."""
-    return np.ldexp(a.view(float), e).view(a.dtype)
+def _common_scale(blocks: dict[int, np.ndarray]) -> tuple[int, dict[int, np.ndarray]]:
+    """(e, {m: block * 2^-e}), e the exponent rule (``_frexp_exponent``) over
+    every block at once; not the largest per-block exponent, which an
+    all-zero block would raise to 0.  Exact unless it underflows."""
+    e = int(_frexp_exponent(np.concatenate([b.reshape(-1) for b in blocks.values()])))
+    return e, {m: _ldexp(b, -e) for m, b in blocks.items()}
 
 
 def module_norm(x: ModuleVector) -> float:
     """Largest Euclidean fiber length; equals the algebra norm of |x|.
 
-    It is taken of the entries scaled by 2^-e (``_common_exponent``), which
-    is exact, so it overflows or underflows only where the norm itself does.
+    It is taken at the exact common scale 2^-e (``_common_scale``), so it
+    overflows or underflows only where the norm itself does.
     """
-    blocks = x.blocks.values()
-    e = _common_exponent(blocks)
-    return float(np.ldexp(max(np.linalg.norm(_ldexp(b, -e), axis=-1).max() for b in blocks), e))
+    e, blocks = _common_scale(x.blocks)
+    return float(_ldexp(max(np.linalg.norm(b, axis=-1).max() for b in blocks.values()), e))
 
 
 def left_action(a: AlgebraElement, x: ModuleVector) -> ModuleVector:

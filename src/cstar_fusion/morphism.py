@@ -21,7 +21,7 @@ from .algebra import COMPLEX, AlgebraElement, _hamilton, _quat_conj
 from .errors import InvalidMap, NotAFrame, ShapeMismatch
 from .frame import WeightedFrame, WeightSequence, frame_bounds
 from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint
-from .submodule import Submodule
+from .submodule import _conjugated
 from .tolerance import UNITARY_TOL
 
 
@@ -47,10 +47,14 @@ class OrthoMap(FiberBlocks):
         shape = self.shape
         scale_arr = np.array(self.scales, dtype=float).reshape(-1)
         if scale_arr.shape[0] != shape.fiber_count:
-            raise ShapeMismatch("need one scale per fiber")
+            raise ShapeMismatch("need one scale per fiber", "scales")
         if not np.all((scale_arr > 0) & (scale_arr < np.inf)):
             raise InvalidMap("scales must be positive and finite", "scales")
-        self._store(self.rotations, matrix=shape.kind == COMPLEX)
+        try:
+            self._store(self.rotations, matrix=shape.kind == COMPLEX)
+        except ShapeMismatch as exc:
+            exc.key = "rotations"
+            raise
         if shape.kind == COMPLEX:
             gram = {m: _adjoint(u) @ u - np.eye(m) for m, u in self.blocks.items()}
             # The Frobenius norm bounds the spectral one; half the threshold
@@ -106,14 +110,7 @@ def transport_frame(mapping: OrthoMap, frame: WeightedFrame) -> WeightedFrame:
     mapping._check_same_shape(frame)
     if not frame_bounds(frame).is_frame:
         raise NotAFrame("transport requires a frame")
-    new_subs = []
-    for sub in frame.submodules:
-        blocks = sub.blocks
-        if frame.shape.kind == COMPLEX:
-            blocks = {}
-            for m, u in mapping.blocks.items():
-                moved = u @ sub.blocks[m] @ _adjoint(u)
-                blocks[m] = (moved + _adjoint(moved)) / 2.0
-        new_subs.append(Submodule(frame.shape, blocks))
+    unitaries = mapping.blocks if frame.shape.kind == COMPLEX else {}
+    new_subs = [_conjugated(sub, unitaries) for sub in frame.submodules]
     new_weights = WeightSequence(frame.shape.kind, frame.weights.matrix * mapping.scales)
     return WeightedFrame(new_subs, new_weights)

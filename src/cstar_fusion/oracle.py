@@ -31,7 +31,7 @@ import numpy as np
 from .algebra import COMPLEX
 from .errors import NotFinite, NotHermitian, ShapeMismatch
 from .frame import FrameBounds, WeightedFrame, frame_bounds
-from .hilbert_module import ModuleShape, ModuleVector, _adjoint
+from .hilbert_module import ModuleShape, ModuleVector, _adjoint, _hermitian
 from .tolerance import DENSE_CAP, HERMITIAN_TOL, ORACLE_SLACK, SAMPLE_REDRAW
 
 # Sampled coordinates held at once, so memory stays bounded for any sample count.
@@ -113,7 +113,7 @@ def flatten_frame_operator(frame: WeightedFrame) -> DenseOperator:
             block = sub.blocks[m] if shape.kind == COMPLEX else sub.blocks[m] * np.eye(2)
             acc += (wmatrix[n, idx] ** 2)[:, None, None] * block
         at = offsets[idx][:, None, None] + np.arange(width)
-        out[np.swapaxes(at, 1, 2), at] = (acc + _adjoint(acc)) / 2.0
+        out[np.swapaxes(at, 1, 2), at] = _hermitian(acc)
     out.setflags(write=False)
     return DenseOperator(out)
 
@@ -162,7 +162,7 @@ def eigen_bounds(op: DenseOperator) -> dict:
         norm = max(float(np.linalg.norm(b, 2, axis=(1, 2)).max()) for b in blocks)
         if defect > HERMITIAN_TOL * max(1.0, norm):
             raise NotHermitian(f"operator deviates from Hermitian by {defect:.2e}")
-    eigvals = [np.linalg.eigvalsh((b + _adjoint(b)) / 2.0) for b in blocks]
+    eigvals = [np.linalg.eigvalsh(_hermitian(b)) for b in blocks]
     return {
         "lambda_min": float(min(e[:, 0].min() for e in eigvals)),
         "lambda_max": float(max(e[:, -1].max() for e in eigvals)),

@@ -17,11 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import alg_norm
+from .algebra import _require_finite, alg_norm
 from .errors import LengthMismatch, NotAFrame
 from .frame import WeightedFrame, frame_bounds
-from .hilbert_module import _adjoint, _common_exponent, _ldexp
-from .submodule import Submodule
+from .hilbert_module import _common_scale, _hermitian
+from .submodule import Submodule, _conjugated
 from .tolerance import SNAP_TO_ONE
 
 
@@ -38,36 +38,31 @@ def proj_distance(first: Submodule, second: Submodule) -> float:
     the largest column norm over all fibers is a floor under the answer;
     a fiber whose squared Frobenius norm is at most (1 - 1e-8) times the
     squared floor cannot hold the maximum and is dropped.  The norms are
-    taken of the differences scaled by one exact common 2^-e (e the
-    ``np.frexp`` exponent of the largest entry), so tiny distances do not
-    underflow; where a difference overflows, no fiber is dropped.
+    taken of the differences at one exact common scale 2^-e
+    (``_common_scale``), so tiny distances do not underflow.  A difference
+    that overflows (no projection has such entries) raises NotFinite.
     ``eigvalsh`` works matrix by matrix, so the distance equals the largest
     |eigenvalue| over every fiber bit for bit.
     """
     first._check_same_shape(second)
-    diffs = {}
-    for m, p in first.blocks.items():
-        diff = p - second.blocks[m]
-        diffs[m] = (diff + _adjoint(diff)) / 2.0
-    e = _common_exponent(diffs.values())
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = {m: _hermitian(p - second.blocks[m]) for m, p in first.blocks.items()}
+    for d in diffs.values():
+        _require_finite(d, "projection differences")
+    _, scaled = _common_scale(diffs)
     # Squared column norms, taken at the common scale 2^-e.
-    columns = {m: (abs(_ldexp(d, -e)) ** 2).sum(axis=-2) for m, d in diffs.items()}
+    columns = {m: (abs(d) ** 2).sum(axis=-2) for m, d in scaled.items()}
     floor = np.max([c.max() for c in columns.values()])
-    if not floor < np.inf:  # an overflowed difference: no fiber can be ruled out
-        floor = -np.inf
     worst = 0.0
     for m, d in diffs.items():
         # The margin 1e-8 on the squared norms is far above their ~m * eps
         # error and that of eigvalsh, so the computed eigenvalues of a
         # dropped fiber stay below those of the fiber with the largest
-        # column.  When every difference is zero no fiber is kept; a NaN
-        # norm is kept.
-        keep = ~(columns[m].sum(axis=-1) <= floor * (1.0 - 1e-8))
+        # column.  When every difference is zero no fiber is kept.
+        keep = columns[m].sum(axis=-1) > floor * (1.0 - 1e-8)
         if keep.any():
             worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh(d[keep])))))
-    if worst >= 1.0 - SNAP_TO_ONE:
-        return 1.0
-    return max(worst, 0.0)
+    return 1.0 if worst >= 1.0 - SNAP_TO_ONE else worst
 
 
 def angle(first: Submodule, second: Submodule) -> float:
@@ -267,17 +262,15 @@ def randomly_rotated(
         fibers = slice(start, start + shape.fiber_count)
         start += shape.fiber_count
         planes, thetas = shape.gather(all_planes[fibers]), shape.gather(all_thetas[fibers])
-        blocks = dict(sub.blocks)
-        for m in blocks.keys() - {1}:
+        givens = {}
+        for m in shape.groups.keys() - {1}:
             i, j = planes[m].T
             cos, sin = np.cos(thetas[m]), np.sin(thetas[m])
             # complex, as the product would cast it; the products are unchanged
-            giv = np.tile(np.eye(m, dtype=complex), (len(cos), 1, 1))
+            givens[m] = giv = np.tile(np.eye(m, dtype=complex), (len(cos), 1, 1))
             rows = np.arange(len(cos))
             giv[rows, i, i] = giv[rows, j, j] = cos
             giv[rows, i, j] = -sin
             giv[rows, j, i] = sin
-            rotated = giv @ blocks[m] @ np.swapaxes(giv, -1, -2)
-            blocks[m] = (rotated + _adjoint(rotated)) / 2.0
-        moved.append(Submodule(shape, blocks))
+        moved.append(_conjugated(sub, givens))
     return moved

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import COMPLEX, QUATERNION, AlgebraElement, alg_norm
-from .errors import CstarFusionError, InvalidMap, ParseError, ValidationError
+from .errors import CstarFusionError, ParseError, ValidationError
 from .frame import WeightedFrame, WeightSequence, assemble_block_frame, block_multiplier_check
 from .frame import ReconstructionResult, TightnessResult, cone_add, frame_bounds, reconstruct
 from .frame import tightness
@@ -33,7 +33,7 @@ from .oracle import flatten_vector, random_unit_vector
 from .perturbation import PerturbReport, perturbation_check, randomly_rotated
 from .submodule import Submodule, _fiber_flags, block_submodule, span_submodule
 from .submodule import validate_projection
-from .tolerance import MULTIPLIER_ATOL, ORACLE_SLACK
+from .tolerance import ORACLE_SLACK
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,13 +185,16 @@ def _per_fiber(convert, fibers: list, path: str, ndim: int, what: str):
 
 @contextmanager
 def _library_errors_at(path: str):
-    """Report an error the library raises inside the block at ``path``."""
+    """Report an error the library raises inside the block at ``path``,
+    followed by the error's ``key`` and ``[fiber]`` where it carries them."""
     try:
         yield
     except ValidationError:
         raise
     except (CstarFusionError, ValueError) as exc:
-        _fail(path, str(exc))
+        key, fiber = getattr(exc, "key", None), getattr(exc, "fiber", None)
+        at = path + ("" if key is None else f".{key}") + ("" if fiber is None else f"[{fiber}]")
+        _fail(at, str(exc))
 
 
 def _build_shape(raw: dict) -> ModuleShape:
@@ -272,12 +275,8 @@ def _build_map(name: str, spec: dict, shape: ModuleShape) -> OrthoMap:
         else:
             what = "expected a unit quaternion [w, x, y, z]"
             rotations = _per_fiber(_reals, rotations, f"{path}.rotations", 2, what)
-    with _library_errors_at(f"{path}.rotations"):  # a rotation fiber of the wrong shape
-        try:
-            return OrthoMap(shape, scales, rotations)
-        except InvalidMap as exc:
-            index = "" if exc.fiber is None else f"[{exc.fiber}]"
-            _fail(f"{path}.{exc.key}{index}", str(exc))
+    with _library_errors_at(path):
+        return OrthoMap(shape, scales, rotations)
 
 
 # -- commands ------------------------------------------------------------------
@@ -323,10 +322,7 @@ def _cmd_multiplier(scenario: Scenario, cmd: dict, rng) -> dict:
     agrees = result.member == bounds.is_frame
     if result.member and bounds.is_frame:
         constant = result.tight_constant.real_parts()
-        agrees = bool(
-            np.allclose(constant, bounds.lower.real_parts(), atol=MULTIPLIER_ATOL)
-            and np.allclose(constant, bounds.upper.real_parts(), atol=MULTIPLIER_ATOL)
-        )
+        agrees = all(np.array_equal(constant, b.real_parts()) for b in (bounds.lower, bounds.upper))
     return {
         "member": result.member, "tight_constant": result.tight_constant, "note": result.note,
         "assembled_scalar_lower": bounds.scalar_lower,

@@ -12,10 +12,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import COMPLEX, _require_finite
+from .algebra import COMPLEX, _frexp_exponent, _ldexp, _require_finite
 from .errors import IndexOutOfRange, QuaternionUnsupported, ShapeMismatch
-from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint
-from .hilbert_module import _apply_fibers, _frexp_exponent, _ldexp
+from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint, _apply_fibers
+from .hilbert_module import _hermitian
 from .tolerance import MGS_DROP, PROJECTION_TOL
 
 
@@ -46,7 +46,8 @@ def _padded(sets, idx, m: int) -> np.ndarray:
         for r, v in enumerate(sets[k]):
             v = np.asarray(v, dtype=complex).reshape(-1)
             if v.shape[0] != m:
-                raise ShapeMismatch(f"span vector has length {v.shape[0]}, expected {m}")
+                message = f"fiber {k} span vector has length {v.shape[0]}, expected {m}"
+                raise ShapeMismatch(message, fiber=k)
             out[j, r] = v
     return out
 
@@ -120,6 +121,13 @@ def project(sub: Submodule, x: ModuleVector) -> ModuleVector:
 def complement(sub: Submodule) -> Submodule:
     """The orthogonal complement; per fiber the projection I - P."""
     return Submodule(sub.shape, {m: np.eye(m) - p for m, p in sub.blocks.items()})
+
+
+def _conjugated(sub: Submodule, unitaries: dict[int, np.ndarray]) -> Submodule:
+    """``sub`` with its fibers of each dimension m in ``unitaries`` moved to
+    the Hermitian part of U P U^H, U the (count, m, m) stack unitaries[m]."""
+    moved = {m: _hermitian(u @ sub.blocks[m] @ _adjoint(u)) for m, u in unitaries.items()}
+    return Submodule(sub.shape, {**sub.blocks, **moved})
 
 
 def validate_projection(sub: Submodule, tol: float = PROJECTION_TOL) -> bool:

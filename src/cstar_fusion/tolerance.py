@@ -3,7 +3,8 @@
 This is README's "Numerical conventions" as code.  Only three tolerances
 are settable: ``tol`` of ``positivity_class`` and ``order_leq`` (default
 ORDER_TOL * max(1, |a|)) and of ``validate_projection`` (default
-PROJECTION_TOL).  Every other check uses its constant here.
+PROJECTION_TOL).  Every other check uses its constant here; ``multiplier``
+compares its closed-form constant with the assembled bounds exactly.
 """
 
 ORDER_TOL = 1e-12  # positivity, order and centrality tests, times max(1, |a|)
@@ -16,5 +17,4 @@ SNAP_TO_ONE = 1e-13  # projection distances this close to 1 snap to 1
 DENSE_CAP = 2048  # the largest flattened dimension the dense oracle builds
 HERMITIAN_TOL = 1e-10  # the oracle's check: ||m - m^H||_2 <= this * max(1, ||m||_2)
 ORACLE_SLACK = 1e-10  # oracle agreement with the fast path, times max(1, scalar upper bound)
-MULTIPLIER_ATOL = 1e-10  # closed-form multiplier constant vs the assembled frame's bounds
 SAMPLE_REDRAW = 1e-8  # the oracle redraws a sampled vector whose module norm is at most this

@@ -22,6 +22,7 @@ from cstar_fusion import (
     QUATERNION,
     ModuleShape,
     ModuleVector,
+    NotFinite,
     OrthoMap,
     Submodule,
     WeightSequence,
@@ -416,12 +417,22 @@ class TestDistanceGate:
         seen.clear()
         assert proj_distance(first, first) == 0.0
         assert seen == []
-        # Entries of 1e308 are no projection, but their difference overflows
-        # to inf: the gate proves nothing then, and every fiber is decomposed.
+        # Entries of 1e308 are no projection, and their difference overflows:
+        # the distance is refused before any fiber is decomposed.
         huge = Submodule(shape, [np.full((2, 2), 1e308), rank_one(2, 0.0), np.ones((1, 1))])
-        with np.errstate(all="ignore"):
+        with pytest.raises(NotFinite, match="projection differences must be finite"):
             proj_distance(huge, Submodule(shape, [-f for f in huge.fibers]))
-        assert [len(a) for a in seen] == [1, 2]
+        assert seen == []
+
+    def test_wide_fibers(self):
+        # From m = 64 on numpy lays the Hermitian part of a difference out
+        # transposed, and the exact scaling used to refuse that layout.
+        rng = np.random.default_rng(71)
+        shape = ModuleShape(COMPLEX, (3, 70, 128))
+        u, v = (random_span_submodule(rng, shape) for _ in range(2))
+        assert proj_distance(u, v) == ref_proj_distance(u, v)
+        (w,) = randomly_rotated([u], 0.05, rng)
+        assert proj_distance(u, w) == ref_proj_distance(u, w)
 
     @settings(max_examples=100, deadline=None)
     @given(

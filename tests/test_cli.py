@@ -448,7 +448,7 @@ class TestValidation:
 
     def test_span_length_mismatch_keeps_its_message(self):
         span = [np.ones((1, 2, 2)).tolist()] * 2
-        with pytest.raises(ValidationError, match=r"submodules\.s\.span: span vector has length 2, expected 3"):
+        with pytest.raises(ValidationError, match=r"submodules\.s\.span\[0\]: fiber 0 span vector has length 2, expected 3"):
             build_scenario(self.span_doc(span, [3, 3]))
 
     def test_parse_error_carries_location(self, tmp_path):

@@ -1,0 +1,72 @@
+"""Each per-fiber rule of the library has one definition, which every other
+site calls: exact 2^-e scaling, the Hermitian part, unitary conjugation of
+a submodule and the order of the fibers in their dimension groups."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cstar_fusion"
+
+
+def _sites(match) -> set[tuple[str, str]]:
+    """(file, innermost enclosing function) of every syntax node of the
+    library that ``match`` accepts; "<module>" outside any function."""
+    found = set()
+
+    def visit(node, where, name):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if match(node):
+            found.add((name, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, name)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "<module>", path.name)
+    return found
+
+
+def _calls_named(names):
+    """Attributes or bare names such as ``np.frexp`` or ``frexp``."""
+    def match(node):
+        return (isinstance(node, ast.Attribute) and node.attr in names) or (
+            isinstance(node, ast.Name) and node.id in names
+        )
+    return match
+
+
+def _source_like(pattern: str):
+    """Expressions whose source text matches ``pattern`` in full."""
+    regex = re.compile(pattern)
+    return lambda node: isinstance(node, ast.BinOp) and regex.fullmatch(ast.unparse(node))
+
+
+RULES = {
+    "power-of-two scaling": (
+        _calls_named({"frexp", "ldexp"}),
+        {("algebra.py", "_frexp_exponent"), ("algebra.py", "_ldexp")},
+    ),
+    "hermitian part": (
+        _source_like(r"\((.+) \+ _adjoint\(\1\)\) / 2(\.0)?|\(_adjoint\((.+)\) \+ \3\) / 2(\.0)?"),
+        {("hilbert_module.py", "_hermitian")},
+    ),
+    "unitary conjugation": (
+        _source_like(r"(.+) @ .+ @ (_adjoint|np\.swapaxes)\(\1\b.*"),
+        {("submodule.py", "_conjugated")},
+    ),
+    "fiber order": (_calls_named({"argsort"}), {("hilbert_module.py", "fiber_order")}),
+}
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_each_rule_has_one_definition(rule):
+    match, definition = RULES[rule]
+    assert _sites(match) == definition
+
+
+def test_the_multiplier_agreement_has_no_tolerance():
+    for path in sorted(SRC.glob("*.py")):
+        assert "MULTIPLIER_ATOL" not in path.read_text(encoding="utf-8"), path.name

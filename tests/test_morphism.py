@@ -247,6 +247,17 @@ class TestTransport:
         moved = transport_frame(mapping, frame)
         assert [w.fibers.tolist() for w in moved.weights] == products
 
+    def test_quaternion_selectors_come_back_unchanged(self):
+        # A unit quaternion acts on a quaternion line from the right and
+        # leaves each of its two submodules, 0 and the line, where it is.
+        rng = np.random.default_rng(56)
+        for _ in range(10):
+            frame = random_quaternion_frame(rng)
+            moved = transport_frame(random_ortho_map(rng, frame.shape), frame)
+            for new, old in zip(moved.submodules, frame.submodules):
+                assert new.blocks.keys() == {1}
+                assert new.blocks[1].tobytes() == old.blocks[1].tobytes()
+
     def test_requires_frame(self):
         broken = assemble_block_frame(COMPLEX, [[1]], [[1, 1]])
         with pytest.raises(NotAFrame):

@@ -1,5 +1,7 @@
 """Tests for projection distances, angles, ecarts and perturbation verdicts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from cstar_fusion import (
     ModuleShape,
     ModuleVector,
     NotAFrame,
+    NotFinite,
     ShapeMismatch,
     Submodule,
     WeightSequence,
@@ -107,6 +110,25 @@ class TestDistance:
         other = block_submodule(ModuleShape(COMPLEX, (1, 1)), {1})
         with pytest.raises(ShapeMismatch):
             proj_distance(line(plane, [1, 0]), other)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ([np.full((2, 2), 1e308), [[1.0]]], [np.full((2, 2), -1e308), [[1.0]]]),
+            ([[[0, 1e308], [-1e308, 0]], [[0.5]]], [[[0, -1e308], [1e308, 0]], [[0.0]]]),
+            ([np.eye(2), [[1e308]]], [np.zeros((2, 2)), [[-1e308]]]),
+        ],
+        ids=["inf-block", "nan-block", "inf-line"],
+    )
+    def test_an_overflowed_difference_is_refused(self, first, second):
+        # No projection has such entries.  The answer used to be 0.0, 0.5
+        # and 1.0, depending on which fiber overflowed, with numpy warnings.
+        shape = ModuleShape(COMPLEX, (2, 1))
+        first, second = Submodule(shape, first), Submodule(shape, second)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotFinite, match="projection differences must be finite"):
+                proj_distance(first, second)
 
 
 class TestAngle:

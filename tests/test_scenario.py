@@ -100,18 +100,32 @@ class TestSubmodules:
         _rejected(doc, f"submodules.u.{form}", "expected 2 fibers")
 
     @pytest.mark.parametrize(
-        "form, entries, message",
+        "form, entries, fiber, message",
         [
-            ("blocks", [1, 3], "fiber index 3 outside 1..2"),
+            ("blocks", [1, 3], "", "fiber index 3 outside 1..2"),
             ("span", [[[[1, 0], [0, 0], [0, 0]]], [[[1, 0], [0, 0]]]],
-             "span vector has length 3, expected 2"),
+             "[0]", "fiber 0 span vector has length 3, expected 2"),
             ("projection", [np.stack([np.eye(3), np.zeros((3, 3))], -1).tolist(), IDENTITY],
-             "fiber 0 has shape (3, 3), expected (2, 2)"),
+             "[0]", "fiber 0 has shape (3, 3), expected (2, 2)"),
         ],
         ids=["blocks-index", "span-vector-length", "projection-fiber-shape"],
     )
-    def test_a_library_error_names_its_form(self, form, entries, message):
-        _rejected(_doc(submodules={"u": {form: entries}}), f"submodules.u.{form}", message)
+    def test_a_library_error_names_its_form(self, form, entries, fiber, message):
+        _rejected(_doc(submodules={"u": {form: entries}}), f"submodules.u.{form}{fiber}", message)
+
+    @pytest.mark.parametrize(
+        "form, entries, message",
+        [
+            ("span", [[[[1, 0]]], [[[1, 0], [0, 0], [0, 0]]]],
+             "fiber 1 span vector has length 3, expected 2"),
+            ("projection", [[[[1, 0]]], np.stack([np.eye(3), np.zeros((3, 3))], -1).tolist()],
+             "fiber 1 has shape (3, 3), expected (2, 2)"),
+        ],
+        ids=["span", "projection"],
+    )
+    def test_a_fiber_of_another_shape_fails_at_its_index(self, form, entries, message):
+        doc = _doc(ModuleShape(COMPLEX, (1, 2)), submodules={"u": {form: entries}})
+        _rejected(doc, f"submodules.u.{form}[1]", message)
 
 
 class TestValues:
@@ -162,7 +176,11 @@ class TestMaps:
     def test_a_rotation_of_another_shape_fails_at_the_rotations(self):
         wide = np.stack([np.eye(3), np.zeros((3, 3))], -1).tolist()
         doc = _doc(maps={"m": {"rotations": [IDENTITY, wide]}})
-        _rejected(doc, "maps.m.rotations", "fiber 1 has shape (3, 3), expected (2, 2)")
+        _rejected(doc, "maps.m.rotations[1]", "fiber 1 has shape (3, 3), expected (2, 2)")
+        doc = _doc(ModuleShape(COMPLEX, (1, 2)), maps={"m": {"rotations": [[[[1, 0]]], wide]}})
+        _rejected(doc, "maps.m.rotations[1]", "fiber 1 has shape (3, 3), expected (2, 2)")
+        doc = _doc(QUAT, maps={"m": {"rotations": [[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]}})
+        _rejected(doc, "maps.m.rotations[1]", "fiber 1 has shape (3,), expected (4,)")
 
     def test_a_quaternion_map_without_rotations_turns_nothing(self):
         mapping = build_scenario(_doc(QUAT, maps={"m": {"scales": [2.0, 3.0]}})).maps["m"]
