@@ -18,7 +18,9 @@ embeds the resolved scenario configuration.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
+import threading
 from dataclasses import fields, is_dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -247,7 +249,42 @@ def _unwritable(exc: OSError) -> int:
     return 2
 
 
+# The collector's setting is one per process, so the count of runs in progress
+# is too: the first run in pauses the collector, the last run out restores
+# the setting the first one found.
+_RUNS_LOCK = threading.Lock()
+_runs_active = 0
+_collector_was_enabled = False
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run the command line; returns the exit status.
+
+    The cyclic garbage collector is paused for the run.  A run's data (the
+    parsed scenario, the report and its text) holds no reference cycle, so
+    reference counting frees all of it when ``_main`` returns, before the
+    collector resumes.  Left on, the collector would traverse the tens of
+    thousands of JSON lists of a large scenario over and over while they
+    are read, echoed and written, and never find one to free.  Overlapping
+    calls from several threads share one pause, and the caller's setting
+    is restored when the last of them returns.
+    """
+    global _runs_active, _collector_was_enabled
+    with _RUNS_LOCK:
+        if _runs_active == 0:
+            _collector_was_enabled = gc.isenabled()
+            gc.disable()
+        _runs_active += 1
+    try:
+        return _main(argv)
+    finally:
+        with _RUNS_LOCK:
+            _runs_active -= 1
+            if _runs_active == 0 and _collector_was_enabled:
+                gc.enable()
+
+
+def _main(argv: list[str] | None) -> int:
     parser = argparse.ArgumentParser(prog="cstar-fusion", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -31,6 +31,7 @@ from cstar_fusion import (
     frame_bounds,
     inner_product,
     left_action,
+    perturbation_check,
     proj_distance,
     project,
     randomly_rotated,
@@ -38,6 +39,7 @@ from cstar_fusion import (
     span_submodule,
     synthesis,
     synthesis_adjoint,
+    tightness,
     transport_frame,
     validate_projection,
 )
@@ -449,3 +451,87 @@ class TestDistanceGate:
         else:
             (v,) = randomly_rotated([u], max_angle, rng)
         assert proj_distance(u, v) == ref_proj_distance(u, v)
+
+
+# -- the whole pipeline on wide fibers ------------------------------------------
+
+
+def ref_span_qr(vectors):
+    """The projection onto the span of linearly independent rows, from
+    numpy's QR."""
+    q, _ = np.linalg.qr(np.asarray(vectors).T)
+    return q @ q.conj().T
+
+
+@pytest.mark.parametrize("dims", [(128,) * 4, (3, 70, 128)], ids=["4x128", "3-70-128"])
+def test_every_layer_on_wide_fibers(dims):
+    """Each layer the bench's ``wide_fibers`` op runs, once, at its full
+    size and at mixed wide dimensions.  From m = 64 on numpy lays some
+    intermediate arrays out transposed, which the tiny sizes never reach."""
+    rng = np.random.default_rng(72)
+    shape = ModuleShape(COMPLEX, dims)
+    count = 4
+    ranks = [-(-m // count) for m in dims]  # the submodules together span each fiber
+    spans = [
+        [rng.standard_normal((r, m)) + 1j * rng.standard_normal((r, m)) for r, m in zip(ranks, dims)]
+        for _ in range(count)
+    ]
+    subs = [span_submodule(shape, sets) for sets in spans]
+    for sub, sets in zip(subs, spans):
+        assert_fibers_close(sub.fibers, [ref_span_qr(v) for v in sets])
+
+    w = rng.uniform(0.5, 2.0, (count, len(dims)))
+    frame = WeightedFrame(subs, WeightSequence.from_matrix(COMPLEX, w))
+    ref = ref_operator(frame)
+    lam = [np.linalg.eigvalsh(s) for s in ref]
+    scale = max(e[-1] for e in lam)
+    assert_fibers_close(frame.operator_fibers.fibers, ref, scale)
+
+    bounds = frame_bounds(frame)
+    np.testing.assert_allclose(bounds.per_fiber, [(e[0], e[-1]) for e in lam],
+                               rtol=0, atol=TOL * max(1.0, scale))
+    assert bounds.is_frame
+    assert not tightness(frame).tight
+
+    x = random_vector(rng, shape)
+    rec = reconstruct(frame, x)
+    x_norm = max(np.linalg.norm(f) for f in x.fibers)
+    assert rec.rel_error <= 1e-8
+    for got, want, f in zip(rec.vector.fibers, ref_reconstruct(frame, x), x.fibers):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-8 * x_norm)
+        np.testing.assert_allclose(got, f, rtol=0, atol=1e-8 * x_norm)
+
+    ys = synthesis(frame, x)
+    for n, (y, sub) in enumerate(zip(ys, frame.submodules)):
+        want = [w[n, k] * (p @ f) for k, (p, f) in enumerate(zip(sub.fibers, x.fibers))]
+        assert_fibers_close(y.fibers, want, x_norm * w.max())
+    back = synthesis_adjoint(frame, ys)
+    assert_fibers_close(back.fibers, [s @ f for s, f in zip(ref, x.fibers)], scale * x_norm)
+
+    mapping = random_ortho_map(rng, shape)
+    assert_fibers_close(
+        mapping.apply(x).fibers,
+        [c * (u @ f) for c, u, f in zip(mapping.scales, mapping.rotations, x.fibers)],
+        x_norm * max(mapping.scales),
+    )
+    moved = transport_frame(mapping, frame)
+    for old, new in zip(frame.submodules, moved.submodules):
+        want = []
+        for u, p in zip(mapping.rotations, old.fibers):
+            r = u @ p @ u.conj().T
+            want.append((r + r.conj().T) / 2.0)
+        assert_fibers_close(new.fibers, want)
+
+    ours, theirs = np.random.default_rng(73), np.random.default_rng(73)
+    rotated = randomly_rotated(frame.submodules, 0.05, ours)
+    for got, want in zip(rotated, ref_rotated(frame.submodules, 0.05, theirs), strict=True):
+        assert_fibers_close(got.fibers, want)
+
+    report = perturbation_check(frame, rotated)
+    dists = [ref_proj_distance(u, v) for u, v in zip(frame.submodules, rotated)]
+    assert report.distances == tuple(dists)
+    q = w.max(axis=1) ** 2
+    assert report.ecart == pytest.approx(np.sqrt(np.sum(q * np.square(dists))), rel=1e-14)
+    assert report.threshold == pytest.approx(np.sqrt(min(e[0] for e in lam)), rel=1e-12)
+    if report.guaranteed:
+        assert report.perturbed_is_frame

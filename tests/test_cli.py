@@ -1,12 +1,16 @@
 """End-to-end tests for the scenario runner."""
 
 import contextlib
+import gc
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cstar_fusion
-from cstar_fusion import COMPLEX, ModuleShape, ModuleVector, ParseError, ValidationError, span_submodule
+from cstar_fusion import (
+    COMPLEX, ModuleShape, ModuleVector, ParseError, ValidationError, cli, span_submodule,
+)
 from cstar_fusion.cli import EXAMPLE_SCENARIOS, dump_json, main, run_scenario, write_examples
 from cstar_fusion.scenario import build_scenario, load_scenario
 
+ROOT = Path(__file__).resolve().parents[1]
 BLOCK_SCENARIO = {
     "seed": 5,
     "algebra": {"kind": "complex", "fibers": 3},
@@ -35,6 +42,15 @@ BLOCK_SCENARIO = {
         {"run": "cone", "frame": "f", "weights": "twos"},
         {"run": "verify-oracle", "frame": "f", "samples": 50},
     ],
+}
+
+# One fiber uncovered: tightness refuses, and the run exits 1.
+FAILING_COMMAND = {
+    "algebra": {"kind": "complex", "fibers": 2},
+    "submodules": {"u": {"blocks": [1]}},
+    "weights": {"w": [[1, 1]]},
+    "frames": {"f": {"submodules": ["u"], "weights": "w"}},
+    "commands": [{"run": "tightness", "frame": "f"}],
 }
 
 
@@ -299,14 +315,7 @@ class TestRunScenario:
         assert not report["results"][0]["output"]["is_frame"]
 
     def test_command_error_sets_flag(self):
-        doc = {
-            "algebra": {"kind": "complex", "fibers": 2},
-            "submodules": {"u": {"blocks": [1]}},
-            "weights": {"w": [[1, 1]]},
-            "frames": {"f": {"submodules": ["u"], "weights": "w"}},
-            "commands": [{"run": "tightness", "frame": "f"}],
-        }
-        report, ok = run_scenario(build_scenario(doc))
+        report, ok = run_scenario(build_scenario(FAILING_COMMAND))
         assert not ok
         assert report["results"][0]["error"]["type"] == "NotAFrame"
 
@@ -980,3 +989,122 @@ def test_a_map_without_rotations_is_validated_once(monkeypatch):
     scenario = build_scenario(EXAMPLE_SCENARIOS["perturbation_demo.json"])
     assert scenario.maps and "rotations" not in scenario.raw["maps"]["stretch"]
     assert len(checked) == len(scenario.maps)
+
+
+# -- the paused collector -------------------------------------------------------
+
+@contextlib.contextmanager
+def collector(enabled: bool):
+    """The cyclic collector switched on or off for the block, then restored."""
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+def _bench_complex_scenario(monkeypatch) -> dict:
+    """The complex scenario of the ``cli_scenarios`` benchmark at its full
+    size: about 20k JSON lists."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    sizes = workloads.SIZES["cli_scenarios"]["full"]["complex_"]
+    return workloads.complex_scenario(np.random.default_rng([7, 0]), 7, **sizes)
+
+
+class YieldingCollector:
+    """The ``gc`` module, letting other threads run before each call: it
+    widens the windows in which a lost update of the shared pause shows."""
+
+    def __getattr__(self, name):
+        function = getattr(gc, name)
+
+        def call(*args):
+            time.sleep(0)
+            return function(*args)
+
+        return call
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic collector for the run.  That is free only
+    because a run leaves no reference cycle behind but the argument parser's
+    few, whatever the size of the scenario; and the caller must get its own
+    setting back."""
+
+    @pytest.mark.parametrize("case", ["bench-complex", *EXAMPLE_SCENARIOS, "exit-1", "exit-2"])
+    def test_a_run_leaves_almost_no_cyclic_garbage(self, tmp_path, monkeypatch, case):
+        if case == "bench-complex":
+            doc, status = _bench_complex_scenario(monkeypatch), 0
+        elif case == "exit-1":
+            doc, status = FAILING_COMMAND, 1
+        elif case == "exit-2":
+            doc, status = dict(BLOCK_SCENARIO, weights={"ones": "nope"}), 2
+        else:
+            doc, status = EXAMPLE_SCENARIOS[case], 0
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "report.json"
+        with collector(True), contextlib.redirect_stderr(io.StringIO()):
+            gc.collect()
+            assert main(["run", str(path), "--out", str(out)]) == status
+            assert gc.collect() < 500
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("case", ["exit-0", "exit-1", "exit-2", "unwritable-out", "usage"])
+    def test_the_callers_setting_is_restored(self, tmp_path, enabled, case):
+        good = write_scenario(tmp_path, BLOCK_SCENARIO, "good.json")
+        argv, status = {
+            "exit-0": (["run", good, "--out", tmp_path / "r.json"], 0),
+            "exit-1": (["run", write_scenario(tmp_path, FAILING_COMMAND, "bad.json")], 1),
+            "exit-2": (["run", tmp_path / "missing.json"], 2),
+            "unwritable-out": (["run", good, "--out", tmp_path], 2),
+            "usage": (["run"], None),  # argparse exits by SystemExit(2)
+        }[case]
+        with collector(enabled), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            if status is None:
+                with pytest.raises(SystemExit):
+                    main([str(a) for a in argv])
+            else:
+                assert main([str(a) for a in argv]) == status
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_overlapping_runs_share_one_pause(self, tmp_path, monkeypatch, enabled):
+        tiny = dict(BLOCK_SCENARIO, commands=[{"run": "bounds", "frame": "f"}])
+        path = write_scenario(tmp_path, tiny)
+        statuses = []
+        collecting = []  # the collector's state as each run starts its commands
+        real = cli.run_scenario
+
+        def spy(*args, **kwargs):
+            collecting.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_scenario", spy)
+        monkeypatch.setattr(cli, "gc", YieldingCollector())
+
+        start = threading.Barrier(8, timeout=60)  # each round starts from no active run
+
+        def runs(worker: int) -> None:
+            out = tmp_path / f"report-{worker}.json"
+            for _ in range(10):
+                start.wait()
+                statuses.append(main(["run", str(path), "--out", str(out)]))
+
+        threads = [threading.Thread(target=runs, args=(w,)) for w in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with collector(enabled):
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                assert gc.isenabled() is enabled
+        finally:
+            sys.setswitchinterval(interval)
+        assert statuses == [0] * 80
+        assert collecting == [False] * 80

@@ -1,10 +1,14 @@
-"""Smoke test of tools/report_digests.py."""
+"""Smoke tests of tools/report_digests.py and tools/bench_pairs.py."""
 
 import hashlib
+import importlib.util
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,11 +40,52 @@ def test_bench_pairs_runs_one_tiny_pair_against_itself(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[1].startswith("# pair 1: parent first")
-    rows = {line.split()[0]: line.split() for line in lines[3:] if not line.startswith("#")}
+    assert lines[2].split()[-2:] == ["change_won", "verdict"]
+    rows = {line.split()[0]: line.split(maxsplit=6) for line in lines[3:] if not line.startswith("#")}
     for name in ("ops_per_s", "op_tail_ms", "setup_s", "peak_rss_mb"):
-        parent, change, iqr, won = rows[name][2:]
+        parent, change, iqr, won, verdict = rows[name][2:]
         assert float(parent) > 0 and float(change) > 0
         assert float(iqr) == 0.0  # one run per side
         assert won in ("0/1", "1/1")
+        # One pair never shows a gain; with no spread, nothing is unresolved.
+        assert verdict in ("too few pairs", "worse", "same")
+        assert verdict == "too few pairs" if won == "1/1" else verdict in ("worse", "same")
     assert "  parent failed 0 of" in done.stdout
     assert "  change failed 0 of" in done.stdout
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+PARENT = list(range(100, 110))  # median 104.5, IQR 4.5: 4.3 % of the median
+
+
+@pytest.mark.parametrize(
+    "better, parent, change, expected",
+    [
+        # 9 of 10 pairs won, medians 9 apart
+        ("higher", PARENT, [110, 111, 112, 113, 114, 115, 116, 117, 118, 50], "gain"),
+        ("lower", PARENT, [90, 91, 92, 93, 94, 95, 96, 97, 98, 150], "gain"),
+        # 9 of 9 won: one pair short
+        ("higher", PARENT[:9], range(110, 119), "too few pairs"),
+        # 10 of 10 won, but by less than the parent's IQR
+        ("higher", PARENT, range(101, 111), "same"),
+        # 8 of 10 won
+        ("higher", PARENT, [110, 111, 112, 113, 114, 115, 116, 117, 50, 50], "same"),
+        # the median 30 % worse, beyond the bound of 25 %
+        ("higher", [100] * 10, [70] * 10, "worse"),
+        ("lower", [100] * 10, [130] * 10, "worse"),
+        # a parent IQR of 40 % of its median, and the runs overlap
+        ("higher", [60, 80, 100, 120, 140] * 2, [70, 90, 110, 130, 150] * 2, "unresolved"),
+        # an IQR of 100 %, but every change run beats every parent run
+        ("higher", [0, 10, 10, 10, 40, 40, 50, 50, 50, 50], [51] * 10, "same"),
+    ],
+)
+def test_bench_pairs_verdict(better, parent, change, expected):
+    spec = {"better": better, "bound": 0.25}
+    old, new = np.array(parent, dtype=float), np.array(change, dtype=float)
+    assert _bench_pairs().verdict(spec, old, new) == expected

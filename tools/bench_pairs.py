@@ -7,10 +7,21 @@ checkout that holds this file, each from the root of its own checkout, so
 each side imports its own ``src/``.  The side that goes first alternates
 from pair to pair.  For every end-to-end metric that ``BENCHMARK.json``
 lists, the script prints both sides' medians, the interquartile range of
-the parent's runs, and in how many pairs the change read better (ties
-count for neither side), then each side's failed and attempted ops.  It
-gates nothing: the exit code is 0 when every run completed, 1 when one did
-not.
+the parent's runs, in how many pairs the change read better (ties count
+for neither side) and a verdict, then each side's failed and attempted ops.
+The verdict, from the metric's direction and bound in ``BENCHMARK.json``:
+
+- ``gain``: at least MIN_PAIRS pairs, the change won at least 9 in 10 of
+  them, and its median is better than the parent's by more than the
+  parent's IQR; ``too few pairs`` when only the pair count falls short;
+- ``worse``: the change's median is worse than the parent's by more than
+  the bound (a fraction of the parent's median);
+- ``unresolved``: the parent's IQR is wider than the bound (as a fraction
+  of its median), and not every change run beat every parent run;
+- ``same`` otherwise.
+
+It gates nothing: the exit code is 0 when every run completed, 1 when one
+did not.
 """
 
 from __future__ import annotations
@@ -38,10 +49,30 @@ def run_once(checkout: Path, args) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+MIN_PAIRS = 10  # fewest pairs from which a gain is claimed
+
+
+def verdict(spec: dict, old: np.ndarray, new: np.ndarray) -> str:
+    """``gain``, ``too few pairs``, ``worse``, ``unresolved`` or ``same`` for
+    one metric's paired runs (see the module docstring)."""
+    sign = 1.0 if spec["better"] == "higher" else -1.0
+    old, new = sign * old, sign * new  # higher is better from here on
+    q1, q3 = np.percentile(old, [25, 75])
+    median_old, median_new = np.median(old), np.median(new)
+    won = int(np.sum(new > old))
+    if 10 * won >= 9 * len(old) and median_new - median_old > q3 - q1:
+        return "gain" if len(old) >= MIN_PAIRS else "too few pairs"
+    if median_old - median_new > spec["bound"] * abs(median_old):
+        return "worse"
+    if q3 - q1 > spec["bound"] * abs(median_old) and not new.min() > old.max():
+        return "unresolved"
+    return "same"
+
+
 def summarize(metrics, parent: list[dict], change: list[dict]) -> list[str]:
     """One line per end-to-end metric, then the ops each side failed."""
     lines = [f"# {'metric':<12} {'unit':<5} {'parent':>10} {'change':>10} "
-             f"{'parent_iqr':>10}  change_won"]
+             f"{'parent_iqr':>10}  change_won  verdict"]
     for spec in metrics:
         name = spec["name"]
         old = np.array([run["metrics"][name]["value"] for run in parent])
@@ -50,7 +81,8 @@ def summarize(metrics, parent: list[dict], change: list[dict]) -> list[str]:
         sign = 1.0 if spec["better"] == "higher" else -1.0
         won = int(np.sum(sign * (new - old) > 0))
         lines.append(f"  {name:<12} {spec['unit']:<5} {np.median(old):>10.4g} "
-                     f"{np.median(new):>10.4g} {q3 - q1:>10.4g}  {won}/{len(old)}")
+                     f"{np.median(new):>10.4g} {q3 - q1:>10.4g}  "
+                     f"{f'{won}/{len(old)}':<10}  {verdict(spec, old, new)}")
     for side, runs in (("parent", parent), ("change", change)):
         failed = sum(run["failed"] for run in runs)
         attempted = sum(run["attempted"] for run in runs)
