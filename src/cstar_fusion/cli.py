@@ -18,6 +18,7 @@ embeds the resolved scenario configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import sys
 import threading
@@ -284,7 +285,10 @@ def main(argv: list[str] | None = None) -> int:
                 gc.enable()
 
 
-def _main(argv: list[str] | None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on first use and kept: building it
+    costs more than a short run and leaves reference cycles behind."""
     parser = argparse.ArgumentParser(prog="cstar-fusion", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -296,8 +300,11 @@ def _main(argv: list[str] | None) -> int:
 
     examples_parser = sub.add_parser("examples", help="write the bundled example scenarios")
     examples_parser.add_argument("--dir", type=Path, default=Path("."))
+    return parser
 
-    args = parser.parse_args(argv)
+
+def _main(argv: list[str] | None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.subcommand == "examples":
         try:

@@ -78,7 +78,10 @@ class WeightSequence:
 
     def q_weights(self) -> list[float]:
         """The squared algebra norms of the weights, used to weight ecarts."""
-        return [w**2 for w in self.matrix.max(axis=1).tolist()]
+        try:
+            return [w**2 for w in self.matrix.max(axis=1).tolist()]
+        except OverflowError:
+            raise InvalidWeight("squared weight norms must be finite") from None
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -98,25 +101,42 @@ def _assemble_operator(
     shape: ModuleShape, submodules: Sequence[Submodule], wmatrix: np.ndarray
 ) -> FrameOperatorFibers:
     """S = sum_n w_n^2 P_n, summed submodule by submodule over whole blocks
-    (no stacked copy of all projections is made)."""
-    squares = shape.gather((wmatrix**2).T)
-    blocks = {}
-    for m, w2 in squares.items():
-        acc = sum(w2[:, n, None, None] * sub.blocks[m] for n, sub in enumerate(submodules))
-        blocks[m] = _hermitian(acc)
+    (no stacked copy of all projections is made); an overflow raises InvalidWeight."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = shape.gather((wmatrix**2).T)
+        blocks = {}
+        for m, w2 in squares.items():
+            acc = sum(w2[:, n, None, None] * sub.blocks[m] for n, sub in enumerate(submodules))
+            blocks[m] = _hermitian(acc)
+    if not all(np.isfinite(b).all() for b in blocks.values()):
+        raise InvalidWeight("the frame operator overflows: the weights are too large")
     return FrameOperatorFibers(shape, blocks)
+
+
+@dataclass(frozen=True, slots=True)
+class FrameBounds:
+    """Optimal algebra bounds plus the scalar constants they induce."""
+
+    is_frame: bool
+    lower: AlgebraElement
+    upper: AlgebraElement
+    scalar_lower: float
+    scalar_upper: float
+    per_fiber: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class WeightedFrame:
-    """Submodules with weights; the frame operator and its per-fiber
-    spectral extremes are computed at construction."""
+    """Submodules with weights; the frame operator and its optimal bounds are
+    decided once, at construction.  The family is a frame when the smallest
+    per-fiber eigenvalue exceeds FRAME_TOL times the largest, free of the
+    weights' unit.  An operator that overflows is refused (InvalidWeight)."""
 
     submodules: tuple[Submodule, ...]
     weights: WeightSequence
     shape: ModuleShape = field(init=False)
     operator_fibers: FrameOperatorFibers = field(init=False, repr=False)
-    _extremes: np.ndarray = field(init=False, repr=False)
+    _bounds: FrameBounds = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         submodules = tuple(self.submodules)
@@ -137,11 +157,22 @@ class WeightedFrame:
         operator = _assemble_operator(shape, submodules, self.weights.matrix)
         eigvals = {m: np.linalg.eigvalsh(s) for m, s in operator.blocks.items()}
         extremes = shape.scatter({m: lam[:, [0, -1]] for m, lam in eigvals.items()})
-        extremes.setflags(write=False)
+        if not np.isfinite(extremes).all():
+            raise InvalidWeight("the frame operator's eigenvalues overflow")
+        lam_min, lam_max = extremes.T
+        c, d = float(np.min(lam_min)), float(np.max(lam_max))
+        bounds = FrameBounds(
+            is_frame=bool(c > FRAME_TOL * d),
+            lower=AlgebraElement.from_real(np.sqrt(np.clip(lam_min, 0.0, None)), shape.kind),
+            upper=AlgebraElement.from_real(np.sqrt(np.clip(lam_max, 0.0, None)), shape.kind),
+            scalar_lower=max(c, 0.0),
+            scalar_upper=d,
+            per_fiber=tuple(map(tuple, extremes.tolist())),
+        )
         object.__setattr__(self, "submodules", submodules)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "operator_fibers", operator)
-        object.__setattr__(self, "_extremes", extremes)
+        object.__setattr__(self, "_bounds", bounds)
 
     def __len__(self) -> int:
         return len(self.submodules)
@@ -191,18 +222,6 @@ def seq_inner(ys: ModuleSequence, zs: ModuleSequence) -> AlgebraElement:
 
 
 @dataclass(frozen=True, slots=True)
-class FrameBounds:
-    """Optimal algebra bounds plus the scalar constants they induce."""
-
-    is_frame: bool
-    lower: AlgebraElement
-    upper: AlgebraElement
-    scalar_lower: float
-    scalar_upper: float
-    per_fiber: tuple[tuple[float, float], ...]
-
-
-@dataclass(frozen=True, slots=True)
 class TightnessResult:
     tight: bool
     constant: AlgebraElement | None
@@ -229,26 +248,8 @@ def frame_operator(frame: WeightedFrame) -> FrameOperatorFibers:
 
 def frame_bounds(frame: WeightedFrame) -> FrameBounds:
     """Optimal bounds from the per-fiber spectral extremes of the frame
-    operator.
-
-    The family is reported as a frame when the smallest per-fiber eigenvalue
-    exceeds FRAME_TOL times the largest, so the verdict does not depend on
-    the unit of the weights.
-    """
-    lam_min, lam_max = frame._extremes.T
-    c = float(np.min(lam_min))
-    d = float(np.max(lam_max))
-    kind = frame.shape.kind
-    lower = AlgebraElement.from_real(np.sqrt(np.clip(lam_min, 0.0, None)), kind)
-    upper = AlgebraElement.from_real(np.sqrt(np.clip(lam_max, 0.0, None)), kind)
-    return FrameBounds(
-        is_frame=bool(c > FRAME_TOL * d),
-        lower=lower,
-        upper=upper,
-        scalar_lower=max(c, 0.0),
-        scalar_upper=d,
-        per_fiber=tuple(map(tuple, frame._extremes.tolist())),
-    )
+    operator, decided when the frame was built (see ``WeightedFrame``)."""
+    return frame._bounds
 
 
 def synthesis(frame: WeightedFrame, x: ModuleVector) -> ModuleSequence:
@@ -309,7 +310,7 @@ def tightness(frame: WeightedFrame) -> TightnessResult:
     bounds = frame_bounds(frame)
     if not bounds.is_frame:
         raise NotAFrame("tightness is only defined for frames")
-    lo, hi = frame._extremes.T
+    lo, hi = np.array(bounds.per_fiber).T
     if not np.all(hi - lo <= TIGHT_TOL * hi):
         return TightnessResult(tight=False, constant=None, parseval=False)
     levels = np.sqrt((lo + hi) / 2.0)
@@ -373,5 +374,6 @@ def cone_scale(frame: WeightedFrame, factor: float) -> WeightedFrame:
         raise NotAFrame("input is not a frame")
     if factor <= 0:
         raise ValueError("rescaling factor must be positive")
-    scaled = WeightSequence(frame.weights.kind, frame.weights.matrix * factor)
-    return WeightedFrame(frame.submodules, scaled)
+    with np.errstate(over="ignore"):  # an overflowed weight is refused as not finite
+        scaled = frame.weights.matrix * factor
+    return WeightedFrame(frame.submodules, WeightSequence(frame.weights.kind, scaled))

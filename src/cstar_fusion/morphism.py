@@ -112,5 +112,6 @@ def transport_frame(mapping: OrthoMap, frame: WeightedFrame) -> WeightedFrame:
         raise NotAFrame("transport requires a frame")
     unitaries = mapping.blocks if frame.shape.kind == COMPLEX else {}
     new_subs = [_conjugated(sub, unitaries) for sub in frame.submodules]
-    new_weights = WeightSequence(frame.shape.kind, frame.weights.matrix * mapping.scales)
-    return WeightedFrame(new_subs, new_weights)
+    with np.errstate(over="ignore"):  # an overflowed weight is refused as not finite
+        new_weights = frame.weights.matrix * mapping.scales
+    return WeightedFrame(new_subs, WeightSequence(frame.shape.kind, new_weights))

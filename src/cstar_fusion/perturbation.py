@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import _require_finite, alg_norm
+from .algebra import _frexp_exponent, _ldexp, _require_finite, alg_norm
 from .errors import LengthMismatch, NotAFrame
 from .frame import WeightedFrame, frame_bounds
 from .hilbert_module import _common_scale, _hermitian
@@ -151,8 +151,10 @@ def _evaluate_criteria(
             raise ValueError("the exponent p must lie in (1, inf)")
         power = 2.0 * p / (p - 1.0)
         crit3_lhs = float(np.sum(angles**power))
-        q_norm = float(np.sum(q_weights**p) ** (1.0 / p))
-        crit3_rhs = float((threshold**2 / q_norm) ** (p / (p - 1.0)))
+        # q and threshold^2 at one exact scale 2^-e, so q^p does not overflow.
+        e = _frexp_exponent(q_weights)
+        q_norm = float(np.sum(_ldexp(q_weights, -e) ** p) ** (1.0 / p))
+        crit3_rhs = float((_ldexp(np.float64(threshold**2), -e) / q_norm) ** (p / (p - 1.0)))
         crit3 = bool(crit3_lhs < crit3_rhs)
     return CriteriaResult(
         crit1=bool(crit1_lhs < crit1_rhs),

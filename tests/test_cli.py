@@ -1,5 +1,6 @@
 """End-to-end tests for the scenario runner."""
 
+import argparse
 import contextlib
 import gc
 import importlib
@@ -664,6 +665,27 @@ class TestMainEntry:
         assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
         assert not done.stdout
 
+    @pytest.mark.parametrize("kind", ["complex", "quaternion"])
+    def test_a_frame_whose_operator_overflows_exit_code(self, tmp_path, kind):
+        # Built with numpy warnings on stderr, then every command errored.
+        doc = {
+            "algebra": {"kind": kind, "fibers": 1},
+            "submodules": {"u": {"blocks": [1]}},
+            "weights": {"w": [[1e200]]},
+            "frames": {"f": {"submodules": ["u"], "weights": "w"}},
+            "commands": [{"run": "bounds", "frame": "f"}, {"run": "tightness", "frame": "f"}],
+        }
+        env = dict(os.environ, PYTHONPATH=str(Path(cstar_fusion.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "cstar_fusion.cli", "run", str(write_scenario(tmp_path, doc))],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: frames.f: ")
+        assert done.stderr.count("\n") == 1
+        assert "Warning" not in done.stderr and "Traceback" not in done.stderr
+        assert not done.stdout
+
     def test_lone_surrogate_rotation_name_runs(self, tmp_path):
         # Seeding the rotation from the name's crc raised UnicodeEncodeError.
         doc = json.loads(json.dumps(EXAMPLE_SCENARIOS["perturbation_demo.json"]))
@@ -1029,9 +1051,9 @@ class YieldingCollector:
 
 class TestCollectorPause:
     """``main`` pauses the cyclic collector for the run.  That is free only
-    because a run leaves no reference cycle behind but the argument parser's
-    few, whatever the size of the scenario; and the caller must get its own
-    setting back."""
+    because a run leaves no reference cycle behind, whatever the size of the
+    scenario (the argument parser, which holds cycles, is built once); and
+    the caller must get its own setting back."""
 
     @pytest.mark.parametrize("case", ["bench-complex", *EXAMPLE_SCENARIOS, "exit-1", "exit-2"])
     def test_a_run_leaves_almost_no_cyclic_garbage(self, tmp_path, monkeypatch, case):
@@ -1049,6 +1071,32 @@ class TestCollectorPause:
             gc.collect()
             assert main(["run", str(path), "--out", str(out)]) == status
             assert gc.collect() < 500
+
+    def test_a_warm_run_leaves_no_cyclic_garbage(self, tmp_path):
+        path = write_scenario(tmp_path, EXAMPLE_SCENARIOS["block_tight.json"])
+        argv = ["run", str(path), "--out", str(tmp_path / "report.json")]
+        with collector(True):
+            assert main(argv) == 0  # warm-up: the first run builds the parser
+            gc.collect()
+            assert main(argv) == 0
+            assert gc.collect() == 0
+
+    def test_the_argument_parser_is_built_at_most_once(self, tmp_path, monkeypatch):
+        built = []  # the top-level parsers; a subparser's prog is "cstar-fusion run" and so on
+        real = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            if kwargs.get("prog") == "cstar-fusion":
+                built.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        path = write_scenario(tmp_path, BLOCK_SCENARIO)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["run", str(path), "--only", "bounds"]) == 0
+            assert main(["run", str(path), "--only", "nope"]) == 2
+            assert main(["examples", "--dir", str(tmp_path / "examples")]) == 0
+        assert len(built) <= 1
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("case", ["exit-0", "exit-1", "exit-2", "unwritable-out", "usage"])

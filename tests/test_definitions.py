@@ -1,6 +1,7 @@
 """Each per-fiber rule of the library has one definition, which every other
 site calls: exact 2^-e scaling, the Hermitian part, unitary conjugation of
-a submodule and the order of the fibers in their dimension groups."""
+a submodule and the order of the fibers in their dimension groups.  A
+frame's bounds and verdict are decided in one place, its constructor."""
 
 import ast
 import re
@@ -13,19 +14,22 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "cstar_fusion"
 
 def _sites(match) -> set[tuple[str, str]]:
     """(file, innermost enclosing function) of every syntax node of the
-    library that ``match`` accepts; "<module>" outside any function."""
+    library that ``match`` accepts; "<module>" outside any function, and a
+    method named with its class, as in "WeightedFrame.__post_init__"."""
     found = set()
 
-    def visit(node, where, name):
+    def visit(node, where, cls, name):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
+            where, cls = (node.name if cls is None else f"{cls}.{node.name}"), None
+        elif isinstance(node, ast.ClassDef):
+            cls = node.name
         if match(node):
             found.add((name, where))
         for child in ast.iter_child_nodes(node):
-            visit(child, where, name)
+            visit(child, where, cls, name)
 
     for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), "<module>", path.name)
+        visit(ast.parse(path.read_text(encoding="utf-8")), "<module>", None, path.name)
     return found
 
 
@@ -57,7 +61,15 @@ RULES = {
         _source_like(r"(.+) @ .+ @ (_adjoint|np\.swapaxes)\(\1\b.*"),
         {("submodule.py", "_conjugated")},
     ),
-    "fiber order": (_calls_named({"argsort"}), {("hilbert_module.py", "fiber_order")}),
+    "fiber order": (_calls_named({"argsort"}), {("hilbert_module.py", "ModuleShape.fiber_order")}),
+    "frame bounds": (
+        lambda node: isinstance(node, ast.Call) and _calls_named({"FrameBounds"})(node.func),
+        {("frame.py", "WeightedFrame.__post_init__")},
+    ),
+    "frame verdict": (
+        _calls_named({"FRAME_TOL"}),
+        {("frame.py", "WeightedFrame.__post_init__"), ("tolerance.py", "<module>")},
+    ),
 }
 
 
@@ -70,3 +82,8 @@ def test_each_rule_has_one_definition(rule):
 def test_the_multiplier_agreement_has_no_tolerance():
     for path in sorted(SRC.glob("*.py")):
         assert "MULTIPLIER_ATOL" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_a_frame_keeps_its_bounds_not_its_extremes():
+    for path in sorted(SRC.glob("*.py")):
+        assert "_extremes" not in path.read_text(encoding="utf-8"), path.name

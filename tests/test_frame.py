@@ -134,6 +134,11 @@ class TestWeightSequence:
             WeightedFrame([block_submodule(shape, {1})], [AlgebraElement.complexes([1])])
 
     @pytest.mark.parametrize("kind", [COMPLEX, QUATERNION])
+    def test_q_weights_that_overflow_are_refused(self, kind):
+        with pytest.raises(InvalidWeight, match="squared weight norms must be finite"):
+            WeightSequence(kind, [[1e200]]).q_weights()
+
+    @pytest.mark.parametrize("kind", [COMPLEX, QUATERNION])
     def test_q_weights_are_the_squared_algebra_norms(self, kind):
         ws = WeightSequence(kind, np.random.default_rng(3).uniform(1e-6, 1e6, (50, 7)))
         assert ws.q_weights() == [alg_norm(w) ** 2 for w in ws]
@@ -213,6 +218,26 @@ class TestFrameBounds:
         # lambda_max = 1e-6: a frame iff lambda_min > FRAME_TOL * 1e-6
         assert frame_bounds(coordinate_lines(1e-7, 1e-3)).is_frame
         assert not frame_bounds(coordinate_lines(1e-9, 1e-3)).is_frame
+
+    def test_bounds_are_decided_once(self, three_subspace_frame):
+        assert frame_bounds(three_subspace_frame) is frame_bounds(three_subspace_frame)
+
+    @pytest.mark.parametrize("kind", [COMPLEX, QUATERNION])
+    def test_an_operator_that_overflows_is_refused(self, kind):
+        # w^2 = 1e320 overflows; at w = 1e150 one submodule still answers.
+        with pytest.raises(InvalidWeight, match="frame operator overflows"):
+            assemble_block_frame(kind, [[1]], [[1e160]])
+        bounds = frame_bounds(assemble_block_frame(kind, [[1]], [[1e150]]))
+        assert bounds.is_frame and bounds.scalar_upper == pytest.approx(1e300, rel=1e-15)
+
+    def test_eigenvalues_that_overflow_are_refused(self):
+        # Three copies of the line (1, 1, 1)/sqrt(3): every entry of S is
+        # w^2 = 8e307, but its eigenvalue 3 w^2 lies beyond the float range.
+        shape = ModuleShape(COMPLEX, (3,))
+        line = span_submodule(shape, [[np.ones(3)]])
+        weights = WeightSequence.from_matrix(COMPLEX, [[np.sqrt(8e307)]] * 3)
+        with pytest.raises(InvalidWeight, match="eigenvalues overflow"):
+            WeightedFrame([line] * 3, weights)
 
     def test_frame_inequality_with_optimal_bounds(self):
         rng = np.random.default_rng(42)
@@ -554,6 +579,13 @@ class TestCone:
         np.testing.assert_allclose(
             bounds.upper.real_parts(), 0.5 * original.upper.real_parts(), atol=1e-12
         )
+
+    @pytest.mark.parametrize("factor", [1e250, 1e100])
+    def test_a_scale_that_overflows_is_refused(self, factor):
+        # 1e350 overflows the weight itself, 1e200 the frame operator.
+        frame = assemble_block_frame(COMPLEX, [[1]], [[1e100]])
+        with pytest.raises(InvalidWeight):
+            cone_scale(frame, factor)
 
     def test_rejects_non_frames(self, parseval_frame):
         broken = assemble_block_frame(COMPLEX, [[1]], [[1, 1]])

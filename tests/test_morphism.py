@@ -7,6 +7,7 @@ from cstar_fusion import (
     COMPLEX,
     QUATERNION,
     AlgebraElement,
+    InvalidWeight,
     ModuleShape,
     ModuleVector,
     NotAFrame,
@@ -26,6 +27,7 @@ from cstar_fusion import (
     WeightSequence,
     WeightedFrame,
 )
+from cstar_fusion.morphism import identity_rotations
 from cstar_fusion.scenario import build_scenario
 from helpers import (
     pairs,
@@ -181,6 +183,15 @@ class TestTransport:
         for new, old in zip(moved.submodules, three_subspace_frame.submodules):
             np.testing.assert_allclose(new.fibers[0], old.fibers[0], atol=1e-14)
         np.testing.assert_allclose(moved.weights.matrix, three_subspace_frame.weights.matrix)
+
+    @pytest.mark.parametrize("kind", [COMPLEX, QUATERNION])
+    @pytest.mark.parametrize("scale", [1e250, 1e100])
+    def test_a_scale_that_overflows_is_refused(self, kind, scale):
+        # 1e350 overflows the weight itself, 1e200 the frame operator.
+        frame = assemble_block_frame(kind, [[1]], [[1e100]])
+        mapping = OrthoMap(frame.shape, [scale], identity_rotations(frame.shape))
+        with pytest.raises(InvalidWeight):
+            transport_frame(mapping, frame)
 
     def test_scaled_parseval_becomes_tight(self, plane):
         parseval = WeightedFrame(

@@ -317,6 +317,25 @@ class TestAngleCriteria:
                 if verdict:
                     assert report.guaranteed
 
+    @pytest.mark.parametrize("w", [1e80, 1e150])
+    def test_third_criterion_at_large_weights(self, w):
+        # q^p overflowed: crit3 read false, with a right side of 0.
+        frame = assemble_block_frame(COMPLEX, [[1]], [[w]])
+        result = angle_criteria(frame, list(frame.submodules), p=2.0)
+        assert result.crit3 and result.crit3_rhs == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_third_criterion_does_not_depend_on_the_weights_unit(self, three_subspace_frame, p):
+        moved = rotate_all(three_subspace_frame, 0.3)
+        want = angle_criteria(three_subspace_frame, moved, p=p)
+        for k in (-30, -7, 7, 100, 250, 500):
+            weights = np.ldexp(three_subspace_frame.weights.matrix, k)
+            scaled = WeightedFrame(three_subspace_frame.submodules,
+                                   WeightSequence.from_matrix(COMPLEX, weights))
+            got = angle_criteria(scaled, moved, p=p)
+            assert got.crit3 == want.crit3
+            assert got.crit3_rhs == pytest.approx(want.crit3_rhs, rel=1e-14)
+
     def test_p_validation(self, three_subspace_frame):
         with pytest.raises(ValueError):
             angle_criteria(three_subspace_frame, list(three_subspace_frame.submodules), p=1.0)

@@ -39,13 +39,19 @@ def test_bench_pairs_runs_one_tiny_pair_against_itself(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[1].startswith("# pair 1: parent first")
-    assert lines[2].split()[-2:] == ["change_won", "verdict"]
-    rows = {line.split()[0]: line.split(maxsplit=6) for line in lines[3:] if not line.startswith("#")}
-    for name in ("ops_per_s", "op_tail_ms", "setup_s", "peak_rss_mb"):
-        parent, change, iqr, won, verdict = rows[name][2:]
+    assert lines[1].startswith("# pair 1: parent first; parent / change: ")
+    assert lines[2].split()[-4:] == ["parent_iqr", "change_iqr", "change_won", "verdict"]
+    rows = {line.split()[0]: line.split(maxsplit=7) for line in lines[3:] if not line.startswith("#")}
+    names = ("ops_per_s", "op_tail_ms", "setup_s", "peak_rss_mb")
+    # The pair's line names every metric with both sides' values.
+    pair = {name: (old, new) for name, old, new in
+            re.findall(r"(\w+) (\S+) / (\S+?)(?:,|$)", lines[1].split(": ", 2)[2])}
+    assert set(pair) == set(names)
+    assert all(float(old) > 0 and float(new) > 0 for old, new in pair.values())
+    for name in names:
+        parent, change, parent_iqr, change_iqr, won, verdict = rows[name][2:]
         assert float(parent) > 0 and float(change) > 0
-        assert float(iqr) == 0.0  # one run per side
+        assert float(parent_iqr) == float(change_iqr) == 0.0  # one run per side
         assert won in ("0/1", "1/1")
         # One pair never shows a gain; with no spread, nothing is unresolved.
         assert verdict in ("too few pairs", "worse", "same")

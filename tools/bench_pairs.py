@@ -7,8 +7,9 @@ checkout that holds this file, each from the root of its own checkout, so
 each side imports its own ``src/``.  The side that goes first alternates
 from pair to pair.  For every end-to-end metric that ``BENCHMARK.json``
 lists, the script prints both sides' medians, the interquartile range of
-the parent's runs, in how many pairs the change read better (ties count
+each side's runs, in how many pairs the change read better (ties count
 for neither side) and a verdict, then each side's failed and attempted ops.
+After each pair it prints every such metric of both sides.
 The verdict, from the metric's direction and bound in ``BENCHMARK.json``:
 
 - ``gain``: at least MIN_PAIRS pairs, the change won at least 9 in 10 of
@@ -72,16 +73,16 @@ def verdict(spec: dict, old: np.ndarray, new: np.ndarray) -> str:
 def summarize(metrics, parent: list[dict], change: list[dict]) -> list[str]:
     """One line per end-to-end metric, then the ops each side failed."""
     lines = [f"# {'metric':<12} {'unit':<5} {'parent':>10} {'change':>10} "
-             f"{'parent_iqr':>10}  change_won  verdict"]
+             f"{'parent_iqr':>10} {'change_iqr':>10}  change_won  verdict"]
     for spec in metrics:
         name = spec["name"]
         old = np.array([run["metrics"][name]["value"] for run in parent])
         new = np.array([run["metrics"][name]["value"] for run in change])
-        q1, q3 = np.percentile(old, [25, 75])
+        (q1, q3), (r1, r3) = np.percentile(old, [25, 75]), np.percentile(new, [25, 75])
         sign = 1.0 if spec["better"] == "higher" else -1.0
         won = int(np.sum(sign * (new - old) > 0))
         lines.append(f"  {name:<12} {spec['unit']:<5} {np.median(old):>10.4g} "
-                     f"{np.median(new):>10.4g} {q3 - q1:>10.4g}  "
+                     f"{np.median(new):>10.4g} {q3 - q1:>10.4g} {r3 - r1:>10.4g}  "
                      f"{f'{won}/{len(old)}':<10}  {verdict(spec, old, new)}")
     for side, runs in (("parent", parent), ("change", change)):
         failed = sum(run["failed"] for run in runs)
@@ -111,10 +112,12 @@ def main(argv=None) -> int:
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
                 runs[side].append(run_once(sides[side], args))
-            first = metrics[0]["name"]
-            print(f"# pair {pair + 1}: {order[0]} first; {first} parent "
-                  f"{runs['parent'][-1]['metrics'][first]['value']:.4g}, change "
-                  f"{runs['change'][-1]['metrics'][first]['value']:.4g}", flush=True)
+            values = ", ".join(
+                f"{spec['name']} {runs['parent'][-1]['metrics'][spec['name']]['value']:.4g}"
+                f" / {runs['change'][-1]['metrics'][spec['name']]['value']:.4g}"
+                for spec in metrics
+            )
+            print(f"# pair {pair + 1}: {order[0]} first; parent / change: {values}", flush=True)
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 1
