@@ -66,10 +66,6 @@ def _ldexp(a: np.ndarray, e) -> np.ndarray:
     return np.ldexp(np.require(a, requirements="C").view(float), e).view(a.dtype)
 
 
-def _quat_abs(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(a * a, axis=-1))
-
-
 class PositivityClass(IntEnum):
     """Nested positivity classes, finest last."""
 
@@ -143,9 +139,11 @@ class AlgebraElement:
         return int(self.fibers.shape[0])
 
     def fiber_moduli(self) -> np.ndarray:
+        """|a_k| per fiber; a quaternion's at its exact scale 2^-e, so no square overflows."""
         if self.kind == COMPLEX:
             return np.abs(self.fibers)
-        return _quat_abs(self.fibers)
+        e = _frexp_exponent(self.fibers, 1)
+        return _ldexp(np.sqrt(np.sum(_ldexp(self.fibers, -e[:, None]) ** 2, axis=1)), e)
 
     def real_parts(self) -> np.ndarray:
         if self.kind == COMPLEX:

@@ -114,8 +114,15 @@ def _assemble_operator(
 
 
 @dataclass(frozen=True, slots=True)
+class TightnessResult:
+    tight: bool
+    constant: AlgebraElement | None
+    parseval: bool
+
+
+@dataclass(frozen=True, slots=True)
 class FrameBounds:
-    """Optimal algebra bounds plus the scalar constants they induce."""
+    """Optimal algebra bounds, the scalar constants they induce and the tightness they decide."""
 
     is_frame: bool
     lower: AlgebraElement
@@ -123,14 +130,16 @@ class FrameBounds:
     scalar_lower: float
     scalar_upper: float
     per_fiber: tuple[tuple[float, float], ...]
+    tightness: TightnessResult
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class WeightedFrame:
-    """Submodules with weights; the frame operator and its optimal bounds are
-    decided once, at construction.  The family is a frame when the smallest
-    per-fiber eigenvalue exceeds FRAME_TOL times the largest, free of the
-    weights' unit.  An operator that overflows is refused (InvalidWeight)."""
+    """Submodules with weights; the frame operator, its optimal bounds and
+    tightness are decided once, at construction.  The family is a frame when
+    each fiber's smallest eigenvalue exceeds FRAME_TOL times its largest, and
+    tight when each fiber's spread is at most TIGHT_TOL times its largest.  An
+    operator that overflows is refused (InvalidWeight)."""
 
     submodules: tuple[Submodule, ...]
     weights: WeightSequence
@@ -160,14 +169,20 @@ class WeightedFrame:
         if not np.isfinite(extremes).all():
             raise InvalidWeight("the frame operator's eigenvalues overflow")
         lam_min, lam_max = extremes.T
-        c, d = float(np.min(lam_min)), float(np.max(lam_max))
+        is_frame = bool(np.all(lam_min > FRAME_TOL * lam_max))
+        tight = TightnessResult(tight=False, constant=None, parseval=False)
+        if is_frame and np.all(lam_max - lam_min <= TIGHT_TOL * lam_max):
+            levels = np.sqrt((lam_min + lam_max) / 2.0)
+            parseval = bool(np.max(np.abs(levels - 1.0)) <= TIGHT_TOL)
+            tight = TightnessResult(True, AlgebraElement.from_real(levels, shape.kind), parseval)
         bounds = FrameBounds(
-            is_frame=bool(c > FRAME_TOL * d),
+            is_frame=is_frame,
             lower=AlgebraElement.from_real(np.sqrt(np.clip(lam_min, 0.0, None)), shape.kind),
             upper=AlgebraElement.from_real(np.sqrt(np.clip(lam_max, 0.0, None)), shape.kind),
-            scalar_lower=max(c, 0.0),
-            scalar_upper=d,
+            scalar_lower=max(float(np.min(lam_min)), 0.0),
+            scalar_upper=float(np.max(lam_max)),
             per_fiber=tuple(map(tuple, extremes.tolist())),
+            tightness=tight,
         )
         object.__setattr__(self, "submodules", submodules)
         object.__setattr__(self, "shape", shape)
@@ -219,13 +234,6 @@ def seq_inner(ys: ModuleSequence, zs: ModuleSequence) -> AlgebraElement:
     for y, z in zip(ys.entries[1:], zs.entries[1:]):
         acc = acc + inner_product(y, z)
     return acc
-
-
-@dataclass(frozen=True, slots=True)
-class TightnessResult:
-    tight: bool
-    constant: AlgebraElement | None
-    parseval: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,17 +314,11 @@ def reconstruct(frame: WeightedFrame, x: ModuleVector) -> ReconstructionResult:
 
 def tightness(frame: WeightedFrame) -> TightnessResult:
     """Whether every fiber of the frame operator is a scalar multiple of the
-    identity, and whether that scalar is 1 (Parseval)."""
+    identity, and whether that scalar is 1 (Parseval): decided with the bounds."""
     bounds = frame_bounds(frame)
     if not bounds.is_frame:
         raise NotAFrame("tightness is only defined for frames")
-    lo, hi = np.array(bounds.per_fiber).T
-    if not np.all(hi - lo <= TIGHT_TOL * hi):
-        return TightnessResult(tight=False, constant=None, parseval=False)
-    levels = np.sqrt((lo + hi) / 2.0)
-    constant = AlgebraElement.from_real(levels, frame.shape.kind)
-    parseval = bool(np.max(np.abs(levels - 1.0)) <= TIGHT_TOL)
-    return TightnessResult(tight=True, constant=constant, parseval=parseval)
+    return bounds.tightness
 
 
 def assemble_block_frame(

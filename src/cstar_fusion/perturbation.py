@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import _frexp_exponent, _ldexp, _require_finite, alg_norm
-from .errors import LengthMismatch, NotAFrame
+from .errors import InvalidWeight, LengthMismatch, NotAFrame
 from .frame import WeightedFrame, frame_bounds
 from .hilbert_module import _common_scale, _hermitian
 from .submodule import Submodule, _conjugated
@@ -75,7 +75,11 @@ def angle(first: Submodule, second: Submodule) -> float:
 
 
 def _root_sum_square(weights: np.ndarray, dists: Sequence[float]) -> float:
-    return float(np.sqrt(np.sum(weights * np.asarray(dists) ** 2)))
+    """sqrt(sum_n q_n d_n^2) at the exact scale 4^-k of its largest term (each
+    term is finite, as d_n <= 1), so the sum never overflows."""
+    terms = weights * np.asarray(dists) ** 2
+    k = (_frexp_exponent(terms) + 1) // 2
+    return float(_ldexp(np.sqrt(np.sum(_ldexp(terms, -2 * k))), k))
 
 
 def ecart(
@@ -140,7 +144,8 @@ def _evaluate_criteria(
     angles: np.ndarray, q_weights: np.ndarray, threshold: float, p: float | None
 ) -> CriteriaResult:
     wmax = float(np.sqrt(np.max(q_weights)))
-    crit1_lhs = float(np.sum(q_weights * angles**2))
+    with np.errstate(over="ignore"):  # an overflowed sum is refused by perturbation_check
+        crit1_lhs = float(np.sum(q_weights * angles**2))
     crit1_rhs = threshold**2
     crit2_lhs = float(np.sum(angles**2))
     crit2_rhs = (threshold / wmax) ** 2
@@ -188,7 +193,8 @@ def perturbation_check(
     the threshold, the smallest fiber of the optimal lower bound (ties are
     not guaranteed).  In that case the candidate frame is assembled and its
     verified scalar bounds are reported next to the predictions
-    (threshold - ecart)^2 and (upper-bound norm + ecart)^2.
+    (threshold - ecart)^2 and (upper-bound norm + ecart)^2.  When that upper
+    prediction or crit1's sum overflows, the check is refused (InvalidWeight).
     """
     bounds = frame_bounds(frame)
     if not bounds.is_frame:
@@ -203,6 +209,10 @@ def perturbation_check(
     guaranteed = bool(ecart_value < threshold)
     upper_norm = alg_norm(bounds.upper)
     criteria = _evaluate_criteria(np.asarray(angles), q_weights, threshold, p)
+    with np.errstate(over="ignore"):  # numpy's scalar power rounds as Python's (libm pow)
+        predicted_upper = float(np.float64(upper_norm + ecart_value) ** 2)
+    if not np.isfinite([criteria.crit1_lhs, predicted_upper]).all():
+        raise InvalidWeight("the perturbation bounds overflow: the weights are too large")
     perturbed_is_frame = perturbed_lower = perturbed_upper = None
     if guaranteed:
         moved_bounds = frame_bounds(WeightedFrame(candidates, frame.weights))
@@ -217,7 +227,7 @@ def perturbation_check(
         guaranteed=guaranteed,
         criteria=criteria,
         predicted_scalar_lower=max(threshold - ecart_value, 0.0) ** 2,
-        predicted_scalar_upper=(upper_norm + ecart_value) ** 2,
+        predicted_scalar_upper=predicted_upper,
         perturbed_is_frame=perturbed_is_frame,
         perturbed_scalar_lower=perturbed_lower,
         perturbed_scalar_upper=perturbed_upper,

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import COMPLEX, QUATERNION, AlgebraElement, alg_norm
+from .algebra import COMPLEX, QUATERNION, AlgebraElement
 from .errors import CstarFusionError, ParseError, ValidationError
 from .frame import WeightedFrame, WeightSequence, assemble_block_frame, block_multiplier_check
 from .frame import ReconstructionResult, TightnessResult, cone_add, frame_bounds, reconstruct
@@ -29,11 +29,10 @@ from .frame import tightness
 from .hilbert_module import ModuleShape, ModuleVector, inner_product
 from .morphism import OrthoMap, identity_rotations, transport_frame
 from .oracle import brute_force_frame_check, eigen_bounds, fiber_energies, flatten_frame_operator
-from .oracle import flatten_vector, random_unit_vector
+from .oracle import _agreement_slack, flatten_vector, random_unit_vector
 from .perturbation import PerturbReport, perturbation_check, randomly_rotated
 from .submodule import Submodule, _fiber_flags, block_submodule, span_submodule
 from .submodule import validate_projection
-from .tolerance import ORACLE_SLACK
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,9 +282,9 @@ def _build_map(name: str, spec: dict, shape: ModuleShape) -> OrthoMap:
 
 
 def _frame_report(frame: WeightedFrame) -> dict:
-    """Bounds and tightness; a family that is not a frame is not tight."""
+    """Bounds and tightness, as the frame decided them."""
     bounds = frame_bounds(frame)
-    tight = tightness(frame) if bounds.is_frame else TightnessResult(False, None, False)
+    tight = bounds.tightness
     return {
         "is_frame": bounds.is_frame, "lower_bound": bounds.lower, "upper_bound": bounds.upper,
         "scalar_lower": bounds.scalar_lower, "scalar_upper": bounds.scalar_upper,
@@ -359,16 +358,16 @@ def _cmd_perturb(scenario: Scenario, cmd: dict, rng) -> PerturbReport:
     return perturbation_check(frame, candidates, p=cmd.get("p", 2.0))
 
 
-def _fast_energy_matches(frame: WeightedFrame, operator, rng, slack: float) -> bool:
+def _fast_energy_matches(frame: WeightedFrame, operator, rng, slack: np.ndarray) -> bool:
     """Whether the fast path's energy <S x, x> (its cached operator fibers and
     the module inner product) equals the dense Rayleigh form in every fiber,
-    at one unit vector from ``rng``.  Equal extremes leave the rest of the
-    operator unchecked; this compares the whole of it."""
+    within its slack, at one unit vector from ``rng``.  Equal extremes leave
+    the rest of the operator unchecked; this compares the whole of it."""
     x = random_unit_vector(frame.shape, rng)
     fast = inner_product(frame.operator_fibers.apply(x), x)
     dense = fiber_energies(operator, frame.shape, flatten_vector(x)[None])[0]
     gap = fast - AlgebraElement.from_real(dense.real, frame.shape.kind)
-    return alg_norm(gap) <= slack and np.abs(dense.imag).max() <= slack
+    return bool(np.all(gap.fiber_moduli() <= slack) and np.all(np.abs(dense.imag) <= slack))
 
 
 def _cmd_verify_oracle(scenario: Scenario, cmd: dict, rng) -> dict:
@@ -377,12 +376,12 @@ def _cmd_verify_oracle(scenario: Scenario, cmd: dict, rng) -> dict:
     bounds = frame_bounds(frame)
     operator = flatten_frame_operator(frame)
     eig = eigen_bounds(operator)
-    slack = ORACLE_SLACK * max(1.0, bounds.scalar_upper)
-    sample_ok = brute_force_frame_check(frame, samples, bounds, rng, operator=operator)
+    slack = _agreement_slack(bounds)
+    sample_ok = brute_force_frame_check(frame, samples, rng, operator=operator)
     # The vector for the whole-operator comparison is drawn after the samples.
     matches = (
-        abs(eig["lambda_min"] - bounds.scalar_lower) <= slack
-        and abs(eig["lambda_max"] - bounds.scalar_upper) <= slack
+        abs(eig["lambda_min"] - bounds.scalar_lower) <= slack.max()
+        and abs(eig["lambda_max"] - bounds.scalar_upper) <= slack.max()
         and _fast_energy_matches(frame, operator, rng, slack)
     )
     return {

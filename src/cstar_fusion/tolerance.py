@@ -8,7 +8,7 @@ compares its closed-form constant with the assembled bounds exactly.
 """
 
 ORDER_TOL = 1e-12  # positivity, order and centrality tests, times max(1, |a|)
-FRAME_TOL = 1e-10  # a frame's smallest eigenvalue exceeds this times the largest
+FRAME_TOL = 1e-10  # a frame: each fiber's smallest eigenvalue exceeds this times its largest
 TIGHT_TOL = 1e-10  # tight: each fiber's spread <= this * its largest; Parseval: |level - 1|
 MGS_DROP = 1e-10  # Gram-Schmidt drops a remainder <= this * the fiber's largest input norm
 UNITARY_TOL = 1e-10  # a rotation U is unitary when ||U^H U - I||_2 <= this
@@ -16,5 +16,5 @@ PROJECTION_TOL = 1e-12  # a declared projection is Hermitian and idempotent with
 SNAP_TO_ONE = 1e-13  # projection distances this close to 1 snap to 1
 DENSE_CAP = 2048  # the largest flattened dimension the dense oracle builds
 HERMITIAN_TOL = 1e-10  # the oracle's check: ||m - m^H||_2 <= this * max(1, ||m||_2)
-ORACLE_SLACK = 1e-10  # oracle agreement with the fast path, times max(1, scalar upper bound)
+ORACLE_SLACK = 1e-10  # oracle agreement with the fast path, times each fiber's largest eigenvalue
 SAMPLE_REDRAW = 1e-8  # the oracle redraws a sampled vector whose module norm is at most this

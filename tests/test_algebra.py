@@ -113,6 +113,20 @@ class TestNormAndPositivity:
         single = quat(1, 2, 3, 4)
         assert alg_norm(single) == pytest.approx(np.sqrt(30), rel=1e-15)
 
+    def test_a_quaternion_norm_beyond_the_square_range_is_finite(self):
+        # Each square overflows; the complex modulus never did.
+        three, four = np.ldexp(3.0, 700), np.ldexp(4.0, 700)
+        assert alg_norm(quat(three, 0, four, 0)) == np.ldexp(5.0, 700)
+        assert alg_norm(AlgebraElement.complexes([three + 1j * four])) == np.ldexp(5.0, 700)
+
+    @given(st.lists(st.floats(min_value=-1e150, max_value=1e150), min_size=4, max_size=4))
+    def test_quaternion_moduli_keep_their_bits(self, parts):
+        # Where no square leaves the normal range, the unscaled formula's bits.
+        a = np.array([parts])
+        squares = a * a
+        if np.all((a == 0) | (squares >= np.finfo(float).tiny)):
+            assert quat(*parts).fiber_moduli()[0] == np.sqrt(np.sum(squares))
+
     def test_positivity_examples(self):
         assert positivity_class(AlgebraElement.complexes([1, 4, 9])) is PositivityClass.STRICTLY_POSITIVE
         assert positivity_class(AlgebraElement.complexes([0, 2])) is PositivityClass.POSITIVE

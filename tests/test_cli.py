@@ -686,6 +686,31 @@ class TestMainEntry:
         assert "Warning" not in done.stderr and "Traceback" not in done.stderr
         assert not done.stdout
 
+    def test_perturbation_bounds_that_overflow_are_an_error_record(self, tmp_path):
+        # Two orthogonal lines perturbed onto each other: (upper norm + ecart)^2
+        # raised a bare OverflowError, after numpy's overflow warning.
+        doc = {
+            "algebra": {"kind": "complex", "fibers": 1},
+            "module": {"dims": [2]},
+            "submodules": {"a": {"span": [[[[1, 0], [0, 0]]]]}, "b": {"span": [[[[0, 0], [1, 0]]]]}},
+            "weights": {"w": [[9e153], [9e153]]},
+            "frames": {"f": {"submodules": ["a", "b"], "weights": "w"}},
+            "perturbations": {"p": {"frame": "f", "candidates": ["b", "a"]}},
+            "commands": [{"run": "perturb", "perturbation": "p"}],
+        }
+        env = dict(os.environ, PYTHONPATH=str(Path(cstar_fusion.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "cstar_fusion.cli", "run",
+             str(write_scenario(tmp_path, doc))],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 1
+        assert not done.stderr
+        assert json.loads(done.stdout)["results"][0]["error"] == {
+            "type": "InvalidWeight",
+            "message": "the perturbation bounds overflow: the weights are too large",
+        }
+
     def test_lone_surrogate_rotation_name_runs(self, tmp_path):
         # Seeding the rotation from the name's crc raised UnicodeEncodeError.
         doc = json.loads(json.dumps(EXAMPLE_SCENARIOS["perturbation_demo.json"]))

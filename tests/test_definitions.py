@@ -1,13 +1,20 @@
 """Each per-fiber rule of the library has one definition, which every other
 site calls: exact 2^-e scaling, the Hermitian part, unitary conjugation of
 a submodule and the order of the fibers in their dimension groups.  A
-frame's bounds and verdict are decided in one place, its constructor."""
+frame's bounds, verdict and tightness are decided in one place, its
+constructor, and the oracle's agreement slack in one function."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from cstar_fusion import COMPLEX, assemble_block_frame, brute_force_frame_check, frame_bounds
+from cstar_fusion import scenario, tightness
+from helpers import random_complex_frame, random_quaternion_frame
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cstar_fusion"
 
@@ -67,8 +74,16 @@ RULES = {
         {("frame.py", "WeightedFrame.__post_init__")},
     ),
     "frame verdict": (
-        _calls_named({"FRAME_TOL"}),
+        _calls_named({"FRAME_TOL", "TIGHT_TOL"}),
         {("frame.py", "WeightedFrame.__post_init__"), ("tolerance.py", "<module>")},
+    ),
+    "tightness": (
+        lambda node: isinstance(node, ast.Call) and _calls_named({"TightnessResult"})(node.func),
+        {("frame.py", "WeightedFrame.__post_init__")},
+    ),
+    "agreement slack": (
+        _calls_named({"ORACLE_SLACK"}),
+        {("oracle.py", "_agreement_slack"), ("tolerance.py", "<module>")},
     ),
 }
 
@@ -87,3 +102,27 @@ def test_the_multiplier_agreement_has_no_tolerance():
 def test_a_frame_keeps_its_bounds_not_its_extremes():
     for path in sorted(SRC.glob("*.py")):
         assert "_extremes" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_the_oracle_checks_the_frames_own_bounds():
+    assert "bounds" not in inspect.signature(brute_force_frame_check).parameters
+
+
+def test_the_frame_report_reads_tightness_without_a_branch():
+    tree = ast.parse(inspect.getsource(scenario._frame_report))
+    assert not any(isinstance(node, (ast.If, ast.IfExp)) for node in ast.walk(tree))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_complex_frame(np.random.default_rng(90)),
+        lambda: random_quaternion_frame(np.random.default_rng(91)),
+        lambda: assemble_block_frame(COMPLEX, [[1, 2], [2]], [[1.0, 1.0], [1.0, 1.0]]),
+    ],
+    ids=["complex", "quaternion", "tight"],
+)
+def test_tightness_is_the_one_the_bounds_hold(make):
+    frame = make()
+    assert frame_bounds(frame).is_frame
+    assert frame_bounds(frame).tightness is tightness(frame)

@@ -15,6 +15,7 @@ from cstar_fusion import (
     ModuleVector,
     NotAFrame,
     ShapeMismatch,
+    TightnessResult,
     WeightSequence,
     WeightedFrame,
     alg_norm,
@@ -218,6 +219,24 @@ class TestFrameBounds:
         # lambda_max = 1e-6: a frame iff lambda_min > FRAME_TOL * 1e-6
         assert frame_bounds(coordinate_lines(1e-7, 1e-3)).is_frame
         assert not frame_bounds(coordinate_lines(1e-9, 1e-3)).is_frame
+
+    @pytest.mark.parametrize("kind", [COMPLEX, QUATERNION])
+    def test_the_verdict_is_taken_fiber_by_fiber(self, kind):
+        # S = 1 and S = 1e-12: each fiber exactly tight, 1e12 apart in scale.
+        frame = assemble_block_frame(kind, [[1, 2]], [[1.0, 1e-6]])
+        assert frame_bounds(frame).is_frame
+        result = tightness(frame)
+        assert result.tight and not result.parseval
+        np.testing.assert_allclose(result.constant.real_parts(), [1.0, 1e-6], rtol=1e-15)
+
+    def test_one_fiber_below_the_ratio_is_not_a_frame(self):
+        # Fiber 1 is tight; fiber 2's S = diag(1e-12, 1) is not bounded below.
+        shape = ModuleShape(COMPLEX, (1, 2))
+        subs = [span_submodule(shape, [[[1.0]], [row]]) for row in np.eye(2)]
+        weights = WeightSequence.from_matrix(COMPLEX, [[1.0, 1e-6], [1.0, 1.0]])
+        bounds = frame_bounds(WeightedFrame(subs, weights))
+        assert not bounds.is_frame
+        assert bounds.tightness == TightnessResult(tight=False, constant=None, parseval=False)
 
     def test_bounds_are_decided_once(self, three_subspace_frame):
         assert frame_bounds(three_subspace_frame) is frame_bounds(three_subspace_frame)
@@ -507,8 +526,7 @@ class TestMultiplier:
 
     @pytest.mark.parametrize("kind", [COMPLEX, QUATERNION])
     def test_constant_is_the_assembled_bounds_bit_for_bit(self, kind):
-        # Index sets with repeats, and weights over four decades (a wider spread
-        # puts lambda_min below FRAME_TOL * lambda_max, so no frame verdict).
+        # Index sets with repeats, and weights over four decades.
         rng = np.random.default_rng(50)
         for _ in range(300):
             n, count = int(rng.integers(1, 6)), int(rng.integers(1, 5))
@@ -524,6 +542,24 @@ class TestMultiplier:
                 constant = result.tight_constant.real_parts()
                 assert np.array_equal(constant, bounds.lower.real_parts())
                 assert np.array_equal(constant, bounds.upper.real_parts())
+
+    @pytest.mark.parametrize("kind", [COMPLEX, QUATERNION])
+    def test_membership_is_the_frame_verdict_at_any_spread(self, kind):
+        # Weights over ten decades: the frame verdict is taken fiber by fiber,
+        # and every S_k is a scalar, so each covered family is a frame.
+        rng = np.random.default_rng(52)
+        for _ in range(100):
+            n, count = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+            index_sets = [
+                rng.integers(1, n + 1, size=int(rng.integers(1, 2 * n + 1))).tolist()
+                for _ in range(count)
+            ]
+            weights = 10.0 ** rng.uniform(-5.0, 5.0, size=(count, n))
+            result = block_multiplier_check(index_sets, weights, kind)
+            bounds = frame_bounds(assemble_block_frame(kind, index_sets, weights))
+            assert result.member == bounds.is_frame
+            if result.member:
+                assert np.array_equal(result.tight_constant.real_parts(), bounds.upper.real_parts())
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(InvalidWeight):
@@ -597,10 +633,11 @@ class TestCone:
             cone_scale(parseval_frame, -1.0)
 
     def test_rejects_a_second_summand_that_is_not_a_frame(self):
-        # Positive weights, but fiber 2 at 1e-12 of fiber 1: below FRAME_TOL.
-        frame = assemble_block_frame(COMPLEX, [[1, 2]], [[1.0, 1.0]])
+        # Positive weights, but within the one fiber S = diag(1, 1e-12): its
+        # smallest eigenvalue is below FRAME_TOL times its largest.
+        frame = coordinate_lines(1.0, 1.0)
         with pytest.raises(NotAFrame, match="^second summand is not a frame$"):
-            cone_add(frame, WeightSequence.from_matrix(COMPLEX, [[1.0, 1e-6]]))
+            cone_add(frame, WeightSequence.from_matrix(COMPLEX, [[1.0], [1e-6]]))
 
 
 class TestShapeChecks:

@@ -457,12 +457,11 @@ class TestBruteForce:
             three_subspace_frame, 1000, rng=np.random.default_rng(2)
         )
 
-    def test_corrupted_lower_bound_fails(self, three_subspace_frame):
+    def test_corrupted_lower_bound_fails(self, monkeypatch, three_subspace_frame):
         bounds = frame_bounds(three_subspace_frame)
         corrupted = dataclasses.replace(bounds, scalar_lower=2 * bounds.scalar_lower)
-        assert not brute_force_frame_check(
-            three_subspace_frame, 200, bounds=corrupted, rng=np.random.default_rng(3)
-        )
+        monkeypatch.setattr(oracle, "frame_bounds", lambda f: corrupted)
+        assert not brute_force_frame_check(three_subspace_frame, 200, rng=np.random.default_rng(3))
 
     def test_quaternion_sampling(self):
         frame = random_quaternion_frame(np.random.default_rng(74))
@@ -617,15 +616,16 @@ class TestSamplingStream:
     @pytest.mark.parametrize("kind", ["complex", "quaternion"])
     def test_batches_draw_one_stream(self, monkeypatch, kind):
         frame = _scalar_fiber_frames()[kind]
-        bounds = frame_bounds(frame)
-        wrong = _raised_lower(bounds, by=1e-3)
+        wrong = _raised_lower(frame_bounds(frame), by=1e-3)
         verdicts, states = [], []
         for coordinates in (1 << 16, 2 * len(flatten_frame_operator(frame).matrix)):
             monkeypatch.setattr(oracle, "_BATCH_COORDINATES", coordinates)
             rng = np.random.default_rng(86)
-            verdicts.append(brute_force_frame_check(frame, 7, bounds, rng))
+            verdicts.append(brute_force_frame_check(frame, 7, rng))
             states.append(_state(rng.bit_generator))
-            verdicts.append(brute_force_frame_check(frame, 7, wrong, np.random.default_rng(86)))
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "frame_bounds", lambda f: wrong)
+                verdicts.append(brute_force_frame_check(frame, 7, np.random.default_rng(86)))
         assert verdicts == [True, False, True, False]
         assert states[0] == states[1]
 
@@ -724,3 +724,48 @@ class TestOracleIndependence:
         for module in (submodule, frame_module, oracle):
             monkeypatch.setattr(module, "project", wrong, raising=False)
         assert _verify(frame) == want
+
+
+def _double(frame) -> None:
+    """Double the frame's cached operator and its decided bounds: the fast
+    path then agrees with itself, and only the oracle can tell."""
+    bounds = frame_bounds(frame)
+    blocks = {m: 2.0 * b for m, b in frame.operator_fibers.blocks.items()}
+    doubled = dataclasses.replace(
+        bounds,
+        lower=AlgebraElement.from_real(np.sqrt(2.0) * bounds.lower.real_parts(), frame.shape.kind),
+        upper=AlgebraElement.from_real(np.sqrt(2.0) * bounds.upper.real_parts(), frame.shape.kind),
+        scalar_lower=2.0 * bounds.scalar_lower,
+        scalar_upper=2.0 * bounds.scalar_upper,
+        per_fiber=tuple((2.0 * lo, 2.0 * hi) for lo, hi in bounds.per_fiber),
+    )
+    object.__setattr__(frame, "operator_fibers", frame_module.FrameOperatorFibers(frame.shape, blocks))
+    object.__setattr__(frame, "_bounds", doubled)
+
+
+class TestRelativeSlack:
+    @pytest.mark.parametrize("kind", [COMPLEX, QUATERNION])
+    @pytest.mark.parametrize("w", [1e-6, 1.0, 1e6, 1e150])
+    def test_a_doubled_operator_is_caught_at_every_scale(self, kind, w):
+        frame = assemble_block_frame(kind, [[1, 2], [2, 3], [1, 3]], [[w] * 3] * 3)
+        out = _verify(frame)
+        assert out["matches_bounds"] and out["sample_check"]
+        _double(frame)
+        out = _verify(frame)
+        assert not out["matches_bounds"] and not out["sample_check"]
+
+    def test_each_fiber_is_checked_at_its_own_scale(self):
+        # Fiber 2 is fiber 1 at 1e-12 of its scale, apart from its spans.
+        shape = ModuleShape(COMPLEX, (2, 2))
+        subs = [
+            span_submodule(shape, [[[1.0, 0.0]], [[1.0, 0.0]]]),
+            span_submodule(shape, [[[0.0, 1.0]], [[1.0, 1.0]]]),
+        ]
+        frame = WeightedFrame(subs, WeightSequence.from_matrix(COMPLEX, [[1, 1e-6], [2, 2e-6]]))
+        out = _verify(frame)
+        assert out["matches_bounds"] and out["sample_check"]
+        # The small fiber's cached operator 1.5 times too large.
+        blocks = frame.operator_fibers.blocks[2] * np.array([1.0, 1.5])[:, None, None]
+        operator = frame_module.FrameOperatorFibers(shape, {2: blocks})
+        object.__setattr__(frame, "operator_fibers", operator)
+        assert not _verify(frame)["matches_bounds"]

@@ -4,9 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cstar_fusion import (
     COMPLEX,
+    InvalidWeight,
     LengthMismatch,
     ModuleShape,
     ModuleVector,
@@ -32,6 +35,7 @@ from cstar_fusion import (
     span_submodule,
     validate_projection,
 )
+from cstar_fusion.perturbation import _root_sum_square
 from helpers import random_complex_frame, random_span_submodule
 
 
@@ -198,6 +202,27 @@ class TestEcart:
                 ecart(us, vs, weights) + ecart(vs, ws, weights) + 1e-12
             )
 
+    def test_a_sum_beyond_the_float_range_is_finite(self, plane):
+        # Each term q d^2 = 1.5e308 is finite; their sum is not.
+        us, vs = [line(plane, [1, 0])] * 3, [line(plane, [0, 1])] * 3
+        got = ecart(us, vs, [1.5e308] * 3)
+        assert got == pytest.approx(np.sqrt(3.0) * np.sqrt(1.5e308), rel=1e-15)
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(min_value=5e-324, max_value=1.7e308), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_the_scaled_sum_keeps_its_bits(self, pairs):
+        # Wherever the unscaled root-sum-square is finite, the same bits.
+        weights, dists = np.array(pairs).T
+        with np.errstate(over="ignore"):
+            unscaled = np.sqrt(np.sum(weights * dists**2))
+        if np.isfinite(unscaled):
+            assert _root_sum_square(weights, dists) == unscaled
+
     def test_length_mismatch(self, plane):
         with pytest.raises(LengthMismatch):
             ecart([line(plane, [1, 0])], [], [1.0])
@@ -279,6 +304,20 @@ class TestPerturbationCheck:
         broken = assemble_block_frame(COMPLEX, [[1]], [[1, 1]])
         with pytest.raises(NotAFrame):
             perturbation_check(broken, list(broken.submodules))
+
+    def test_bounds_that_overflow_are_refused(self, plane):
+        # Orthogonal lines swapped: ecart sqrt(2) w, predicted upper ((1 + sqrt(2)) w)^2.
+        lines = [line(plane, [1, 0]), line(plane, [0, 1])]
+        for w, answers in ((5e153, True), (9e153, False)):
+            frame = WeightedFrame(lines, WeightSequence.from_matrix(COMPLEX, [[w], [w]]))
+            if answers:
+                report = perturbation_check(frame, lines[::-1])
+                assert report.ecart == pytest.approx(np.sqrt(2.0) * w, rel=1e-15)
+                assert np.isfinite(report.predicted_scalar_upper)
+            else:
+                match = "^the perturbation bounds overflow: the weights are too large$"
+                with pytest.raises(InvalidWeight, match=match):
+                    perturbation_check(frame, lines[::-1])
 
     def test_candidate_count_checked(self, three_subspace_frame):
         with pytest.raises(LengthMismatch):

@@ -201,6 +201,15 @@ class TestCommands:
         )
         _rejected(doc, "commands[0].weights", "frame has 2 submodules, got 3 weight rows")
 
+    def test_a_member_spread_over_the_fibers_agrees_with_the_frame_bounds(self):
+        # Each fiber exactly tight, S = 1 and S = 1e-12; a frame fiber by fiber.
+        command = {"run": "multiplier", "index_sets": [[1, 2]], "weights": "spread"}
+        weights = {"w": [[1, 1], [1, 1]], "spread": [[1, 1e-6]]}
+        report, ok = run_scenario(build_scenario(_doc(weights=weights, commands=[command])))
+        output = report["results"][0]["output"]
+        assert ok and output["member"] is True
+        assert output["agrees_with_frame_bounds"] is True
+
     def test_a_repeated_index_counts_once_in_the_multiplier(self):
         command = {"run": "multiplier", "index_sets": [[1, 1], [2]], "weights": "w"}
         report, ok = run_scenario(build_scenario(_doc(commands=[command])))

@@ -95,3 +95,18 @@ def test_bench_pairs_verdict(better, parent, change, expected):
     spec = {"better": better, "bound": 0.25}
     old, new = np.array(parent, dtype=float), np.array(change, dtype=float)
     assert _bench_pairs().verdict(spec, old, new) == expected
+
+
+@pytest.mark.parametrize(
+    "parent, change, expected",
+    [
+        ((0, 100), (0, 90), "same"),
+        ((0, 100), (1, 100), "worse"),
+        # 2 % against 2.5 %, and 2 % against 1.9 %
+        ((2, 100), (2, 80), "worse"),
+        ((2, 100), (2, 105), "same"),
+        ((121, 121), (121, 121), "same"),
+    ],
+)
+def test_bench_pairs_failed_share_verdict(parent, change, expected):
+    assert _bench_pairs().failed_verdict(*parent, *change) == expected

@@ -21,6 +21,10 @@ The verdict, from the metric's direction and bound in ``BENCHMARK.json``:
   of its median), and not every change run beat every parent run;
 - ``same`` otherwise.
 
+The failed ops get a verdict of their own: ``worse`` when the change
+failed a larger share of its attempted ops than the parent did, ``same``
+otherwise.
+
 It gates nothing: the exit code is 0 when every run completed, 1 when one
 did not.
 """
@@ -70,6 +74,11 @@ def verdict(spec: dict, old: np.ndarray, new: np.ndarray) -> str:
     return "same"
 
 
+def failed_verdict(old_failed: int, old_attempted: int, new_failed: int, new_attempted: int) -> str:
+    """``worse`` when the change's failed share of its ops exceeds the parent's."""
+    return "worse" if new_failed * old_attempted > old_failed * new_attempted else "same"
+
+
 def summarize(metrics, parent: list[dict], change: list[dict]) -> list[str]:
     """One line per end-to-end metric, then the ops each side failed."""
     lines = [f"# {'metric':<12} {'unit':<5} {'parent':>10} {'change':>10} "
@@ -84,10 +93,11 @@ def summarize(metrics, parent: list[dict], change: list[dict]) -> list[str]:
         lines.append(f"  {name:<12} {spec['unit']:<5} {np.median(old):>10.4g} "
                      f"{np.median(new):>10.4g} {q3 - q1:>10.4g} {r3 - r1:>10.4g}  "
                      f"{f'{won}/{len(old)}':<10}  {verdict(spec, old, new)}")
-    for side, runs in (("parent", parent), ("change", change)):
-        failed = sum(run["failed"] for run in runs)
-        attempted = sum(run["attempted"] for run in runs)
-        lines.append(f"  {side} failed {failed} of {attempted} ops")
+    counts = [(sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs))
+              for runs in (parent, change)]
+    lines.append("  parent failed {} of {} ops".format(*counts[0]))
+    lines.append("  change failed {} of {} ops  {}".format(
+        *counts[1], failed_verdict(*counts[0], *counts[1])))
     return lines
 
 
