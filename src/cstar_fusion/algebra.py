@@ -66,6 +66,14 @@ def _ldexp(a: np.ndarray, e) -> np.ndarray:
     return np.ldexp(np.require(a, requirements="C").view(float), e).view(a.dtype)
 
 
+def _lengths(a: np.ndarray, axis=-1) -> np.ndarray:
+    """Each row's Euclidean length over ``axis`` (two axes: a block's Frobenius
+    norm), taken at its exact scale 2^-e, so no square overflows or underflows."""
+    e = _frexp_exponent(a, axis)
+    scaled = _ldexp(a, -np.expand_dims(e, axis)).view(float)
+    return _ldexp(np.sqrt(np.sum(scaled * scaled, axis=axis)), e)
+
+
 class PositivityClass(IntEnum):
     """Nested positivity classes, finest last."""
 
@@ -138,28 +146,26 @@ class AlgebraElement:
     def fiber_count(self) -> int:
         return int(self.fibers.shape[0])
 
+    def _rows(self) -> np.ndarray:
+        """The fibers as one real (N, d) view: rows (re, im) or (w, x, y, z)."""
+        return self.fibers.view(float).reshape(self.fiber_count, -1)
+
+    def _from_rows(self, rows: np.ndarray) -> "AlgebraElement":
+        return AlgebraElement(self.kind, rows.view(self.fibers.dtype).reshape(self.fibers.shape))
+
     def fiber_moduli(self) -> np.ndarray:
-        """|a_k| per fiber; a quaternion's at its exact scale 2^-e, so no square overflows."""
-        if self.kind == COMPLEX:
-            return np.abs(self.fibers)
-        e = _frexp_exponent(self.fibers, 1)
-        return _ldexp(np.sqrt(np.sum(_ldexp(self.fibers, -e[:, None]) ** 2, axis=1)), e)
+        """|a_k| per fiber, the length of its row (``_lengths``)."""
+        return _lengths(self._rows())
 
     def real_parts(self) -> np.ndarray:
-        if self.kind == COMPLEX:
-            return self.fibers.real.copy()
-        return self.fibers[:, 0].copy()
+        return self._rows()[:, 0].copy()
 
     def imag_magnitudes(self) -> np.ndarray:
         """Modulus of the non-real part of each fiber."""
-        if self.kind == COMPLEX:
-            return np.abs(self.fibers.imag)
-        return np.sqrt(np.sum(self.fibers[:, 1:] ** 2, axis=-1))
+        return _lengths(self._rows()[:, 1:])
 
     def star(self) -> "AlgebraElement":
-        if self.kind == COMPLEX:
-            return AlgebraElement(COMPLEX, np.conj(self.fibers))
-        return AlgebraElement(QUATERNION, _quat_conj(np.asarray(self.fibers)))
+        return self._from_rows(_quat_conj(self._rows()))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -209,12 +215,12 @@ def alg_norm(a: AlgebraElement) -> float:
 
 
 def _default_tol(a: AlgebraElement) -> float:
-    return ORDER_TOL * max(1.0, alg_norm(a))
+    return ORDER_TOL * alg_norm(a)
 
 
 def positivity_class(a: AlgebraElement, tol: float | None = None) -> PositivityClass:
     """Finest of {not_selfadjoint, selfadjoint, positive, strictly_positive}
-    that holds fiberwise within ``tol``."""
+    that holds fiberwise within ``tol`` (default ORDER_TOL * |a|)."""
     if tol is None:
         tol = _default_tol(a)
     if tol < 0:
@@ -248,7 +254,7 @@ def invert(a: AlgebraElement) -> AlgebraElement:
     the exponent of its largest real component (``_frexp_exponent``), so
     |a|^2 neither underflows nor overflows.
     """
-    parts = a.fibers.view(float).reshape(a.fiber_count, -1)  # (re, im) or (w, x, y, z)
+    parts = a._rows()
     e = _frexp_exponent(parts, 1)[:, None]
     scaled = _ldexp(parts, -e)
     invertible = scaled.any(axis=1)
@@ -259,12 +265,16 @@ def invert(a: AlgebraElement) -> AlgebraElement:
     invertible &= np.isfinite(inverse).all(axis=1)
     if not invertible.all():
         raise NotInvertible(f"fiber {int(np.argmin(invertible))} has no finite inverse")
-    return AlgebraElement(a.kind, inverse.view(a.fibers.dtype).reshape(a.fibers.shape))
+    return a._from_rows(inverse)
 
 
 def order_leq(a: AlgebraElement, b: AlgebraElement, tol: float | None = None) -> bool:
-    """True iff b - a is positive within ``tol`` (the algebra order)."""
+    """True iff b - a is positive within ``tol`` (the algebra order), by
+    default ORDER_TOL * max(|a|, |b|): relative to b - a, it would fail on
+    the rounding of the difference."""
     a._check_compatible(b)
+    if tol is None:
+        tol = ORDER_TOL * max(alg_norm(a), alg_norm(b))
     return positivity_class(b - a, tol) >= PositivityClass.POSITIVE
 
 

@@ -93,7 +93,7 @@ def _report_data(value):
     laid out (README, "Report format").  A result dataclass is the object of
     its fields, a dict's values are converted and other values pass."""
     if isinstance(value, AlgebraElement):
-        return {"kind": value.kind, "data": value.fibers.reshape(-1).view(float).tolist()}
+        return {"kind": value.kind, "data": value._rows().reshape(-1).tolist()}
     if isinstance(value, ModuleVector):
         data = np.concatenate(value.fibers).view(float).tolist()
         return {"kind": value.shape.kind, "dims": list(value.shape.dims), "data": data}

@@ -33,7 +33,8 @@ class WeightSequence:
     """Central, strictly positive weights, one per submodule, stored once as
     the read-only (M, N) matrix of their real fibers.  The weight rule: the
     matrix is finite and each row's smallest entry exceeds ORDER_TOL *
-    max(1, its largest |entry|), as in ``positivity_class``."""
+    max(1, its largest |entry|): the one tolerance floored at 1 (README,
+    "Numerical conventions")."""
 
     kind: str
     matrix: np.ndarray = field(repr=False)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import COMPLEX, AlgebraElement, _hamilton, _quat_conj
+from .algebra import COMPLEX, AlgebraElement, _hamilton, _lengths, _quat_conj
 from .errors import InvalidMap, NotAFrame, ShapeMismatch
 from .frame import WeightedFrame, WeightSequence, frame_bounds
 from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint
@@ -59,13 +59,13 @@ class OrthoMap(FiberBlocks):
             gram = {m: _adjoint(u) @ u - np.eye(m) for m, u in self.blocks.items()}
             # The Frobenius norm bounds the spectral one; half the threshold
             # absorbs rounding, so every fiber at most that passes at once.
-            defects = shape.scatter({m: np.linalg.norm(g, axis=(1, 2)) for m, g in gram.items()})
+            defects = shape.scatter({m: _lengths(g, (1, 2)) for m, g in gram.items()})
             if not defects.max() <= UNITARY_TOL / 2:
                 # Spectral norm of the Hermitian U^H U - I: its largest |eigenvalue|.
                 extremes = {m: np.abs(np.linalg.eigvalsh(g)).max(-1) for m, g in gram.items()}
                 defects = shape.scatter(extremes)
         else:
-            defects = np.abs(np.linalg.norm(self.blocks[1], axis=-1) - 1.0)
+            defects = np.abs(_lengths(self.blocks[1]) - 1.0)
         k = int(np.argmax(defects))
         if not defects[k] <= UNITARY_TOL:
             message = f"fiber {k} rotation is not unitary (defect {defects[k]:.2e})"

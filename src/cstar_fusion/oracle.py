@@ -5,13 +5,13 @@ Everything here flattens the module into one complex coordinate space
 quantities by direct dense linear algebra or random sampling, for tests and
 the CLI verification command; the dense dimension is capped at DENSE_CAP.
 
-The dense extremes are taken block by block: ``eigen_bounds`` splits the
+The dense extremes are taken block by block: ``_block_bounds`` splits the
 matrix into the contiguous diagonal blocks its own exact zeros give, checks
-that it is Hermitian and runs one ``eigvalsh`` per block size, all on the
-gathered blocks; no norm or decomposition of the whole matrix is taken.
-The split reads nothing of the module shape or fiber layout, so an entry
-the assembly misplaces merges blocks instead of being dropped, and the
-oracle stays independent of the fast path.
+that each is Hermitian relative to its own norm and runs one ``eigvalsh``
+per block size, all on the gathered blocks; no norm or decomposition of the
+whole matrix is taken.  The split reads nothing of the module shape or
+fiber layout, so an entry the assembly misplaces merges blocks instead of
+being dropped, and the oracle stays independent of the fast path.
 
 The samples come from a stream defined here: each vector is one
 ``standard_normal(2 D)`` draw read as D complex coordinates.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import COMPLEX
+from .algebra import COMPLEX, _lengths
 from .errors import NotFinite, NotHermitian, ShapeMismatch
 from .frame import FrameBounds, WeightedFrame, frame_bounds
 from .hilbert_module import ModuleShape, ModuleVector, _adjoint, _hermitian
@@ -81,8 +81,7 @@ def quaternion_block(q) -> np.ndarray:
 def flatten_vector(x: ModuleVector) -> np.ndarray:
     """Flatten fiber-major into one complex vector; quaternion fibers map
     to (w + xi, y + zi), which preserves the Euclidean fiber norm."""
-    flat = np.concatenate(x.fibers)
-    return flat if x.shape.kind == COMPLEX else flat.view(complex)
+    return np.concatenate(x.fibers).view(float).view(complex)
 
 
 def _fiber_offsets(shape: ModuleShape) -> np.ndarray:
@@ -119,8 +118,8 @@ def flatten_frame_operator(frame: WeightedFrame) -> DenseOperator:
 
 
 def _diagonal_blocks(m: np.ndarray):
-    """The contiguous diagonal blocks of a square matrix, stacked by size
-    as (count, s, s) arrays gathered from m.
+    """The contiguous diagonal blocks of a square matrix, stacked by size:
+    (starts, (count, s, s) array gathered from m) for each size s.
 
     m splits at i when m[:i, i:] and m[i:, :i] are all exactly zero: when
     no row above i reaches column i in m or in its transpose, which is each
@@ -136,37 +135,47 @@ def _diagonal_blocks(m: np.ndarray):
     starts = np.concatenate([[0], ends[:-1]])
     sizes = ends - starts
     for s in np.unique(sizes):
-        at = starts[sizes == s][:, None, None] + np.arange(s)
-        yield m[np.swapaxes(at, 1, 2), at]
+        first = starts[sizes == s]
+        at = first[:, None, None] + np.arange(s)
+        yield first, m[np.swapaxes(at, 1, 2), at]
+
+
+def _block_bounds(op: DenseOperator) -> tuple[np.ndarray, ...]:
+    """(start, stop, lowest, highest) of each contiguous diagonal block b of
+    the operator m (``_diagonal_blocks``), one entry per block.  Each b must
+    be Hermitian relative to its own norm, ||b - b^H||_2 <= HERMITIAN_TOL *
+    ||b||_2, else NotHermitian.
+
+    m and m^H are zero off the blocks, so b's extremes are those of m's
+    restriction to b's coordinates; they are taken on (b + b^H) / 2, with
+    one batched ``eigvalsh`` per block size, and are accurate to
+    eps * ||b||.  For a Hermitian m, (b + b^H) / 2 = b.
+    """
+    found = []
+    for first, b in _diagonal_blocks(op.matrix):
+        skew = b - _adjoint(b)
+        # ||skew||_F bounds ||skew||_2, and b's largest |re| or |im| is at
+        # most ||b||_2; half the threshold absorbs rounding.
+        passed = _lengths(skew, (1, 2)) <= HERMITIAN_TOL / 2 * abs(b.view(float)).max(axis=(1, 2))
+        if not passed.all():
+            defect = np.linalg.norm(skew[~passed], 2, axis=(1, 2))
+            norm = np.linalg.norm(b[~passed], 2, axis=(1, 2))
+            bad = defect > HERMITIAN_TOL * norm
+            if bad.any():
+                raise NotHermitian(f"operator deviates from Hermitian by {defect[bad].max():.2e}")
+        eigvals = np.linalg.eigvalsh(_hermitian(b))
+        found.append((first, first + b.shape[1], eigvals[:, 0], eigvals[:, -1]))
+    return tuple(np.concatenate(column) for column in zip(*found))
 
 
 def eigen_bounds(op: DenseOperator) -> dict:
-    """Extreme eigenvalues of a Hermitian m, one with
-    ||m - m^H||_2 <= HERMITIAN_TOL * max(1, ||m||_2).
-
-    m is split into its contiguous diagonal blocks b (``_diagonal_blocks``);
-    m and m^H are zero off them, so ||m - m^H||_2 and ||m||_2 are the largest
-    ||b - b^H||_2 and ||b||_2, taken on the block stacks.  The extremes are
-    those of the blocks of h = (m + m^H) / 2, (b + b^H) / 2, with one batched
-    ``eigvalsh`` per block size; a matrix with no split is one block.  For a
-    Hermitian m, h = m.  Each block's eigenvalues are accurate to
-    eps * ||block||, at most eps * ||m||.  The split reads neither the module
-    shape nor the fiber offsets, so a misplaced entry merges blocks rather
-    than being lost.
+    """Extreme eigenvalues of a Hermitian operator m: the lowest and highest
+    over its diagonal blocks (``_block_bounds``).  A matrix with no split
+    is one block.  The split reads neither the module shape nor the fiber
+    offsets, so a misplaced entry merges blocks rather than being lost.
     """
-    blocks = list(_diagonal_blocks(op.matrix))
-    # The Frobenius norm of m - m^H, taken on the blocks, bounds the spectral
-    # one; half the threshold absorbs rounding.
-    if not np.linalg.norm([np.linalg.norm(b - _adjoint(b)) for b in blocks]) <= HERMITIAN_TOL / 2:
-        defect = max(float(np.linalg.norm(b - _adjoint(b), 2, axis=(1, 2)).max()) for b in blocks)
-        norm = max(float(np.linalg.norm(b, 2, axis=(1, 2)).max()) for b in blocks)
-        if defect > HERMITIAN_TOL * max(1.0, norm):
-            raise NotHermitian(f"operator deviates from Hermitian by {defect:.2e}")
-    eigvals = [np.linalg.eigvalsh(_hermitian(b)) for b in blocks]
-    return {
-        "lambda_min": float(min(e[:, 0].min() for e in eigvals)),
-        "lambda_max": float(max(e[:, -1].max() for e in eigvals)),
-    }
+    _, _, lowest, highest = _block_bounds(op)
+    return {"lambda_min": float(lowest.min()), "lambda_max": float(highest.max())}
 
 
 def _unit_samples(shape: ModuleShape, rng: np.random.Generator, count: int) -> np.ndarray:

@@ -29,7 +29,8 @@ from .frame import tightness
 from .hilbert_module import ModuleShape, ModuleVector, inner_product
 from .morphism import OrthoMap, identity_rotations, transport_frame
 from .oracle import brute_force_frame_check, eigen_bounds, fiber_energies, flatten_frame_operator
-from .oracle import _agreement_slack, flatten_vector, random_unit_vector
+from .oracle import _agreement_slack, _block_bounds, _fiber_offsets, flatten_vector
+from .oracle import random_unit_vector
 from .perturbation import PerturbReport, perturbation_check, randomly_rotated
 from .submodule import Submodule, _fiber_flags, block_submodule, span_submodule
 from .submodule import validate_projection
@@ -376,12 +377,20 @@ def _cmd_verify_oracle(scenario: Scenario, cmd: dict, rng) -> dict:
     bounds = frame_bounds(frame)
     operator = flatten_frame_operator(frame)
     eig = eigen_bounds(operator)
+    start, stop, lowest, highest = _block_bounds(operator)
     slack = _agreement_slack(bounds)
     sample_ok = brute_force_frame_check(frame, samples, rng, operator=operator)
+    # Each dense block lies in the fiber whose coordinates hold its start, or
+    # straddles two; a fiber's dense pair is the extremes over its blocks.
+    offsets = _fiber_offsets(frame.shape)
+    fiber = np.searchsorted(offsets, start, side="right") - 1
+    dense = np.full((len(slack), 2), [np.inf, -np.inf])
+    np.minimum.at(dense[:, 0], fiber, lowest)
+    np.maximum.at(dense[:, 1], fiber, highest)
     # The vector for the whole-operator comparison is drawn after the samples.
     matches = (
-        abs(eig["lambda_min"] - bounds.scalar_lower) <= slack.max()
-        and abs(eig["lambda_max"] - bounds.scalar_upper) <= slack.max()
+        np.all(stop <= offsets[fiber + 1])
+        and np.all(np.abs(dense - bounds.per_fiber) <= slack[:, None])
         and _fast_energy_matches(frame, operator, rng, slack)
     )
     return {

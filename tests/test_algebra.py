@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstar_fusion import (
@@ -255,6 +255,59 @@ class TestOrderAndCenter:
                 upper = alg_norm(mu) * alg_norm(a)
                 assert lower <= alg_norm(mu * a) * (1 + 1e-12)
                 assert alg_norm(mu * a) <= upper * (1 + 1e-12)
+
+
+# Magnitudes that stay normal under every scaling 2^k, |k| <= 600, below.
+moderate = st.floats(min_value=-1e50, max_value=1e50).filter(lambda v: v == 0 or abs(v) >= 1e-50)
+
+
+@st.composite
+def element_pairs(draw):
+    """(a, b) of one kind and fiber count; b is often a nudged copy of a."""
+    kind = draw(st.sampled_from([COMPLEX, QUATERNION]))
+    width = 2 if kind == COMPLEX else 4
+    n = draw(st.integers(1, 3))
+    rows = st.lists(st.lists(moderate, min_size=width, max_size=width), min_size=n, max_size=n)
+    a = np.array(draw(rows))
+    b = draw(st.one_of(rows.map(np.array), st.just(a * (1 + 2.0**-40)), st.just(a * 2.0)))
+    make = (lambda r: AlgebraElement(kind, r.view(complex)[:, 0])) if kind == COMPLEX else (
+        lambda r: AlgebraElement(kind, r))
+    return make(a), make(b)
+
+
+class TestScaleFreeVerdicts:
+    """Each default tolerance is a constant times its own operand's norm, and
+    every length is taken at its row's exact scale, so no positivity, order
+    or centrality verdict depends on the unit of the data."""
+
+    def test_a_large_vector_part_is_measured_without_overflow(self):
+        big = quat(1, 1e200)
+        assert positivity_class(big) is PositivityClass.NOT_SELFADJOINT
+        assert not is_central(big)
+
+    def test_tiny_elements_are_ordered_at_their_own_scale(self):
+        assert not order_leq(AlgebraElement.complexes([2e-20]), AlgebraElement.complexes([1e-20]))
+        tiny = AlgebraElement.complexes([1e-20, 2e-20])
+        assert positivity_class(tiny) is PositivityClass.STRICTLY_POSITIVE
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**66])
+    def test_a_one_ulp_pair_is_ordered_at_every_scale(self, scale):
+        above = AlgebraElement.complexes([scale * (1 + 2.0**-52)])
+        assert order_leq(above, AlgebraElement.complexes([scale]))
+
+    def test_an_underflowing_vector_part_still_counts(self):
+        # |1e-170|^2 underflows to 0; the vector part is the whole norm.
+        assert not is_central(quat(1e-300, 1e-170))
+
+    @settings(max_examples=300, deadline=None)
+    @given(element_pairs(), st.integers(-600, 600))
+    def test_verdicts_do_not_change_under_a_power_of_two(self, pair, k):
+        a, b = pair
+        a2, b2 = (AlgebraElement(x.kind, x.fibers * 2.0**k) for x in pair)
+        assert positivity_class(a2) is positivity_class(a)
+        assert is_central(a2) == is_central(a)
+        assert order_leq(a2, b2) == order_leq(a, b)
+        assert order_leq(b2, a2) == order_leq(b, a)
 
 
 class TestCStarIdentity:

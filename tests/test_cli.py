@@ -502,6 +502,20 @@ class TestMainEntry:
         assert main(["run", str(write_scenario(tmp_path, doc))]) == 2
         assert f"error: {path}:" in capsys.readouterr().err
 
+    def test_a_huge_quaternion_rotation_states_its_finite_defect(self, tmp_path, capsys):
+        # Its squared length overflows; the length itself is 1e200.
+        doc = {
+            "algebra": {"kind": "quaternion", "fibers": 1},
+            "module": {"dims": [1]},
+            "maps": {"m": {"scales": [1], "rotations": [[1e200, 0, 0, 0]]}},
+            "commands": [],
+        }
+        assert main(["run", str(write_scenario(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: maps.m.rotations[0]: fiber 0 rotation is not unitary (defect 1.00e+200)\n"
+        )
+
     @pytest.mark.parametrize(
         "edit, path",
         [

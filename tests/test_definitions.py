@@ -2,18 +2,21 @@
 site calls: exact 2^-e scaling, the Hermitian part, unitary conjugation of
 a submodule and the order of the fibers in their dimension groups.  A
 frame's bounds, verdict and tightness are decided in one place, its
-constructor, and the oracle's agreement slack in one function."""
+constructor, and the oracle's agreement slack in one function.  Every
+length of user-scale data is taken by ``algebra._lengths``, and only the
+weight rule floors its tolerance at 1."""
 
 import ast
 import inspect
 import re
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cstar_fusion import COMPLEX, assemble_block_frame, brute_force_frame_check, frame_bounds
-from cstar_fusion import scenario, tightness
+from cstar_fusion import COMPLEX, AlgebraElement, assemble_block_frame, brute_force_frame_check
+from cstar_fusion import frame_bounds, oracle, scenario, tightness
 from helpers import random_complex_frame, random_quaternion_frame
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cstar_fusion"
@@ -55,6 +58,34 @@ def _source_like(pattern: str):
     return lambda node: isinstance(node, ast.BinOp) and regex.fullmatch(ast.unparse(node))
 
 
+def _length_like(node) -> bool:
+    """A row or block length: ``np.linalg.norm`` with no order, or ``np.sqrt``
+    of an expression that squares (``x ** 2`` or ``x * x``)."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = ast.unparse(node.func)
+    if func == "np.linalg.norm":
+        return len(node.args) < 2 and all(k.arg != "ord" for k in node.keywords)
+    return func == "np.sqrt" and any(
+        isinstance(n, ast.BinOp)
+        and (
+            (isinstance(n.op, ast.Pow) and ast.unparse(n.right) == "2")
+            or (isinstance(n.op, ast.Mult) and ast.unparse(n.left) == ast.unparse(n.right))
+        )
+        for n in ast.walk(node)
+    )
+
+
+def _unit_floor(node) -> bool:
+    """A tolerance floor ``max(1.0, x)`` or ``np.maximum(1.0, x)``."""
+    return (
+        isinstance(node, ast.Call)
+        and _calls_named({"max", "maximum"})(node.func)
+        and any(isinstance(a, ast.Constant) and type(a.value) is float and a.value == 1.0
+                for a in node.args)
+    )
+
+
 RULES = {
     "power-of-two scaling": (
         _calls_named({"frexp", "ldexp"}),
@@ -85,6 +116,20 @@ RULES = {
         _calls_named({"ORACLE_SLACK"}),
         {("oracle.py", "_agreement_slack"), ("tolerance.py", "<module>")},
     ),
+    # module_norm and _span_projections scale first; their bits reach reports.
+    "row or block length": (
+        _length_like,
+        {("algebra.py", "_lengths"), ("hilbert_module.py", "module_norm"),
+         ("submodule.py", "_span_projections")},
+    ),
+    "user-scale lengths": (
+        _calls_named({"_lengths"}),
+        {("algebra.py", "AlgebraElement.fiber_moduli"),
+         ("algebra.py", "AlgebraElement.imag_magnitudes"),
+         ("morphism.py", "OrthoMap.__post_init__"), ("oracle.py", "_block_bounds")},
+    ),
+    # Every other tolerance is relative to its own operand (README).
+    "unit floor": (_unit_floor, {("frame.py", "WeightSequence.__post_init__")}),
 }
 
 
@@ -106,6 +151,18 @@ def test_a_frame_keeps_its_bounds_not_its_extremes():
 
 def test_the_oracle_checks_the_frames_own_bounds():
     assert "bounds" not in inspect.signature(brute_force_frame_check).parameters
+
+
+@pytest.mark.parametrize(
+    "function",
+    [AlgebraElement.fiber_moduli, AlgebraElement.real_parts, AlgebraElement.imag_magnitudes,
+     AlgebraElement.star, oracle.flatten_vector],
+)
+def test_a_scalar_is_read_through_its_real_rows_without_a_kind_branch(function):
+    body = ast.parse(textwrap.dedent(inspect.getsource(function))).body[0].body
+    code = [n for n in body if not (isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant))]
+    assert not any(isinstance(node, (ast.If, ast.IfExp)) for n in code for node in ast.walk(n))
+    assert "kind" not in "\n".join(map(ast.unparse, code))
 
 
 def test_the_frame_report_reads_tightness_without_a_branch():

@@ -161,6 +161,12 @@ class TestUnitaryGate:
         with pytest.raises(ValueError, match=r"not unitary \(defect 1\.20e-10\)$"):
             OrthoMap(plane, [1.0], [np.diag([1.0 + 6e-11, 1.0])])
 
+    def test_a_huge_quaternion_rotation_states_its_finite_defect(self):
+        # Its squared length overflows; the length itself is 1e200.
+        shape = ModuleShape(QUATERNION, (1,))
+        with pytest.raises(ValueError, match=r"not unitary \(defect 1\.00e\+200\)$"):
+            OrthoMap(shape, [1.0], {1: [[0.0, 1e200, 0.0, 0.0]]})
+
 
 class TestNu:
     def test_identity_gives_unit(self, plane):

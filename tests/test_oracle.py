@@ -1,6 +1,7 @@
 """Tests for the dense brute-force reference path."""
 
 import dataclasses
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -260,17 +261,36 @@ class TestEigenBounds:
         assert got == ref_eigen_bounds(op)
 
     def test_hermitian_input_takes_no_spectral_norm(self, monkeypatch):
-        norm = np.linalg.norm
-        orders = []
+        norm, lengths = np.linalg.norm, oracle._lengths
+        orders, gates = [], []
 
         def spy(x, ord=None, *args, **kwargs):
             orders.append(ord)
             return norm(x, ord, *args, **kwargs)
 
+        def gate(a, axis=-1):
+            gates.append(axis)
+            return lengths(a, axis)
+
         monkeypatch.setattr(np.linalg, "norm", spy)
+        monkeypatch.setattr(oracle, "_lengths", gate)
         frame = random_complex_frame(np.random.default_rng(79))
         eigen_bounds(flatten_frame_operator(frame))
-        assert orders and 2 not in orders
+        assert gates and set(gates) == {(1, 2)}  # the Frobenius gate ran on the blocks
+        assert 2 not in orders
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-200, 1e200])
+    def test_the_hermitian_test_is_relative_at_every_scale(self, scale):
+        # m - m^H is a tenth of m at every scale.  A floor of max(1, ||m||)
+        # passed it at 1e-12, and an underflowed Frobenius norm at 1e-200.
+        with pytest.raises(NotHermitian, match=re.escape(f"by {0.1 * scale:.2e}")):
+            eigen_bounds(DenseOperator(scale * np.array([[1, 0.5], [0.4, 1]])))
+
+    def test_the_hermitian_test_is_relative_to_each_block(self):
+        # A small block a tenth off Hermitian beside a large Hermitian one.
+        m = _block_diagonal([[[1e8]], 1e-3 * np.array([[1, 0.5], [0.4, 1]])])
+        with pytest.raises(NotHermitian, match=r"by 1\.00e-04$"):
+            eigen_bounds(DenseOperator(m))
 
 
 def _eigvalsh_shapes(monkeypatch) -> list[tuple[int, ...]]:
@@ -442,6 +462,54 @@ class TestAgreement:
             eig = eigen_bounds(flatten_frame_operator(frame))
             assert eig["lambda_min"] == pytest.approx(bounds.scalar_lower, abs=1e-10)
             assert eig["lambda_max"] == pytest.approx(bounds.scalar_upper, abs=1e-10)
+
+
+class TestPerFiberExtremes:
+    """verify-oracle compares each fiber's dense extremes, over the diagonal
+    blocks inside its coordinates, with that fiber's bounds."""
+
+    def test_a_widened_bound_in_a_fiber_holding_no_extreme_fails(self):
+        # Fiber 1's optimal pair (5, 5) reported as (2.5, 7.5): the global
+        # extremes (1, 16) and every sample still agree with it.
+        frame = assemble_block_frame(COMPLEX, [[1, 2, 3], [2]], [[1, 2, 4], [1, 1, 1]])
+        bounds = frame_bounds(frame)
+        np.testing.assert_allclose(bounds.per_fiber, [[1, 1], [5, 5], [16, 16]])
+        widened = dataclasses.replace(
+            bounds,
+            lower=AlgebraElement.from_real(np.sqrt([1.0, 2.5, 16.0]), COMPLEX),
+            upper=AlgebraElement.from_real(np.sqrt([1.0, 7.5, 16.0]), COMPLEX),
+            per_fiber=((1.0, 1.0), (2.5, 7.5), (16.0, 16.0)),
+        )
+        assert _verify(frame, samples=500)["matches_bounds"]
+        object.__setattr__(frame, "_bounds", widened)
+        out = _verify(frame, samples=500)
+        assert (out["matches_bounds"], out["sample_check"]) == (False, True)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: WeightedFrame(
+                [block_submodule(ModuleShape(COMPLEX, (2, 3)), {1, 2})],
+                WeightSequence.from_matrix(COMPLEX, [[1.0, 2.0]]),
+            ),
+            lambda: random_quaternion_frame(np.random.default_rng(92)),
+        ],
+        ids=["diagonal", "quaternion"],
+    )
+    def test_a_fiber_split_into_several_blocks_matches(self, make):
+        # A diagonal S_k, and every quaternion fiber's s I_2, split into 1x1 blocks.
+        out = _verify(make())
+        assert out["matches_bounds"] and out["sample_check"]
+
+    def test_a_block_that_straddles_two_fibers_fails(self, monkeypatch):
+        # Two fibers with equal bounds, coupled by a Hermitian entry far
+        # inside the slack: the extremes agree, the split does not.
+        frame = assemble_block_frame(COMPLEX, [[1, 2]], [[1.0, 1.0]])
+        m = np.array(flatten_frame_operator(frame).matrix)
+        m[0, 1] = m[1, 0] = 1e-14
+        monkeypatch.setattr(scenario_module, "flatten_frame_operator", lambda f: DenseOperator(m))
+        out = _verify(frame)
+        assert out["sample_check"] and not out["matches_bounds"]
 
 
 class TestBruteForce:

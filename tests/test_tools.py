@@ -24,10 +24,15 @@ def test_report_digests_prints_ten_digests(tmp_path):
     assert len(lines) == 10
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+\.json", line) for line in lines)
     digests = dict(reversed(line.split("  ")) for line in lines)
-    for golden in ("block_tight.json", "quaternion_tight.json", "angle_counterexample.json",
-                   "perturbation_demo.json"):
-        expected = hashlib.sha256((ROOT / "tests" / "golden" / golden).read_bytes()).hexdigest()
-        assert digests[golden] == expected
+    golden = ROOT / "tests" / "golden"
+    expected = {name: hashlib.sha256((golden / name).read_bytes()).hexdigest()
+                for name in ("block_tight.json", "quaternion_tight.json",
+                             "angle_counterexample.json", "perturbation_demo.json")}
+    # The 6 bench-size reports are pinned by their digests alone.
+    bench = (golden / "bench_digests.txt").read_text().splitlines()
+    expected.update(reversed(line.split("  ")) for line in bench)
+    assert len(expected) == 10
+    assert digests == expected
     assert list(tmp_path.iterdir()) == []
 
 
