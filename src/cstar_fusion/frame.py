@@ -296,6 +296,7 @@ def reconstruct(frame: WeightedFrame, x: ModuleVector) -> ReconstructionResult:
     (``_common_scale``), and the result is scaled back by 2^e; that is
     exact, so only over- or underflow of the result itself loses precision.
     """
+    x._check_same_shape(frame)
     bounds = frame_bounds(frame)
     if not bounds.is_frame:
         raise NotAFrame("cannot reconstruct: the family is not a frame")

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import COMPLEX, QUATERNION, _KINDS, AlgebraElement, _frexp_exponent, _hamilton
-from .algebra import _ldexp, _quat_conj, _require_finite
+from .algebra import _ldexp, _lengths, _quat_conj, _require_finite
 from .errors import QuaternionUnsupported, ShapeMismatch
 
 
@@ -74,6 +74,20 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
 def _hermitian(a: np.ndarray) -> np.ndarray:
     """The Hermitian part (a + a^H) / 2 of every matrix in a stack."""
     return (a + _adjoint(a)) / 2.0
+
+
+def _spectral_defects(d: np.ndarray, bound) -> np.ndarray:
+    """Each matrix's defect against ``bound`` (one, or one per matrix): its
+    Frobenius norm (``_lengths``) where that is at most bound / 2, its
+    spectral norm elsewhere, inf where an entry is not finite.  So a defect
+    is at most ``bound`` exactly when ||d||_2 is."""
+    defects = _lengths(d, (-2, -1))
+    past = ~(defects <= np.asarray(bound) / 2)
+    if past.any():
+        finite = past & np.isfinite(d).all(axis=(-2, -1))
+        defects[past] = np.inf
+        defects[finite] = np.linalg.norm(d[finite], 2, axis=(-2, -1))
+    return defects
 
 
 def _fiber(entry, k: int, tail: tuple[int, ...], dtype, exact: bool) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import COMPLEX, AlgebraElement, _hamilton, _lengths, _quat_conj
 from .errors import InvalidMap, NotAFrame, ShapeMismatch
 from .frame import WeightedFrame, WeightSequence, frame_bounds
-from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint
+from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint, _spectral_defects
 from .submodule import _conjugated
 from .tolerance import UNITARY_TOL
 
@@ -56,14 +56,9 @@ class OrthoMap(FiberBlocks):
             exc.key = "rotations"
             raise
         if shape.kind == COMPLEX:
-            gram = {m: _adjoint(u) @ u - np.eye(m) for m, u in self.blocks.items()}
-            # The Frobenius norm bounds the spectral one; half the threshold
-            # absorbs rounding, so every fiber at most that passes at once.
-            defects = shape.scatter({m: _lengths(g, (1, 2)) for m, g in gram.items()})
-            if not defects.max() <= UNITARY_TOL / 2:
-                # Spectral norm of the Hermitian U^H U - I: its largest |eigenvalue|.
-                extremes = {m: np.abs(np.linalg.eigvalsh(g)).max(-1) for m, g in gram.items()}
-                defects = shape.scatter(extremes)
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram = {m: _adjoint(u) @ u - np.eye(m) for m, u in self.blocks.items()}
+            defects = shape.scatter({m: _spectral_defects(g, UNITARY_TOL) for m, g in gram.items()})
         else:
             defects = np.abs(_lengths(self.blocks[1]) - 1.0)
         k = int(np.argmax(defects))

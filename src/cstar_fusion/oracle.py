@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import COMPLEX, _lengths
+from .algebra import COMPLEX
 from .errors import NotFinite, NotHermitian, ShapeMismatch
 from .frame import FrameBounds, WeightedFrame, frame_bounds
-from .hilbert_module import ModuleShape, ModuleVector, _adjoint, _hermitian
+from .hilbert_module import ModuleShape, ModuleVector, _adjoint, _hermitian, _spectral_defects
 from .tolerance import DENSE_CAP, HERMITIAN_TOL, ORACLE_SLACK, SAMPLE_REDRAW
 
 # Sampled coordinates held at once, so memory stays bounded for any sample count.
@@ -153,14 +153,13 @@ def _block_bounds(op: DenseOperator) -> tuple[np.ndarray, ...]:
     """
     found = []
     for first, b in _diagonal_blocks(op.matrix):
-        skew = b - _adjoint(b)
-        # ||skew||_F bounds ||skew||_2, and b's largest |re| or |im| is at
-        # most ||b||_2; half the threshold absorbs rounding.
-        passed = _lengths(skew, (1, 2)) <= HERMITIAN_TOL / 2 * abs(b.view(float)).max(axis=(1, 2))
-        if not passed.all():
-            defect = np.linalg.norm(skew[~passed], 2, axis=(1, 2))
-            norm = np.linalg.norm(b[~passed], 2, axis=(1, 2))
-            bad = defect > HERMITIAN_TOL * norm
+        # b's largest |re| or |im| is at most ||b||_2, which is taken only past it.
+        floor = HERMITIAN_TOL * abs(b.view(float)).max(axis=(1, 2))
+        defect = _spectral_defects(b - _adjoint(b), floor)
+        past = defect > floor
+        if past.any():
+            defect = defect[past]
+            bad = defect > HERMITIAN_TOL * np.linalg.norm(b[past], 2, axis=(1, 2))
             if bad.any():
                 raise NotHermitian(f"operator deviates from Hermitian by {defect[bad].max():.2e}")
         eigvals = np.linalg.eigvalsh(_hermitian(b))

@@ -250,7 +250,7 @@ def _build_vector(name: str, entries, shape: ModuleShape) -> ModuleVector:
     if shape.kind == COMPLEX:
         fibers = _per_fiber(_complexes, entries, path, 2, "expected a list of [re, im] pairs")
     else:
-        fibers = _reals(entries, path, 2, "expected a list of [w, x, y, z] rows")
+        fibers = _per_fiber(_reals, entries, path, 2, "expected a [w, x, y, z] row")
     with _library_errors_at(path):
         return ModuleVector(shape, fibers)
 

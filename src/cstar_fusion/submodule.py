@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import COMPLEX, _frexp_exponent, _ldexp, _require_finite
 from .errors import IndexOutOfRange, QuaternionUnsupported, ShapeMismatch
 from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint, _apply_fibers
-from .hilbert_module import _hermitian
+from .hilbert_module import _hermitian, _spectral_defects
 from .tolerance import MGS_DROP, PROJECTION_TOL
 
 
@@ -132,9 +132,7 @@ def _conjugated(sub: Submodule, unitaries: dict[int, np.ndarray]) -> Submodule:
 
 def validate_projection(sub: Submodule, tol: float = PROJECTION_TOL) -> bool:
     """True iff every fiber matrix is Hermitian and idempotent within tol
-    (spectral norm); a Submodule's entries are finite."""
-    for p in sub.blocks.values():
-        for defect in (p - _adjoint(p), p @ p - p):
-            if np.any(np.linalg.norm(defect, 2, axis=(-2, -1)) > tol):
-                return False
-    return True
+    (spectral norm, ``_spectral_defects``); a product that overflows fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = [d for p in sub.blocks.values() for d in (p - _adjoint(p), p @ p - p)]
+    return all(np.all(_spectral_defects(d, tol) <= tol) for d in defects)

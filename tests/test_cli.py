@@ -566,7 +566,7 @@ class TestMainEntry:
             (
                 "quaternion_tight.json",
                 lambda doc: doc["vectors"]["x"][0].__setitem__(0, float("nan")),
-                "vectors.x",
+                "vectors.x[0]",
             ),
             (
                 "block_tight.json",
@@ -698,6 +698,49 @@ class TestMainEntry:
         assert done.stderr.startswith("error: frames.f: ")
         assert done.stderr.count("\n") == 1
         assert "Warning" not in done.stderr and "Traceback" not in done.stderr
+        assert not done.stdout
+
+    @pytest.mark.parametrize(
+        "doc, path, message",
+        [
+            (
+                {
+                    "algebra": {"kind": "complex", "fibers": 1}, "module": {"dims": [2]},
+                    "submodules": {"s": {"projection": [[[[1e200, 0], [0, 0]], [[0, 0], [0, 0]]]]},
+                                   "t": {"blocks": [1]}},
+                    "weights": {"w": [[1], [1]]},
+                    "frames": {"f": {"submodules": ["s", "t"], "weights": "w"}},
+                    "commands": [{"run": "bounds", "frame": "f"}],
+                },
+                "submodules.s.projection",
+                "not a Hermitian idempotent matrix in every fiber",
+            ),
+            (
+                {
+                    "algebra": {"kind": "complex", "fibers": 1}, "module": {"dims": [2]},
+                    "maps": {"m": {"rotations": [[[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]]]}},
+                    "commands": [],
+                },
+                "maps.m.rotations[0]",
+                "fiber 0 rotation is not unitary (defect inf)",
+            ),
+        ],
+        ids=["projection-square-overflows", "rotation-gram-overflows"],
+    )
+    def test_a_product_that_overflows_exit_code(self, tmp_path, capsys, doc, path, message):
+        # The projection ran (exit 0, per_fiber [1, 1e200]) after two numpy
+        # warnings; the rotation was refused as "defect nan" after two.
+        # Under -W error both ended in a traceback with exit 1.
+        scenario = str(write_scenario(tmp_path, doc))
+        assert main(["run", scenario]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        env = dict(os.environ, PYTHONPATH=str(Path(cstar_fusion.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "cstar_fusion.cli", "run", scenario],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr == f"error: {path}: {message}\n"
         assert not done.stdout
 
     def test_perturbation_bounds_that_overflow_are_an_error_record(self, tmp_path):

@@ -2,7 +2,8 @@
 site calls: exact 2^-e scaling, the Hermitian part, unitary conjugation of
 a submodule and the order of the fibers in their dimension groups.  A
 frame's bounds, verdict and tightness are decided in one place, its
-constructor, and the oracle's agreement slack in one function.  Every
+constructor, the oracle's agreement slack in one function, and every
+"spectral norm of a defect within a bound" in one function.  Every
 length of user-scale data is taken by ``algebra._lengths``, and only the
 weight rule floors its tolerance at 1."""
 
@@ -76,6 +77,14 @@ def _length_like(node) -> bool:
     )
 
 
+def _spectral_norm(node) -> bool:
+    """``np.linalg.norm`` with order 2, given by position or by keyword."""
+    if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.norm"):
+        return False
+    order = node.args[1:2] or [k.value for k in node.keywords if k.arg == "ord"]
+    return any(isinstance(o, ast.Constant) and o.value == 2 for o in order)
+
+
 def _unit_floor(node) -> bool:
     """A tolerance floor ``max(1.0, x)`` or ``np.maximum(1.0, x)``."""
     return (
@@ -126,7 +135,12 @@ RULES = {
         _calls_named({"_lengths"}),
         {("algebra.py", "AlgebraElement.fiber_moduli"),
          ("algebra.py", "AlgebraElement.imag_magnitudes"),
-         ("morphism.py", "OrthoMap.__post_init__"), ("oracle.py", "_block_bounds")},
+         ("morphism.py", "OrthoMap.__post_init__"), ("hilbert_module.py", "_spectral_defects")},
+    ),
+    # _block_bounds takes ||b||_2 of the blocks past its Hermitian check.
+    "spectral norm": (
+        _spectral_norm,
+        {("hilbert_module.py", "_spectral_defects"), ("oracle.py", "_block_bounds")},
     ),
     # Every other tolerance is relative to its own operand (README).
     "unit floor": (_unit_floor, {("frame.py", "WeightSequence.__post_init__")}),
@@ -137,6 +151,10 @@ RULES = {
 def test_each_rule_has_one_definition(rule):
     match, definition = RULES[rule]
     assert _sites(match) == definition
+
+
+def test_a_rotation_is_checked_without_an_eigendecomposition():
+    assert not {site for site in _sites(_calls_named({"eigvalsh"})) if site[0] == "morphism.py"}
 
 
 def test_the_multiplier_agreement_has_no_tolerance():

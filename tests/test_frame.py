@@ -652,6 +652,17 @@ class TestShapeChecks:
         with pytest.raises(ShapeMismatch, match="module shapes differ"):
             synthesis_adjoint(three_subspace_frame, ys)
 
+    @pytest.mark.parametrize(
+        "x",
+        [ModuleVector(ModuleShape(COMPLEX, (3,)), [[1, 0, 0]]),
+         ModuleVector(ModuleShape(QUATERNION, (1,)), [[1, 0, 0, 0]])],
+        ids=["complex", "quaternion"],
+    )
+    def test_reconstruct_shape_mismatch(self, parseval_frame, x):
+        # Both raised a bare KeyError from the solve.
+        with pytest.raises(ShapeMismatch, match="module shapes differ"):
+            reconstruct(parseval_frame, x)
+
     def test_weights_must_match_kind(self):
         shape = ModuleShape(QUATERNION, (1, 1))
         subs = [block_submodule(shape, {1, 2})]

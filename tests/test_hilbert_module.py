@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstar_fusion import (
     COMPLEX,
@@ -20,6 +22,7 @@ from cstar_fusion import (
     star,
 )
 from cstar_fusion.cli import _report_data
+from cstar_fusion.hilbert_module import _spectral_defects
 from cstar_fusion.scenario import build_scenario
 from helpers import pairs, random_algebra, random_positive_algebra, random_vector, scenario_doc
 
@@ -240,3 +243,35 @@ class TestSerialization:
         if kind == COMPLEX:
             data = data[0::2] + 1j * data[1::2]
         np.testing.assert_array_equal(data, np.concatenate(x.fibers))
+
+
+class TestSpectralDefects:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 4),
+        m=st.integers(1, 4),
+        k=st.integers(-500, 500),
+        factors=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4),
+        exact=st.booleans(),
+    )
+    def test_a_defect_is_within_its_bound_exactly_when_the_spectral_norm_is(
+        self, seed, count, m, k, factors, exact
+    ):
+        """For stacks 2^k d and bounds b > 0 (one value, or one per matrix),
+        defect <= b exactly when ||2^k d||_2 <= b; ``exact`` sets the bounds
+        to the spectral norms themselves."""
+        rng = np.random.default_rng(seed)
+        d = np.ldexp(rng.standard_normal((count, m, m, 2)), k).view(complex)[..., 0]
+        d *= rng.integers(0, 2, size=(count, m, m))  # sparse, and sometimes all zero
+        spectral = np.linalg.norm(d, 2, axis=(-2, -1))
+        per_matrix = np.resize(np.ldexp(np.asarray(factors), k), count)
+        for bound in (spectral if exact else per_matrix, per_matrix[0]):
+            np.testing.assert_array_equal(_spectral_defects(d, bound) <= bound, spectral <= bound)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, np.nan)])
+    def test_a_matrix_with_a_non_finite_entry_has_defect_inf(self, bad):
+        d = np.zeros((3, 2, 2), dtype=complex)
+        d[1, 0, 1] = bad
+        d[2] = 1e-3
+        np.testing.assert_array_equal(_spectral_defects(d, 1.0), [0.0, np.inf, 2e-3])

@@ -142,24 +142,44 @@ def _eigvalsh_calls(monkeypatch) -> list:
     return calls
 
 
+def _spectral_norm_calls(monkeypatch) -> list:
+    """Record every call of np.linalg.norm with order 2."""
+    calls = []
+    norm = np.linalg.norm
+
+    def spy(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append(np.shape(x))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    return calls
+
+
 class TestUnitaryGate:
     def test_a_unitary_map_takes_no_eigendecomposition(self, monkeypatch):
         rng = np.random.default_rng(88)
         shape = ModuleShape(COMPLEX, (1, 3, 4, 3, 2))
-        calls = _eigvalsh_calls(monkeypatch)
+        calls, norms = _eigvalsh_calls(monkeypatch), _spectral_norm_calls(monkeypatch)
         mapping = random_ortho_map(rng, shape)
         mapping.inverse()
         OrthoMap.identity(shape)
-        assert calls == []
+        assert calls == [] and norms == []
 
     def test_past_the_frobenius_gate_the_spectral_test_decides(self, monkeypatch, plane):
         # U^H U - I = diag(2d + d^2, 0): Frobenius and spectral norm ~8e-11,
         # above UNITARY_TOL / 2 but within UNITARY_TOL.
-        calls = _eigvalsh_calls(monkeypatch)
+        calls = _spectral_norm_calls(monkeypatch)
         OrthoMap(plane, [1.0], [np.diag([1.0 + 4e-11, 1.0])])
         assert calls == [(1, 2, 2)]
         with pytest.raises(ValueError, match=r"not unitary \(defect 1\.20e-10\)$"):
             OrthoMap(plane, [1.0], [np.diag([1.0 + 6e-11, 1.0])])
+
+    def test_a_complex_rotation_whose_gram_overflows_has_defect_inf(self, plane):
+        # U^H U overflowed with numpy's warnings, and the defect read nan.
+        with pytest.raises(ValueError, match=r"not unitary \(defect inf\)$") as caught:
+            OrthoMap(plane, [1.0], [np.diag([1e200, 1.0])])
+        assert (caught.value.key, caught.value.fiber) == ("rotations", 0)
 
     def test_a_huge_quaternion_rotation_states_its_finite_defect(self):
         # Its squared length overflows; the length itself is 1e200.

@@ -241,8 +241,9 @@ class TestEigenBounds:
 
     def test_a_defect_past_the_gate_takes_its_norms_on_the_blocks(self, monkeypatch):
         # One entry of a D = 512 operator off by 1e-9: past the Frobenius
-        # gate, within HERMITIAN_TOL * ||m||_2.  Both spectral norms are taken
-        # on the 8x8 block stacks, never on the whole matrix.
+        # gate, within HERMITIAN_TOL * ||m||_2.  Every spectral norm (of the
+        # defect, and of the block where the defect alone does not decide)
+        # is taken on the 8x8 block stacks, never on the whole matrix.
         m = np.array(flatten_frame_operator(_dense_frame()).matrix)
         m[0, 1] += 1e-9
         op = DenseOperator(m)
@@ -257,11 +258,11 @@ class TestEigenBounds:
         monkeypatch.setattr(np.linalg, "norm", spy)
         got = eigen_bounds(op)
         monkeypatch.undo()
-        assert len(shapes) == 2 and all(len(s) == 3 and s[1:] == (8, 8) for s in shapes)
+        assert 1 <= len(shapes) <= 2 and all(len(s) == 3 and s[1:] == (8, 8) for s in shapes)
         assert got == ref_eigen_bounds(op)
 
     def test_hermitian_input_takes_no_spectral_norm(self, monkeypatch):
-        norm, lengths = np.linalg.norm, oracle._lengths
+        norm, lengths = np.linalg.norm, hilbert_module._lengths
         orders, gates = [], []
 
         def spy(x, ord=None, *args, **kwargs):
@@ -273,10 +274,10 @@ class TestEigenBounds:
             return lengths(a, axis)
 
         monkeypatch.setattr(np.linalg, "norm", spy)
-        monkeypatch.setattr(oracle, "_lengths", gate)
+        monkeypatch.setattr(hilbert_module, "_lengths", gate)
         frame = random_complex_frame(np.random.default_rng(79))
         eigen_bounds(flatten_frame_operator(frame))
-        assert gates and set(gates) == {(1, 2)}  # the Frobenius gate ran on the blocks
+        assert gates and set(gates) == {(-2, -1)}  # the Frobenius gate ran on the blocks
         assert 2 not in orders
 
     @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-200, 1e200])

@@ -133,6 +133,13 @@ class TestValues:
         doc = _doc(vectors={"x": [[[1, 0, 0], [0, 0, 0]], [[1, 0, 0], [0, 0, 0]]]})
         _rejected(doc, "vectors.x[0]", "expected a list of [re, im] pairs")
 
+    def test_a_quaternion_row_fails_at_its_fiber(self):
+        # Both failed at vectors.x, with no fiber named.
+        doc = _doc(QUAT, vectors={"x": [[1, 0, 0, 0], [1, 0, 0]]})
+        _rejected(doc, "vectors.x[1]", "fiber 1 has shape (3,), expected (4,)")
+        doc = _doc(QUAT, vectors={"x": [[1, 0, 0, 0], [1, 0, "y", 0]]})
+        _rejected(doc, "vectors.x[1]", "expected a [w, x, y, z] row")
+
     def test_a_weight_matrix_of_another_column_count(self):
         doc = _doc(weights={"w": [[1, 1, 1], [1, 1, 1]]})
         _rejected(doc, "weights.w", "expected rows of 2 positive reals")

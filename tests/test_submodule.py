@@ -237,6 +237,30 @@ class TestValidation:
         half = Submodule(shape, [np.array([[0.5]])])
         assert not validate_projection(half)
 
+    @pytest.mark.parametrize("scale", [1e154, 1e160, 1e200])
+    def test_a_projection_whose_square_overflows_is_rejected(self, scale):
+        # diag(s, 0): p @ p overflowed past s ~ 1e154, its norm was NaN, and
+        # NaN > tol is false, so it passed there after numpy's warnings.
+        sub = Submodule(ModuleShape(COMPLEX, (2,)), [np.diag([scale, 0.0])])
+        assert not validate_projection(sub)
+
+    def test_a_hermitian_defect_that_overflows_is_rejected(self):
+        sub = Submodule(ModuleShape(COMPLEX, (2,)), [np.array([[0.0, 1e308], [-1e308, 0.0]])])
+        assert not validate_projection(sub)
+
+    def test_a_valid_projection_takes_no_spectral_norm(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        sub = random_span_submodule(rng, ModuleShape(COMPLEX, (2, 3, 3, 4)))
+        norm, orders = np.linalg.norm, []
+
+        def spy(x, ord=None, *args, **kwargs):
+            orders.append(ord)
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", spy)
+        assert validate_projection(sub)
+        assert 2 not in orders
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_projection_rejected(self, bad):
         # A NaN projection used to pass, and a frame over it reported

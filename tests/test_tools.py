@@ -15,11 +15,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_report_digests_prints_ten_digests(tmp_path):
     # Run from elsewhere: the script finds src/ and bench/ next to itself.
+    # Under -W error, a numpy warning on any of the reports' paths fails here.
     done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "report_digests.py")],
+        [sys.executable, "-W", "error", str(ROOT / "tools" / "report_digests.py")],
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
     lines = done.stdout.splitlines()
     assert len(lines) == 10
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+\.json", line) for line in lines)
