@@ -8,10 +8,12 @@ the CLI verification command; the dense dimension is capped at DENSE_CAP.
 The dense extremes are taken block by block: ``_block_bounds`` splits the
 matrix into the contiguous diagonal blocks its own exact zeros give, checks
 that each is Hermitian relative to its own norm and runs one ``eigvalsh``
-per block size, all on the gathered blocks; no norm or decomposition of the
-whole matrix is taken.  The split reads nothing of the module shape or
-fiber layout, so an entry the assembly misplaces merges blocks instead of
-being dropped, and the oracle stays independent of the fast path.
+per block size on the gathered blocks at their exact scales, once per
+operator, shared by ``verify_frame`` (the ``verify-oracle`` verdict) and
+``eigen_bounds``; no norm or decomposition of the whole matrix is taken.
+The split reads nothing of the module shape or fiber layout, so an entry
+the assembly misplaces merges blocks instead of being dropped, and the
+oracle stays independent of the fast path.
 
 The samples come from a stream defined here: each vector is one
 ``standard_normal(2 D)`` draw read as D complex coordinates.
@@ -24,14 +26,15 @@ zero matrix once, and hands that matrix to ``DenseOperator`` as it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import COMPLEX
+from .algebra import COMPLEX, AlgebraElement, _frexp_exponent, _ldexp
 from .errors import NotFinite, NotHermitian, ShapeMismatch
 from .frame import FrameBounds, WeightedFrame, frame_bounds
 from .hilbert_module import ModuleShape, ModuleVector, _adjoint, _hermitian, _spectral_defects
+from .hilbert_module import inner_product
 from .tolerance import DENSE_CAP, HERMITIAN_TOL, ORACLE_SLACK, SAMPLE_REDRAW
 
 # Sampled coordinates held at once, so memory stays bounded for any sample count.
@@ -47,6 +50,7 @@ class DenseOperator:
     """
 
     matrix: np.ndarray
+    _blocks: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = self.matrix
@@ -142,29 +146,41 @@ def _diagonal_blocks(m: np.ndarray):
 
 def _block_bounds(op: DenseOperator) -> tuple[np.ndarray, ...]:
     """(start, stop, lowest, highest) of each contiguous diagonal block b of
-    the operator m (``_diagonal_blocks``), one entry per block.  Each b must
-    be Hermitian relative to its own norm, ||b - b^H||_2 <= HERMITIAN_TOL *
-    ||b||_2, else NotHermitian.
+    the operator m (``_diagonal_blocks``), one per block, kept on the
+    operator.  Each b must be Hermitian relative to its own norm,
+    ||b - b^H||_2 <= HERMITIAN_TOL * ||b||_2, else NotHermitian.
 
     m and m^H are zero off the blocks, so b's extremes are those of m's
     restriction to b's coordinates; they are taken on (b + b^H) / 2, with
     one batched ``eigvalsh`` per block size, and are accurate to
-    eps * ||b||.  For a Hermitian m, (b + b^H) / 2 = b.
+    eps * ||b||.  For a Hermitian m, (b + b^H) / 2 = b.  Every block is
+    checked and decomposed at its exact scale 2^-e, so nothing overflows
+    on the way; an extreme beyond the float range raises NotFinite.
     """
+    if op._blocks is not None:
+        return op._blocks
     found = []
     for first, b in _diagonal_blocks(op.matrix):
+        e = _frexp_exponent(b, (1, 2))
+        b = _ldexp(b, -e[:, None, None])
         # b's largest |re| or |im| is at most ||b||_2, which is taken only past it.
         floor = HERMITIAN_TOL * abs(b.view(float)).max(axis=(1, 2))
         defect = _spectral_defects(b - _adjoint(b), floor)
         past = defect > floor
         if past.any():
-            defect = defect[past]
-            bad = defect > HERMITIAN_TOL * np.linalg.norm(b[past], 2, axis=(1, 2))
+            bad = defect[past] > HERMITIAN_TOL * np.linalg.norm(b[past], 2, axis=(1, 2))
             if bad.any():
-                raise NotHermitian(f"operator deviates from Hermitian by {defect[bad].max():.2e}")
+                with np.errstate(over="ignore"):
+                    worst = _ldexp(defect[past][bad], e[past][bad]).max()
+                raise NotHermitian(f"operator deviates from Hermitian by {worst:.2e}")
         eigvals = np.linalg.eigvalsh(_hermitian(b))
-        found.append((first, first + b.shape[1], eigvals[:, 0], eigvals[:, -1]))
-    return tuple(np.concatenate(column) for column in zip(*found))
+        with np.errstate(over="ignore"):
+            lowest, highest = _ldexp(eigvals[:, 0], e), _ldexp(eigvals[:, -1], e)
+        if not (np.isfinite(lowest).all() and np.isfinite(highest).all()):
+            raise NotFinite("an extreme eigenvalue of the operator exceeds the float range")
+        found.append((first, first + b.shape[1], lowest, highest))
+    object.__setattr__(op, "_blocks", tuple(np.concatenate(column) for column in zip(*found)))
+    return op._blocks
 
 
 def eigen_bounds(op: DenseOperator) -> dict:
@@ -210,8 +226,12 @@ def random_unit_vector(shape: ModuleShape, rng: np.random.Generator) -> ModuleVe
 def fiber_energies(operator: DenseOperator, shape: ModuleShape, rows: np.ndarray) -> np.ndarray:
     """Per-fiber Rayleigh forms of the dense operator S at the rows of a
     (count, D) array in ``flatten_vector``'s layout: E[s, k] is the sum over
-    fiber k's coordinates i of conj(x_s[i]) (S x_s)[i]."""
-    starts = _fiber_offsets(shape)[:-1]
+    fiber k's coordinates i of conj(x_s[i]) (S x_s)[i].  S and the rows
+    must both be D wide, else ShapeMismatch."""
+    offsets = _fiber_offsets(shape)
+    if {len(operator.matrix), rows.shape[-1]} != {offsets[-1]}:
+        raise ShapeMismatch(f"the operator and the rows must be {offsets[-1]} wide")
+    starts = offsets[:-1]
     return np.add.reduceat(np.conj(rows) * (rows @ operator.matrix.T), starts, axis=1)
 
 
@@ -265,3 +285,36 @@ def brute_force_frame_check(
         ):
             return False
     return True
+
+
+def verify_frame(frame: WeightedFrame, samples: int, rng: np.random.Generator) -> dict:
+    """The ``verify-oracle`` verdict, from one dense operator S split and
+    decomposed once.  ``matches_bounds``: each dense block lies in one fiber
+    whose ``per_fiber`` pair is its blocks' extremes, and the fast path's
+    energy <S x, x> at a unit vector drawn after the samples, which checks
+    all of S, is the dense one; each within the fiber's slack."""
+    bounds = frame_bounds(frame)
+    operator = flatten_frame_operator(frame)
+    eig = eigen_bounds(operator)
+    start, stop, lowest, highest = _block_bounds(operator)
+    slack = _agreement_slack(bounds)
+    sample_ok = brute_force_frame_check(frame, samples, rng, operator=operator)
+    # Each dense block lies in the fiber whose coordinates hold its start, or
+    # straddles two; a fiber's dense pair is the extremes over its blocks.
+    offsets = _fiber_offsets(frame.shape)
+    fiber = np.searchsorted(offsets, start, side="right") - 1
+    dense = np.full((len(slack), 2), [np.inf, -np.inf])
+    np.minimum.at(dense[:, 0], fiber, lowest)
+    np.maximum.at(dense[:, 1], fiber, highest)
+    x = random_unit_vector(frame.shape, rng)
+    fast = inner_product(frame.operator_fibers.apply(x), x)
+    energy = fiber_energies(operator, frame.shape, flatten_vector(x)[None])[0]
+    gap = fast - AlgebraElement.from_real(energy.real, frame.shape.kind)
+    matches = (
+        np.all(stop <= offsets[fiber + 1])
+        and np.all(np.abs(dense - bounds.per_fiber) <= slack[:, None])
+        and np.all(gap.fiber_moduli() <= slack)
+        and np.all(np.abs(energy.imag) <= slack)
+    )
+    verdict = {"matches_bounds": bool(matches), "samples": samples, "sample_check": bool(sample_ok)}
+    return eig | verdict

@@ -154,12 +154,19 @@ def _evaluate_criteria(
     if p is not None:
         if not 1.0 < p < np.inf:
             raise ValueError("the exponent p must lie in (1, inf)")
-        power = 2.0 * p / (p - 1.0)
-        crit3_lhs = float(np.sum(angles**power))
+        # The Hoelder conjugate of p; 2 p / (p - 1) would overflow in 2 p.
+        conjugate = p / (p - 1.0)
         # q and threshold^2 at one exact scale 2^-e, so q^p does not overflow.
         e = _frexp_exponent(q_weights)
-        q_norm = float(np.sum(_ldexp(q_weights, -e) ** p) ** (1.0 / p))
-        crit3_rhs = float((_ldexp(np.float64(threshold**2), -e) / q_norm) ** (p / (p - 1.0)))
+        scaled = _ldexp(q_weights, -e)
+        top = scaled.max()
+        if top**p >= np.finfo(float).tiny:
+            q_norm = float(np.sum(scaled**p) ** (1.0 / p))
+        else:  # the largest q^p underflows: take ||q||_p against it, whose term is 1
+            q_norm = float(top * np.sum((scaled / top) ** p) ** (1.0 / p))
+        with np.errstate(over="ignore"):  # a side past the float range compares as inf
+            crit3_lhs = float(np.sum(angles ** (2.0 * conjugate)))
+            crit3_rhs = float((_ldexp(np.float64(threshold**2), -e) / q_norm) ** conjugate)
         crit3 = bool(crit3_lhs < crit3_rhs)
     return CriteriaResult(
         crit1=bool(crit1_lhs < crit1_rhs),

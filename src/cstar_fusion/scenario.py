@@ -21,16 +21,14 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import COMPLEX, QUATERNION, AlgebraElement
+from .algebra import COMPLEX, QUATERNION
 from .errors import CstarFusionError, ParseError, ValidationError
 from .frame import WeightedFrame, WeightSequence, assemble_block_frame, block_multiplier_check
 from .frame import ReconstructionResult, TightnessResult, cone_add, frame_bounds, reconstruct
 from .frame import tightness
-from .hilbert_module import ModuleShape, ModuleVector, inner_product
+from .hilbert_module import ModuleShape, ModuleVector
 from .morphism import OrthoMap, identity_rotations, transport_frame
-from .oracle import brute_force_frame_check, eigen_bounds, fiber_energies, flatten_frame_operator
-from .oracle import _agreement_slack, _block_bounds, _fiber_offsets, flatten_vector
-from .oracle import random_unit_vector
+from .oracle import verify_frame
 from .perturbation import PerturbReport, perturbation_check, randomly_rotated
 from .submodule import Submodule, _fiber_flags, block_submodule, span_submodule
 from .submodule import validate_projection
@@ -359,47 +357,8 @@ def _cmd_perturb(scenario: Scenario, cmd: dict, rng) -> PerturbReport:
     return perturbation_check(frame, candidates, p=cmd.get("p", 2.0))
 
 
-def _fast_energy_matches(frame: WeightedFrame, operator, rng, slack: np.ndarray) -> bool:
-    """Whether the fast path's energy <S x, x> (its cached operator fibers and
-    the module inner product) equals the dense Rayleigh form in every fiber,
-    within its slack, at one unit vector from ``rng``.  Equal extremes leave
-    the rest of the operator unchecked; this compares the whole of it."""
-    x = random_unit_vector(frame.shape, rng)
-    fast = inner_product(frame.operator_fibers.apply(x), x)
-    dense = fiber_energies(operator, frame.shape, flatten_vector(x)[None])[0]
-    gap = fast - AlgebraElement.from_real(dense.real, frame.shape.kind)
-    return bool(np.all(gap.fiber_moduli() <= slack) and np.all(np.abs(dense.imag) <= slack))
-
-
 def _cmd_verify_oracle(scenario: Scenario, cmd: dict, rng) -> dict:
-    frame = scenario.frames[cmd["frame"]]
-    samples = cmd.get("samples", 200)
-    bounds = frame_bounds(frame)
-    operator = flatten_frame_operator(frame)
-    eig = eigen_bounds(operator)
-    start, stop, lowest, highest = _block_bounds(operator)
-    slack = _agreement_slack(bounds)
-    sample_ok = brute_force_frame_check(frame, samples, rng, operator=operator)
-    # Each dense block lies in the fiber whose coordinates hold its start, or
-    # straddles two; a fiber's dense pair is the extremes over its blocks.
-    offsets = _fiber_offsets(frame.shape)
-    fiber = np.searchsorted(offsets, start, side="right") - 1
-    dense = np.full((len(slack), 2), [np.inf, -np.inf])
-    np.minimum.at(dense[:, 0], fiber, lowest)
-    np.maximum.at(dense[:, 1], fiber, highest)
-    # The vector for the whole-operator comparison is drawn after the samples.
-    matches = (
-        np.all(stop <= offsets[fiber + 1])
-        and np.all(np.abs(dense - bounds.per_fiber) <= slack[:, None])
-        and _fast_energy_matches(frame, operator, rng, slack)
-    )
-    return {
-        "lambda_min": eig["lambda_min"],
-        "lambda_max": eig["lambda_max"],
-        "matches_bounds": bool(matches),
-        "samples": samples,
-        "sample_check": bool(sample_ok),
-    }
+    return verify_frame(scenario.frames[cmd["frame"]], cmd.get("samples", 200), rng)
 
 
 def _check_index_sets(cmd: dict, path: str, scenario: Scenario) -> None:

@@ -2,7 +2,8 @@
 site calls: exact 2^-e scaling, the Hermitian part, unitary conjugation of
 a submodule and the order of the fibers in their dimension groups.  A
 frame's bounds, verdict and tightness are decided in one place, its
-constructor, the oracle's agreement slack in one function, and every
+constructor, the oracle's agreement slack in one function, the
+``verify-oracle`` verdict in one function of ``oracle.py``, and every
 "spectral norm of a defect within a bound" in one function.  Every
 length of user-scale data is taken by ``algebra._lengths``, and only the
 weight rule floors its tolerance at 1."""
@@ -151,6 +152,24 @@ RULES = {
 def test_each_rule_has_one_definition(rule):
     match, definition = RULES[rule]
     assert _sites(match) == definition
+
+
+def _imported_from(path: Path, module: str) -> set[str]:
+    """The names ``path`` imports from the library module ``module``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == module
+            for alias in node.names}
+
+
+def test_the_oracle_verdict_has_one_owner():
+    # verify-oracle's verdict is oracle.verify_frame; no other module splits
+    # the dense operator, maps its blocks to fibers or reads the slack.
+    private = {"_block_bounds", "_fiber_offsets", "_agreement_slack"}
+    assert {site[0] for site in _sites(_calls_named(private))} == {"oracle.py"}
+    for path in sorted(SRC.glob("*.py")):
+        assert not private & _imported_from(path, "oracle"), path.name
+    assert _imported_from(SRC / "scenario.py", "oracle") == {"verify_frame"}
 
 
 def test_a_rotation_is_checked_without_an_eigendecomposition():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -293,6 +294,29 @@ class TestEigenBounds:
         with pytest.raises(NotHermitian, match=r"by 1\.00e-04$"):
             eigen_bounds(DenseOperator(m))
 
+    def test_extremes_past_the_float_range_of_their_sum_are_exact(self):
+        # (b + b^H) / 2 overflowed at 1e308: lambda_max read inf after a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eigen_bounds(DenseOperator(np.diag([1e308, 1.0]))) == {
+                "lambda_min": 1.0, "lambda_max": 1e308}
+            got = eigen_bounds(DenseOperator(np.ldexp([[2.0, 1.0], [1.0, 2.0]], 1021)))
+        assert (got["lambda_min"], got["lambda_max"]) == (np.ldexp(1.0, 1021), np.ldexp(3.0, 1021))
+
+    def test_a_defect_past_the_float_range_is_refused_without_a_warning(self):
+        # b - b^H warned "overflow encountered in subtract" first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitian, match=r"by inf$"):
+                eigen_bounds(DenseOperator(np.array([[0.0, 1e308], [-1e308, 0.0]])))
+
+    def test_an_extreme_past_the_float_range_is_refused(self):
+        # lambda_max = 2e308.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotFinite):
+                eigen_bounds(DenseOperator(np.full((2, 2), 1e308)))
+
 
 def _eigvalsh_shapes(monkeypatch) -> list[tuple[int, ...]]:
     """Record the shape of every array given to np.linalg.eigvalsh."""
@@ -443,6 +467,8 @@ class TestBlockSplit:
         out = _verify(frame, samples=20)
         assert out["matches_bounds"] and out["sample_check"]
         assert max(s[-1] for s in shapes) == 8
+        # One split and decomposition, shared by eigen_bounds and the verdict.
+        assert len(shapes) == len(set(shapes))
 
 
 class TestAgreement:
@@ -508,7 +534,7 @@ class TestPerFiberExtremes:
         frame = assemble_block_frame(COMPLEX, [[1, 2]], [[1.0, 1.0]])
         m = np.array(flatten_frame_operator(frame).matrix)
         m[0, 1] = m[1, 0] = 1e-14
-        monkeypatch.setattr(scenario_module, "flatten_frame_operator", lambda f: DenseOperator(m))
+        monkeypatch.setattr(oracle, "flatten_frame_operator", lambda f: DenseOperator(m))
         out = _verify(frame)
         assert out["sample_check"] and not out["matches_bounds"]
 
@@ -535,6 +561,23 @@ class TestBruteForce:
     def test_quaternion_sampling(self):
         frame = random_quaternion_frame(np.random.default_rng(74))
         assert brute_force_frame_check(frame, 100, rng=np.random.default_rng(4))
+
+    def test_an_operator_of_another_size_is_refused(self):
+        # numpy's matmul raised a bare ValueError.
+        frame = assemble_block_frame(COMPLEX, [[1, 2, 3]], [[1.0, 1.0, 1.0]])
+        for size in (2, 4):
+            with pytest.raises(ShapeMismatch):
+                brute_force_frame_check(frame, 5, np.random.default_rng(5),
+                                        operator=DenseOperator(np.eye(size)))
+
+    def test_rows_of_another_width_are_refused(self):
+        frame = assemble_block_frame(COMPLEX, [[1, 2, 3]], [[1.0, 1.0, 1.0]])
+        operator = flatten_frame_operator(frame)
+        with pytest.raises(ShapeMismatch):
+            oracle.fiber_energies(operator, frame.shape, np.ones((2, 2), dtype=complex))
+        np.testing.assert_array_equal(
+            oracle.fiber_energies(operator, frame.shape, np.ones((2, 3), dtype=complex)),
+            np.ones((2, 3)))
 
 
 class TestQuaternionExpansion:

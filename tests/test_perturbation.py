@@ -375,6 +375,24 @@ class TestAngleCriteria:
             assert got.crit3 == want.crit3
             assert got.crit3_rhs == pytest.approx(want.crit3_rhs, rel=1e-14)
 
+    @pytest.mark.parametrize("p", [1 + 2**-52, 2.0, 1000.0, 1074.0, 1100.0, 2000.0, 1e6, 1e308])
+    @pytest.mark.parametrize("theta", [0.3, np.pi / 2])
+    def test_third_criterion_is_sound_at_every_exponent(self, three_subspace_frame, p, theta):
+        # Past p ~ 1074 the largest scaled q^p underflowed, ||q||_p read 0 and
+        # crit3 held with a right side of inf, the ecart past its threshold;
+        # 2 p / (p - 1) overflowed at p = 1e308.
+        moved = rotate_all(three_subspace_frame, theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = perturbation_check(three_subspace_frame, moved, p=p)
+        criteria = report.criteria
+        # q = (1, 1, 1) and threshold^2 = 1: the right side is 3^(-1 / (p - 1)).
+        assert criteria.crit3_rhs == pytest.approx(3.0 ** (-1.0 / (p - 1.0)), rel=1e-12)
+        # Angles of pi/2 have a left side past the float range near p = 1.
+        assert criteria.crit3_lhs < np.inf or (theta > 1.0 and p < 2.0)
+        assert report.guaranteed or not criteria.crit3
+        assert report.guaranteed == (theta < 1.0)
+
     def test_p_validation(self, three_subspace_frame):
         with pytest.raises(ValueError):
             angle_criteria(three_subspace_frame, list(three_subspace_frame.submodules), p=1.0)
