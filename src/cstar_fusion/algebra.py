@@ -10,6 +10,7 @@ noncommutative one whose center consists of the elements with real fibers.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Sequence
@@ -43,6 +44,19 @@ def _quat_conj(a: np.ndarray) -> np.ndarray:
     out = a.copy()
     out[..., 1:] = -out[..., 1:]
     return out
+
+
+def _refuses_overflow(fn):
+    """``fn`` with numpy's overflow and invalid warnings off: a result past
+    the float range is formed as inf or nan, which its constructor refuses
+    (NotFinite), so the warning would only repeat the refusal."""
+
+    @functools.wraps(fn)
+    def forming(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+
+    return forming
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
@@ -177,10 +191,12 @@ class AlgebraElement:
                 f"fiber counts differ: {self.fiber_count} vs {other.fiber_count}"
             )
 
+    @_refuses_overflow
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_compatible(other)
         return AlgebraElement(self.kind, self.fibers + other.fibers)
 
+    @_refuses_overflow
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_compatible(other)
         return AlgebraElement(self.kind, self.fibers - other.fibers)
@@ -188,6 +204,7 @@ class AlgebraElement:
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement(self.kind, -np.asarray(self.fibers))
 
+    @_refuses_overflow
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check_compatible(other)

@@ -5,10 +5,12 @@ Usage:
     cstar-fusion examples [--dir DIR]
 
 ``run`` executes the scenario's commands in order and emits one structured
-report (stdout by default).  The exit status is 0 exactly when no command
-errored; a false verdict (not a frame, not guaranteed, ...) is an ordinary
-result.  ``examples`` materializes the bundled demonstration scenarios into
-the working directory.
+report (stdout by default).  ``dump_json`` streams the report onto its
+destination piece by piece, as UTF-8, so the whole text is never held in
+memory.  The exit status is 0 exactly when no command errored; a false
+verdict (not a frame, not guaranteed, ...) is an ordinary result.
+``examples`` materializes the bundled demonstration scenarios into the
+working directory.
 
 Reports are deterministic: identical scenario and seed give byte-identical
 output.  Every float is emitted with 17 significant digits and the report
@@ -18,11 +20,13 @@ embeds the resolved scenario configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import sys
 import threading
 from dataclasses import fields, is_dataclass
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -61,31 +65,67 @@ def _nest_template(shape: list[int], indent: int) -> str:
     return text
 
 
-def dump_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON with floats at 17 significant digits and sorted
-    object keys."""
-    encode = _SCALARS.get(type(obj))
-    if encode is not None:
-        return encode(obj)
-    if isinstance(obj, (dict, list, tuple)) and not obj:
-        return "{}" if isinstance(obj, dict) else "[]"
-    inner = "  " * (indent + 1)
-    sep = ",\n" + inner
+def _whole(obj, indent: int) -> str | None:
+    """The text of a value that is not of an exact scalar type, where it is
+    written in one piece: an empty container, an all-float nest (one printf;
+    an "n" is nan or inf) at nesting level ``indent``, or a scalar of a
+    subclass; None for a container whose items are written one by one."""
     if isinstance(obj, dict):
-        items = [f"{dump_json(str(k))}: {dump_json(v, indent + 1)}" for k, v in sorted(obj.items())]
-        return f"{{\n{inner}{sep.join(items)}\n{'  ' * indent}}}"
+        return None if obj else "{}"
     if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
         nest = _nest(obj, {float})
-        if nest is not None:  # all floats: one printf; an "n" is nan or inf
+        if nest is not None:
             text = _nest_template(nest[0], indent) % tuple(nest[1])
             if "n" not in text:
                 return text
-        body = sep.join([dump_json(v, indent + 1) for v in obj])
-        return f"[\n{inner}{body}\n{'  ' * indent}]"
+        return None
     for kind, encode in _SCALARS.items():  # subclasses, such as np.float64
         if isinstance(obj, kind):
             return encode(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def dump_json(obj, indent: int = 0, *, write=None) -> str | None:
+    """Deterministic JSON with floats at 17 significant digits and sorted
+    object keys, its first line at nesting level ``indent``.
+
+    With ``write``, the text goes to it piece by piece, in order, and None is
+    returned; without it, the text is returned whole.  The value is walked
+    with an explicit stack, not by recursion, so every value ``json.loads``
+    parses can be written, however deep.
+    """
+    pieces = []
+    emit = pieces.append if write is None else write
+    stack = []  # the open containers, innermost last: (items, keyed, closing text)
+    while True:
+        depth = indent + len(stack)
+        encode = _SCALARS.get(type(obj))  # most values: one lookup, no call
+        text = encode(obj) if encode is not None else _whole(obj, depth)
+        if text is not None:
+            emit(text)
+        else:
+            keyed = isinstance(obj, dict)
+            opening, closing = "{}" if keyed else "[]"
+            inner = "  " * (depth + 1)
+            before = chain((opening + "\n" + inner,), repeat(",\n" + inner))
+            items = sorted(obj.items()) if keyed else obj
+            stack.append((zip(items, before), keyed, "\n" + "  " * depth + closing))
+        while stack:  # the next item, closing each container that has none left
+            items, keyed, closing = stack[-1]
+            item = next(items, None)
+            if item is not None:
+                break
+            stack.pop()
+            emit(closing)
+        else:
+            return "".join(pieces) if write is None else None
+        obj, before = item
+        if keyed:
+            key, obj = obj
+            before += _string(str(key)) + ": "
+        emit(before)
 
 
 def _report_data(value):
@@ -245,9 +285,27 @@ def write_examples(directory: str | Path) -> list[Path]:
     return written
 
 
-def _unwritable(exc: OSError) -> int:
-    print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+def _unwritable(where, exc: OSError) -> int:
+    print(f"error: {where}: {exc.strerror}", file=sys.stderr)
     return 2
+
+
+_STREAM_BUFFER = 1 << 16  # bytes; a terminal gets whole blocks, not one write per line
+
+
+def _report_stream(out: Path | None):
+    """The report's destination as one block-buffered UTF-8 text stream: the
+    ``--out`` file, or a stream on stdout's file descriptor that leaves the
+    descriptor open when it closes.  A stdout replaced in-process by one
+    without a descriptor (a capture) is written to as it is."""
+    if out is not None:
+        return open(out, "w", buffering=_STREAM_BUFFER, encoding="utf-8")
+    sys.stdout.flush()  # anything the caller printed first stays first
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # io.UnsupportedOperation, as from an io.StringIO, is an OSError
+        return contextlib.nullcontext(sys.stdout)
+    return open(fd, "w", buffering=_STREAM_BUFFER, encoding="utf-8", closefd=False)
 
 
 # The collector's setting is one per process, so the count of runs in progress
@@ -262,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     """Run the command line; returns the exit status.
 
     The cyclic garbage collector is paused for the run.  A run's data (the
-    parsed scenario, the report and its text) holds no reference cycle, so
+    parsed scenario and the report) holds no reference cycle, so
     reference counting frees all of it when ``_main`` returns, before the
     collector resumes.  Left on, the collector would traverse the tens of
     thousands of JSON lists of a large scenario over and over while they
@@ -310,7 +368,7 @@ def _main(argv: list[str] | None) -> int:
         try:
             written = write_examples(args.dir)
         except OSError as exc:
-            return _unwritable(exc)
+            return _unwritable(exc.filename or args.dir, exc)
         for path in written:
             print(path)
         return 0
@@ -323,20 +381,15 @@ def _main(argv: list[str] | None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         report, ok = run_scenario(scenario, only=args.only, seed=args.seed)
-        text = dump_json(report) + "\n"
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:  # dump_json recurses once per level of the echoed scenario
-        print(f"error: {args.scenario}: nested too deeply to write the report", file=sys.stderr)
-        return 2
-    if args.out is not None:
-        try:
-            args.out.write_text(text)
-        except OSError as exc:
-            return _unwritable(exc)
-    else:
-        sys.stdout.write(text)
+    try:  # a write error carries no file name, so the destination is named here
+        with _report_stream(args.out) as stream:
+            dump_json(report, write=stream.write)
+            stream.write("\n")
+    except OSError as exc:
+        return _unwritable("<stdout>" if args.out is None else args.out, exc)
     return 0 if ok else 1
 
 

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import COMPLEX, QUATERNION, _KINDS, AlgebraElement, _frexp_exponent, _hamilton
-from .algebra import _ldexp, _lengths, _quat_conj, _require_finite
+from .algebra import _ldexp, _lengths, _quat_conj, _refuses_overflow, _require_finite
 from .errors import QuaternionUnsupported, ShapeMismatch
 
 
@@ -34,6 +34,9 @@ class ModuleShape:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown scalar kind {self.kind!r}")
+        if not all(isinstance(m, (int, np.integer)) and not isinstance(m, bool)
+                   for m in self.dims):
+            raise ValueError("fiber dimensions must be integers")
         object.__setattr__(self, "dims", tuple(int(m) for m in self.dims))
         if len(self.dims) < 1:
             raise ValueError("a module needs at least one fiber")
@@ -173,10 +176,12 @@ class ModuleVector(FiberBlocks):
         width = 4 if shape.kind == QUATERNION else None
         return cls(shape, {m: np.zeros((len(idx), width or m)) for m, idx in shape.groups.items()})
 
+    @_refuses_overflow
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         self._check_same_shape(other)
         return ModuleVector(self.shape, {m: b + other.blocks[m] for m, b in self.blocks.items()})
 
+    @_refuses_overflow
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         self._check_same_shape(other)
         return ModuleVector(self.shape, {m: b - other.blocks[m] for m, b in self.blocks.items()})
@@ -184,6 +189,7 @@ class ModuleVector(FiberBlocks):
     def __neg__(self) -> "ModuleVector":
         return ModuleVector(self.shape, {m: -b for m, b in self.blocks.items()})
 
+    @_refuses_overflow
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return ModuleVector(self.shape, {m: b * float(other) for m, b in self.blocks.items()})
@@ -205,6 +211,7 @@ def _apply_fibers(op: FiberBlocks, x: ModuleVector) -> ModuleVector:
     return ModuleVector(x.shape, {1: op.blocks[1][:, 0] * x.blocks[1]})
 
 
+@_refuses_overflow
 def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     """Algebra-valued inner product, linear in the first argument.
 
@@ -237,6 +244,7 @@ def module_norm(x: ModuleVector) -> float:
     return float(_ldexp(max(np.linalg.norm(b, axis=-1).max() for b in blocks.values()), e))
 
 
+@_refuses_overflow
 def left_action(a: AlgebraElement, x: ModuleVector) -> ModuleVector:
     """Fiberwise left multiplication of the vector by an algebra element."""
     if a.kind != x.shape.kind:

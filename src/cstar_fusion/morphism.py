@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import COMPLEX, AlgebraElement, _hamilton, _lengths, _quat_conj
+from .algebra import COMPLEX, AlgebraElement, _hamilton, _lengths, _quat_conj, _refuses_overflow
 from .errors import InvalidMap, NotAFrame, ShapeMismatch
 from .frame import WeightedFrame, WeightSequence, frame_bounds
 from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint, _spectral_defects
@@ -73,6 +73,7 @@ class OrthoMap(FiberBlocks):
     def identity(cls, shape: ModuleShape) -> "OrthoMap":
         return cls(shape, np.ones(shape.fiber_count), identity_rotations(shape))
 
+    @_refuses_overflow
     def apply(self, x: ModuleVector) -> ModuleVector:
         self._check_same_shape(x)
         scales = self.shape.gather(self.scales)
@@ -82,6 +83,7 @@ class OrthoMap(FiberBlocks):
             blocks = {1: _hamilton(x.blocks[1], self.blocks[1])}
         return ModuleVector(x.shape, {m: scales[m][:, None] * b for m, b in blocks.items()})
 
+    @_refuses_overflow  # a reciprocal scale past the float range is refused (InvalidMap)
     def inverse(self) -> "OrthoMap":
         if self.shape.kind == COMPLEX:
             rotations = {m: _adjoint(u) for m, u in self.blocks.items()}

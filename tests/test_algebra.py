@@ -366,3 +366,21 @@ class TestConstructionAndSerialization:
             np.testing.assert_array_equal(pairs[:, 0] + 1j * pairs[:, 1], a.fibers)
         else:
             np.testing.assert_array_equal(data.reshape(-1, 4), a.fibers)
+
+
+class TestOverflowIsRefused:
+    """Arithmetic past the float range is refused as not finite, with no
+    numpy warning on the way: the suite makes a RuntimeWarning an error."""
+
+    @pytest.mark.parametrize(
+        "form", [lambda a: a + a, lambda a: a - (-a), lambda a: a * 2.0, lambda a: 2.0 * a],
+        ids=["sum", "difference", "scaled", "scaled-on-the-left"],
+    )
+    def test_complex(self, form):
+        with pytest.raises(NotFinite):
+            form(AlgebraElement.complexes([1.7e308]))
+
+    def test_quaternion_product(self):
+        a = quat(1e200)
+        with pytest.raises(NotFinite):
+            a * a

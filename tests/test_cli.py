@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import gc
 import importlib
 import io
@@ -25,6 +26,7 @@ from cstar_fusion import (
 )
 from cstar_fusion.cli import EXAMPLE_SCENARIOS, dump_json, main, run_scenario, write_examples
 from cstar_fusion.scenario import build_scenario, load_scenario
+from helpers import peak_bytes
 
 ROOT = Path(__file__).resolve().parents[1]
 BLOCK_SCENARIO = {
@@ -65,6 +67,16 @@ def write_bytes(tmp_path, data: bytes):
     path = tmp_path / "scenario.json"
     path.write_bytes(data)
     return path
+
+
+def _cli(argv, env=os.environ, **streams) -> subprocess.CompletedProcess:
+    """``cstar-fusion`` with these arguments in a fresh process; its stdout
+    and stderr are captured as bytes unless ``streams`` names them."""
+    env = dict(env, PYTHONPATH=str(Path(cstar_fusion.__file__).parents[1]))
+    streams = streams or {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    return subprocess.run(
+        [sys.executable, "-m", "cstar_fusion.cli", *map(str, argv)], env=env, timeout=120, **streams
+    )
 
 
 def reference_dump_json(obj, indent: int = 0) -> str:
@@ -635,19 +647,13 @@ class TestMainEntry:
             lambda tmp_path: tmp_path,
             lambda tmp_path: write_bytes(tmp_path, b'{"seed": "\xff"}'),
             lambda tmp_path: write_bytes(tmp_path, b"[" * 100_000 + b"]" * 100_000),
-            lambda tmp_path: write_bytes(  # an unused key, so only the report is too deep
-                tmp_path, json.dumps(dict(BLOCK_SCENARIO, note=0)).encode().replace(
-                    b'"note": 0', b'"note": ' + b"[" * 600 + b"]" * 600
-                ),
-            ),
         ],
-        ids=["missing", "directory", "not-utf8", "too-deep-to-parse", "too-deep-to-write"],
+        ids=["missing", "directory", "not-utf8", "too-deep-to-parse"],
     )
     def test_unreadable_file_exit_code(self, tmp_path, make):
         # Each of these escaped main as a traceback with exit status 1.  The
         # CLI runs in a fresh process, so the nesting depth at which parsing
-        # or writing the report recurses too deeply does not depend on the
-        # test runner's own stack.
+        # recurses too deeply does not depend on the test runner's own stack.
         env = dict(os.environ, PYTHONPATH=str(Path(cstar_fusion.__file__).parents[1]))
         done = subprocess.run(
             [sys.executable, "-m", "cstar_fusion.cli", "run", str(make(tmp_path))],
@@ -656,6 +662,19 @@ class TestMainEntry:
         assert done.returncode == 2
         assert done.stderr.startswith("error: ")
         assert "Traceback" not in done.stderr
+
+    def test_a_deeply_nested_scenario_is_echoed_whole(self, tmp_path):
+        # An unused key 600 lists deep: the report's encoder walks the echo
+        # without recursing, so the run writes it back whole.  The CLI runs
+        # in a fresh process, with the interpreter's own recursion limit.
+        deep = b"[" * 600 + b"]" * 600
+        path = write_bytes(tmp_path, json.dumps(dict(BLOCK_SCENARIO, note=0)).encode().replace(
+            b'"note": 0', b'"note": ' + deep
+        ))
+        done = _cli(["run", path])
+        assert done.returncode == 0 and not done.stderr
+        note = json.loads(done.stdout)["scenario"]["note"]
+        assert json.dumps(note, separators=(",", ":")).encode() == deep
 
     @pytest.mark.parametrize(
         "case", ["out-in-missing-directory", "out-is-a-directory", "examples-dir-is-a-file"]
@@ -1039,6 +1058,68 @@ def test_string_in_a_map_exits_2_without_numpy_text(tmp_path, capsys, name, path
     err = capsys.readouterr().err
     assert _error_path(err) == reported
     assert "convert" not in err
+
+
+class TestReportStream:
+    """``run`` writes the report piece by piece onto its destination, as
+    UTF-8, and never holds the whole text."""
+
+    def test_writing_costs_less_than_half_the_report(self, tmp_path, monkeypatch):
+        doc = _bench_complex_scenario(monkeypatch)
+        doc["commands"] = [cmd for cmd in doc["commands"] if cmd["run"] != "verify-oracle"]
+        path, out = write_scenario(tmp_path, doc), tmp_path / "report.json"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        size = out.stat().st_size
+        running = peak_bytes(lambda: run_scenario(load_scenario(path)))
+        whole = peak_bytes(lambda: main(["run", str(path), "--out", str(out)]))
+        # It was 2.65 times the size: the text, its copy with a newline and
+        # the encoded bytes at once.
+        assert whole - running < size / 2
+
+    @pytest.mark.parametrize("name", [*EXAMPLE_SCENARIOS, "bench-complex"])
+    def test_stdout_and_out_give_the_same_bytes(self, tmp_path, monkeypatch, name):
+        if name == "bench-complex":
+            doc = _bench_complex_scenario(monkeypatch)
+        else:
+            doc = EXAMPLE_SCENARIOS[name]
+        path, out = write_scenario(tmp_path, doc), tmp_path / "report.json"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        done = _cli(["run", path])
+        assert done.returncode == 0 and not done.stderr
+        assert done.stdout == out.read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("to", ["out", "stdout"])
+    def test_a_full_destination_exits_2(self, tmp_path, to):
+        # --out printed "error: None: ..." (a write error names no file), and
+        # stdout ended in a traceback with exit status 1.
+        path = write_scenario(tmp_path, EXAMPLE_SCENARIOS["block_tight.json"])
+        if to == "out":
+            done, where = _cli(["run", path, "--out", "/dev/full"]), "/dev/full"
+        else:
+            with open("/dev/full", "wb") as full:
+                done = _cli(["run", path], stdout=full, stderr=subprocess.PIPE)
+            where = "<stdout>"
+        assert done.returncode == 2
+        assert done.stderr.decode() == f"error: {where}: {os.strerror(errno.ENOSPC)}\n"
+
+    def test_reports_are_utf8_under_any_locale(self, tmp_path):
+        # Both destinations ended in a UnicodeEncodeError traceback.
+        doc = json.loads(json.dumps(BLOCK_SCENARIO))
+        doc["submodules"]["\u00e9"] = doc["submodules"].pop("u1")
+        doc["frames"]["f"]["submodules"][0] = "\u00e9"
+        path, out = write_scenario(tmp_path, doc), tmp_path / "report.json"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        expected = out.read_bytes()
+        assert "\u00e9".encode() in expected
+        ascii_locale = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        ascii_locale.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        c_out = tmp_path / "c-report.json"
+        for done in (_cli(["run", path, "--out", c_out], env=ascii_locale),
+                     _cli(["run", path], env=ascii_locale)):
+            assert done.returncode == 0 and not done.stderr
+        assert c_out.read_bytes() == expected
+        assert done.stdout == expected
 
 
 class TestSeedOverride:

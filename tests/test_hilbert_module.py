@@ -9,6 +9,7 @@ from cstar_fusion import (
     COMPLEX,
     QUATERNION,
     AlgebraElement,
+    ModuleSequence,
     ModuleShape,
     ModuleVector,
     NotFinite,
@@ -59,6 +60,17 @@ class TestShapes:
             x = ModuleVector(shape, [np.array([1e308, 1e308]), np.array([1e308])])  # sum overflows
             with pytest.raises(NotFinite):
                 x + x
+
+    @pytest.mark.parametrize(
+        "dim", [2.5, 3.9, True, np.bool_(True), "2"], ids=["2.5", "3.9", "True", "np.True_", "str"]
+    )
+    def test_dimensions_must_be_integers(self, dim):
+        # 2.5 and 3.9 were truncated to 2 and 3, and True read as 1.
+        with pytest.raises(ValueError, match="integers"):
+            ModuleShape(COMPLEX, (2, dim))
+
+    def test_numpy_integer_dimensions_are_taken(self):
+        assert ModuleShape(COMPLEX, np.array([3, 1])).dims == (3, 1)
 
     def test_fiber_length_checked(self):
         shape = ModuleShape(COMPLEX, (2, 1))
@@ -275,3 +287,44 @@ class TestSpectralDefects:
         d[1, 0, 1] = bad
         d[2] = 1e-3
         np.testing.assert_array_equal(_spectral_defects(d, 1.0), [0.0, np.inf, 2e-3])
+
+
+class TestOverflowIsRefused:
+    """Arithmetic past the float range is refused as not finite, with no
+    numpy warning on the way: the suite makes a RuntimeWarning an error."""
+
+    @staticmethod
+    def huge(kind: str, big: float = 1e200) -> ModuleVector:
+        """A two-fiber vector with one entry ``big`` and one entry 1."""
+        if kind == COMPLEX:
+            return ModuleVector(ModuleShape(COMPLEX, (2, 2)), [[big, 0], [1, 0]])
+        return quat_vector([big, 0, 0, 0], [1, 0, 0, 0])
+
+    @pytest.mark.parametrize("kind", [COMPLEX, QUATERNION])
+    def test_scaled(self, kind):
+        with pytest.raises(NotFinite):
+            self.huge(kind) * 1e200
+
+    @pytest.mark.parametrize("kind", [COMPLEX, QUATERNION])
+    def test_sum_and_difference(self, kind):
+        x = self.huge(kind, 1.7e308)
+        with pytest.raises(NotFinite):
+            x + x
+        with pytest.raises(NotFinite):
+            x - (-x)
+
+    @pytest.mark.parametrize("kind", [COMPLEX, QUATERNION])
+    def test_inner_product(self, kind):
+        x = self.huge(kind)
+        with pytest.raises(NotFinite):
+            inner_product(x, x)
+
+    @pytest.mark.parametrize("kind", [COMPLEX, QUATERNION])
+    def test_left_action(self, kind):
+        with pytest.raises(NotFinite):
+            left_action(AlgebraElement.from_real([1e200, 1], kind), self.huge(kind))
+
+    @pytest.mark.parametrize("kind", [COMPLEX, QUATERNION])
+    def test_sequence_norm(self, kind):
+        with pytest.raises(NotFinite):
+            ModuleSequence([self.huge(kind)]).norm()

@@ -7,10 +7,12 @@ from cstar_fusion import (
     COMPLEX,
     QUATERNION,
     AlgebraElement,
+    InvalidMap,
     InvalidWeight,
     ModuleShape,
     ModuleVector,
     NotAFrame,
+    NotFinite,
     OrthoMap,
     ShapeMismatch,
     alg_norm,
@@ -326,3 +328,21 @@ class TestSerialization:
         np.testing.assert_array_equal(back.scales, mapping.scales)
         for bf, mf in zip(back.rotations, mapping.rotations):
             np.testing.assert_array_equal(bf, mf)
+
+
+class TestOverflowIsRefused:
+    """A map whose image or inverse lies past the float range is refused,
+    with no numpy warning on the way: the suite makes a RuntimeWarning an
+    error."""
+
+    SHAPE = ModuleShape(COMPLEX, (2, 2))
+    I = np.eye(2)
+
+    def test_apply(self):
+        x = ModuleVector(self.SHAPE, [[1e200, 0], [1, 0]])
+        with pytest.raises(NotFinite):
+            OrthoMap(self.SHAPE, [1e300, 1], [self.I, self.I]).apply(x)
+
+    def test_inverse_of_a_subnormal_scale(self):
+        with pytest.raises(InvalidMap, match="scales"):
+            OrthoMap(self.SHAPE, [1e-310, 1], [self.I, self.I]).inverse()
