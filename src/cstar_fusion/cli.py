@@ -26,7 +26,7 @@ import gc
 import sys
 import threading
 from dataclasses import fields, is_dataclass
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -35,7 +35,7 @@ import numpy as np
 from .algebra import AlgebraElement
 from .errors import CstarFusionError, ParseError, ValidationError
 from .hilbert_module import ModuleVector
-from .scenario import COMMANDS, Scenario, _nest, load_scenario
+from .scenario import COMMANDS, Scenario, _levels, load_scenario
 
 REPORT_VERSION = "cstar-fusion/1"
 
@@ -54,36 +54,51 @@ _literal = {True: "true", False: "false", None: "null"}.get
 _SCALARS = {bool: _literal, type(None): _literal, int: str, float: _float, str: _string}
 
 
-def _nest_template(shape: list[int], indent: int) -> str:
-    """The brackets, indents and separators of a nest of this shape, with a
-    ``%.17g`` (the same digits as ``.17g``) in place of each leaf."""
-    text = "%.17g"
+def _nest_template(shape: list[int], indent: int, leaf: str = "%.17g") -> str:
+    """The brackets, indents and separators of a nest of this shape, with
+    ``leaf`` in place of each leaf (``%.17g`` gives the same digits as
+    ``.17g``).  The text built so far is copied only at a depth that
+    repeats it; the brackets of a one-item depth are kept aside and joined
+    in once, so the work is linear in the template's length."""
+    text, heads, tails = leaf, [], []  # the template so far: reversed heads, text, tails
     for depth in reversed(range(len(shape))):
         inner = "  " * (indent + depth + 1)
-        body = (",\n" + inner).join([text] * shape[depth])
-        text = "[\n" + inner + body + "\n" + "  " * (indent + depth) + "]"
-    return text
+        if shape[depth] > 1:  # repeat the text so far, its brackets joined in
+            text = "".join([*reversed(heads), text, *tails])
+            heads, tails = [], []
+            text = (",\n" + inner).join([text] * shape[depth])
+        heads.append("[\n" + inner)
+        tails.append("\n" + "  " * (indent + depth) + "]")
+    return "".join([*reversed(heads), text, *tails])
 
 
-def _whole(obj, indent: int) -> str | None:
-    """The text of a value that is not of an exact scalar type, where it is
-    written in one piece: an empty container, an all-float nest (one printf;
-    an "n" is nan or inf) at nesting level ``indent``, or a scalar of a
-    subclass; None for a container whose items are written one by one."""
+def _whole(obj, indent: int, start):
+    """(text, None) for a value that is not of an exact scalar type and is
+    written in one piece: an empty container, a rectangular all-float nest
+    (one printf, or one per leaf when a leaf is nan or inf) at nesting
+    level ``indent``, or a scalar of a subclass.  (None, check) for a
+    container whose items are written one by one, where ``check`` is
+    where a list's nest check stopped (``scenario._levels``), or None.
+
+    ``start`` is None, or the check of the list this one is an item of,
+    narrowed to this list's part: the lists above its level are known to
+    be rectangular, so the check resumes there and each list is opened
+    once, however deep the nest."""
     if isinstance(obj, dict):
-        return None if obj else "{}"
+        return (None if obj else "{}"), None
     if isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        nest = _nest(obj, {float})
-        if nest is not None:
-            text = _nest_template(nest[0], indent) % tuple(nest[1])
-            if "n" not in text:
-                return text
-        return None
+            return "[]", None
+        shape, level, whole = _levels(*(start or ([], [obj])), {float})
+        if not whole:
+            return None, (shape, level)
+        text = _nest_template(shape, indent) % tuple(level)
+        if "n" in text:  # a nan or an inf, written as a string
+            text = _nest_template(shape, indent, "%s") % tuple(map(_float, level))
+        return text, None
     for kind, encode in _SCALARS.items():  # subclasses, such as np.float64
         if isinstance(obj, kind):
-            return encode(obj)
+            return encode(obj), None
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -94,26 +109,42 @@ def dump_json(obj, indent: int = 0, *, write=None) -> str | None:
     With ``write``, the text goes to it piece by piece, in order, and None is
     returned; without it, the text is returned whole.  The value is walked
     with an explicit stack, not by recursion, so every value ``json.loads``
-    parses can be written, however deep.
+    parses can be written, however deep, in time linear in the text.
     """
     pieces = []
     emit = pieces.append if write is None else write
-    stack = []  # the open containers, innermost last: (items, keyed, closing text)
+    # The open containers, innermost last: (items, keyed, closing text,
+    # below), below a list's nest check (shape below it, level, values per item).
+    stack = []
+    at = None  # where obj's part of its list's check starts, if it has one
     while True:
         depth = indent + len(stack)
         encode = _SCALARS.get(type(obj))  # most values: one lookup, no call
-        text = encode(obj) if encode is not None else _whole(obj, depth)
-        if text is not None:
-            emit(text)
+        if encode is not None:
+            emit(encode(obj))
         else:
-            keyed = isinstance(obj, dict)
-            opening, closing = "{}" if keyed else "[]"
-            inner = "  " * (depth + 1)
-            before = chain((opening + "\n" + inner,), repeat(",\n" + inner))
-            items = sorted(obj.items()) if keyed else obj
-            stack.append((zip(items, before), keyed, "\n" + "  " * depth + closing))
+            start = None
+            if at is not None:
+                shape, level, stride = stack[-1][3]
+                start = (shape, level[at : at + stride])
+            text, check = _whole(obj, depth, start)
+            if text is not None:
+                emit(text)
+            else:
+                keyed = isinstance(obj, dict)
+                opening, closing = "{}" if keyed else "[]"
+                inner = "  " * (depth + 1)
+                before = chain((opening + "\n" + inner,), repeat(",\n" + inner))
+                offsets, below = repeat(None), None
+                if check is not None:  # a list: its items resume its check
+                    shape, level = check
+                    below = (shape[1:], level, len(level) // shape[0])
+                    offsets = count(0, below[2])
+                items = sorted(obj.items()) if keyed else obj
+                closing = "\n" + "  " * depth + closing
+                stack.append((zip(items, before, offsets), keyed, closing, below))
         while stack:  # the next item, closing each container that has none left
-            items, keyed, closing = stack[-1]
+            items, keyed, closing, _ = stack[-1]
             item = next(items, None)
             if item is not None:
                 break
@@ -121,7 +152,7 @@ def dump_json(obj, indent: int = 0, *, write=None) -> str | None:
             emit(closing)
         else:
             return "".join(pieces) if write is None else None
-        obj, before = item
+        obj, before, at = item
         if keyed:
             key, obj = obj
             before += _string(str(key)) + ": "
@@ -150,9 +181,9 @@ def run_scenario(
     """Execute the scenario's commands and build the report, plain JSON data.
 
     Returns the report and a flag that is True when no command errored.
-    Each command draws randomness from a stream derived from the effective
-    seed and the command's position, so ``--only`` filtering does not
-    change any individual result.
+    Each command that draws randomness draws it from a stream seeded by
+    the effective seed and the command's position, so ``--only`` filtering
+    does not change any individual result.
     """
     if seed is not None:
         scenario = scenario.with_seed(seed)
@@ -164,9 +195,9 @@ def run_scenario(
             continue
         entry = {"index": index, "command": name}
         entry.update({k: v for k, v in cmd.items() if k != "run"})
-        rng = np.random.default_rng([scenario.seed, index])
         try:
-            entry["output"] = _report_data(COMMANDS[name].handler(scenario, cmd, rng))
+            output = COMMANDS[name].handler(scenario, cmd, [scenario.seed, index])
+            entry["output"] = _report_data(output)
         except CstarFusionError as exc:
             entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
             ok = False

@@ -51,9 +51,11 @@ class ModuleShape:
 
     @cached_property
     def groups(self) -> dict[int, np.ndarray]:
-        """The fiber indices of each fiber dimension, by increasing dimension."""
+        """The fiber indices of each fiber dimension, by increasing dimension;
+        each key is a Python int, each index array increasing."""
         dims = np.asarray(self.dims)
-        return {int(m): np.flatnonzero(dims == m) for m in np.unique(dims)}
+        # Not np.unique: in numpy 2 it imports numpy.ma, which costs a process ~1 MiB.
+        return {m: np.flatnonzero(dims == m) for m in sorted(set(self.dims))}
 
     def gather(self, values: np.ndarray) -> dict[int, np.ndarray]:
         """Split an array indexed by fiber into one block per dimension."""

@@ -123,7 +123,8 @@ def flatten_frame_operator(frame: WeightedFrame) -> DenseOperator:
 
 def _diagonal_blocks(m: np.ndarray):
     """The contiguous diagonal blocks of a square matrix, stacked by size:
-    (starts, (count, s, s) array gathered from m) for each size s.
+    (starts, (count, s, s) array gathered from m) for each size s, by
+    increasing size, the starts increasing.
 
     m splits at i when m[:i, i:] and m[i:, :i] are all exactly zero: when
     no row above i reaches column i in m or in its transpose, which is each
@@ -138,7 +139,8 @@ def _diagonal_blocks(m: np.ndarray):
     ends = np.flatnonzero(np.maximum.accumulate(last) == np.arange(n)) + 1
     starts = np.concatenate([[0], ends[:-1]])
     sizes = ends - starts
-    for s in np.unique(sizes):
+    # Not np.unique: in numpy 2 it imports numpy.ma, which costs a process ~1 MiB.
+    for s in sorted(set(sizes.tolist())):
         first = starts[sizes == s]
         at = first[:, None, None] + np.arange(s)
         yield first, m[np.swapaxes(at, 1, 2), at]

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -125,19 +125,27 @@ def _section(raw: dict, key: str) -> dict:
     return _mapping(raw.get(key, {}), key)
 
 
-def _nest(obj, leaf_types: set[type]) -> tuple[list[int], list] | None:
-    """The shape and leaves of a rectangular nest of lists and tuples with
-    no empty level whose leaves' types are all in ``leaf_types`` (exact
-    types, so ``bool`` is never ``int``); else None.  Each depth is checked
-    in one pass over all of its values."""
-    shape, level = [], [obj]
+def _levels(shape: list[int], level: list, leaf_types: set[type]) -> tuple[list[int], list, bool]:
+    """Check a nest of lists and tuples depth by depth, from ``level``, its
+    values at depth ``len(shape)`` in order, the depths above being lists
+    and tuples of the lengths in ``shape``.
+
+    Returns (shape, level, True) at the first depth whose values are all
+    of a type in ``leaf_types`` (exact types, so ``bool`` is never
+    ``int``): the nest is rectangular with no empty level, and the level
+    holds its leaves.  Returns (shape, level, False) at the first depth
+    that is neither that nor lists and tuples of one length.  Each depth
+    is checked in one pass over all of its values, and each list or tuple
+    is opened by one ``chain.from_iterable`` over its level.
+    """
+    shape = list(shape)
     while True:
         kinds = set(map(type, level))
         if kinds and kinds <= leaf_types:
-            return shape, level
+            return shape, level, True
         sizes = set(map(len, level)) if kinds <= {list, tuple} else ()
         if len(sizes) != 1:  # below an empty level there are no kinds, so no sizes
-            return None
+            return shape, level, False
         shape.append(sizes.pop())
         level = list(chain.from_iterable(level))
 
@@ -145,16 +153,16 @@ def _nest(obj, leaf_types: set[type]) -> tuple[list[int], list] | None:
 def _reals(value, path: str, ndim: int, what: str) -> np.ndarray:
     """A rectangular nest of finite reals, ``ndim`` levels deep, as one float
     array; anything else fails at ``path`` with ``what``."""
-    nest = _nest(value, {int, float})
-    if nest is None or len(nest[0]) != ndim:
+    shape, leaves, whole = _levels([], [value], {int, float})
+    if not whole or len(shape) != ndim:
         _fail(path, what)
     try:
-        arr = np.array(nest[1], dtype=float)
+        arr = np.array(leaves, dtype=float)
     except OverflowError:  # an int beyond the float range
         _fail(path, "entries must be finite")
     if not np.isfinite(arr).all():
         _fail(path, "entries must be finite")
-    return arr.reshape(nest[0])
+    return arr.reshape(shape)
 
 
 def _complexes(value, path: str, ndim: int, what: str) -> np.ndarray:
@@ -292,7 +300,7 @@ def _frame_report(frame: WeightedFrame) -> dict:
     }
 
 
-def _cmd_check_frame(scenario: Scenario, cmd: dict, rng) -> dict:
+def _cmd_check_frame(scenario: Scenario, cmd: dict, seed) -> dict:
     bounds = frame_bounds(scenario.frames[cmd["frame"]])
     return {
         "is_frame": bounds.is_frame,
@@ -301,19 +309,19 @@ def _cmd_check_frame(scenario: Scenario, cmd: dict, rng) -> dict:
     }
 
 
-def _cmd_bounds(scenario: Scenario, cmd: dict, rng) -> dict:
+def _cmd_bounds(scenario: Scenario, cmd: dict, seed) -> dict:
     return _frame_report(scenario.frames[cmd["frame"]])
 
 
-def _cmd_reconstruct(scenario: Scenario, cmd: dict, rng) -> ReconstructionResult:
+def _cmd_reconstruct(scenario: Scenario, cmd: dict, seed) -> ReconstructionResult:
     return reconstruct(scenario.frames[cmd["frame"]], scenario.vectors[cmd["vector"]])
 
 
-def _cmd_tightness(scenario: Scenario, cmd: dict, rng) -> TightnessResult:
+def _cmd_tightness(scenario: Scenario, cmd: dict, seed) -> TightnessResult:
     return tightness(scenario.frames[cmd["frame"]])
 
 
-def _cmd_multiplier(scenario: Scenario, cmd: dict, rng) -> dict:
+def _cmd_multiplier(scenario: Scenario, cmd: dict, seed) -> dict:
     index_sets, weights = cmd["index_sets"], scenario.weights[cmd["weights"]].matrix
     result = block_multiplier_check(index_sets, weights, scenario.shape.kind)
     bounds = frame_bounds(assemble_block_frame(scenario.shape.kind, index_sets, weights))
@@ -329,18 +337,18 @@ def _cmd_multiplier(scenario: Scenario, cmd: dict, rng) -> dict:
     }
 
 
-def _cmd_cone(scenario: Scenario, cmd: dict, rng) -> dict:
+def _cmd_cone(scenario: Scenario, cmd: dict, seed) -> dict:
     summed = cone_add(scenario.frames[cmd["frame"]], scenario.weights[cmd["weights"]])
     return _frame_report(summed)
 
 
-def _cmd_transport(scenario: Scenario, cmd: dict, rng) -> dict:
+def _cmd_transport(scenario: Scenario, cmd: dict, seed) -> dict:
     mapping = scenario.maps[cmd["map"]]
     moved = transport_frame(mapping, scenario.frames[cmd["frame"]])
     return {"nu": mapping.nu(), "bounds": _frame_report(moved)}
 
 
-def _cmd_perturb(scenario: Scenario, cmd: dict, rng) -> PerturbReport:
+def _cmd_perturb(scenario: Scenario, cmd: dict, seed) -> PerturbReport:
     spec = scenario.perturbations[cmd["perturbation"]]
     frame = scenario.frames[spec.frame]
     if spec.candidates is not None:
@@ -357,7 +365,8 @@ def _cmd_perturb(scenario: Scenario, cmd: dict, rng) -> PerturbReport:
     return perturbation_check(frame, candidates, p=cmd.get("p", 2.0))
 
 
-def _cmd_verify_oracle(scenario: Scenario, cmd: dict, rng) -> dict:
+def _cmd_verify_oracle(scenario: Scenario, cmd: dict, seed) -> dict:
+    rng = np.random.default_rng(seed)
     return verify_frame(scenario.frames[cmd["frame"]], cmd.get("samples", 200), rng)
 
 
@@ -406,10 +415,14 @@ _CHECKS = {"index_sets": _check_index_sets, "p": _check_p, "samples": _check_sam
 
 @dataclass(frozen=True, slots=True)
 class Command:
-    """The arguments a command takes, checked in this order, and its handler."""
+    """The arguments a command takes, checked in this order, and its handler.
+
+    The handler gets the command's seed, anything ``np.random.default_rng``
+    takes; only a handler that draws makes a Generator of it, so a run with
+    no such command never imports ``numpy.random``."""
 
     args: tuple[str, ...]
-    handler: Callable[[Scenario, dict, np.random.Generator], object]
+    handler: Callable[[Scenario, dict, Sequence[int] | np.random.Generator], object]
 
 
 COMMANDS = {

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import threading
 import time
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from cstar_fusion import (
     COMPLEX, ModuleShape, ModuleVector, ParseError, ValidationError, cli, span_submodule,
 )
 from cstar_fusion.cli import EXAMPLE_SCENARIOS, dump_json, main, run_scenario, write_examples
+from cstar_fusion import scenario as scenario_module
 from cstar_fusion.scenario import build_scenario, load_scenario
 from helpers import peak_bytes
 
@@ -206,6 +208,14 @@ DOCUMENTS = st.recursive(
 )
 
 
+def _deep_chain(leaf, depth: int = 2000) -> list:
+    """``leaf`` inside ``depth`` one-item lists: deeper than ``json.loads``
+    or the recursive reference encoder reach."""
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
 class TestDumpJson:
     def test_sorted_keys_and_float_digits(self):
         text = dump_json({"b": 1 / 3, "a": True, "c": [1, None]})
@@ -254,16 +264,59 @@ class TestDumpJson:
         + [_with_leaf(leaf) for leaf in ODD_LEAVES]
         + [_ragged_deepest, _ragged_outermost, _empty_inner]
         + [lambda nest: (tuple(nest[0]), nest[1])]
-        + [lambda nest: [nest[0], tuple(map(tuple, nest[1]))]],
+        + [lambda nest: [nest[0], tuple(map(tuple, nest[1]))]]
+        + [lambda nest: [_deep_chain(nest, 40), _deep_chain(3, 40), _deep_chain(0.5, 40)]],
         ids=["rectangular"]
         + [f"leaf {leaf!r}" for leaf in ODD_LEAVES]
-        + ["ragged deepest", "ragged outermost", "empty inner list", "tuple row", "tuple rows"],
+        + ["ragged deepest", "ragged outermost", "empty inner list", "tuple row", "tuple rows",
+           "deep chains"],
     )
     def test_near_misses_match_the_reference_encoder(self, edit):
         nest = edit(self._base())
         for doc in (nest, {"a": {"b": nest}}, [nest, 1], [[nest]]):
             assert dump_json(doc) == reference_dump_json(doc)
         assert dump_json(nest, 3) == reference_dump_json(nest, 3)
+
+    @pytest.mark.parametrize(
+        "leaf, text",
+        [(1, "1"), ("s", '"s"'), (0.1, "0.10000000000000001"), (float("nan"), '"nan"')],
+        ids=["int", "str", "float", "nan"],
+    )
+    @pytest.mark.parametrize("indent", [0, 3])
+    def test_a_deep_chain_matches_its_reference(self, leaf, text, indent):
+        depth = 2000
+        opening = "".join("[\n" + "  " * (indent + k + 1) for k in range(depth))
+        closing = "".join("\n" + "  " * (indent + k) + "]" for k in reversed(range(depth)))
+        assert dump_json(_deep_chain(leaf, depth), indent) == opening + text + closing
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            _deep_chain(1), _deep_chain("s"), _deep_chain(0.1), _deep_chain(float("nan")),
+            [_deep_chain(1, 50), _deep_chain(0.5, 50), [[0.5] * 40] * 50 + [[0.5] * 39 + [3]]],
+            [_deep_chain(1.5, 60)] * 3 + [_deep_chain(None, 60)],
+        ],
+        ids=["int chain", "str chain", "float chain", "nan chain", "mixed", "four chains"],
+    )
+    def test_each_list_is_opened_at_most_once(self, monkeypatch, doc):
+        # Writing a nest checks it depth by depth (scenario._levels), opening
+        # each list of a level by one chain.from_iterable; an item resumes its
+        # list's check, so no list is opened twice, however deep the nest.
+        opened = []
+
+        class Counting:
+            @staticmethod
+            def from_iterable(level):
+                opened.append(len(level))
+                return chain.from_iterable(level)
+
+        monkeypatch.setattr(scenario_module, "chain", Counting)
+        dump_json(doc)
+        lists, level = 0, [doc]
+        while level:
+            lists += sum(isinstance(node, list) for node in level)
+            level = [item for node in level if isinstance(node, list) for item in node]
+        assert sum(opened) <= lists
 
     @pytest.mark.parametrize("name", sorted(EXAMPLE_SCENARIOS))
     def test_bundled_reports_match_the_reference_encoder(self, name):

@@ -5,8 +5,8 @@ frame's bounds, verdict and tightness are decided in one place, its
 constructor, the oracle's agreement slack in one function, the
 ``verify-oracle`` verdict in one function of ``oracle.py``, and every
 "spectral norm of a defect within a bound" in one function.  Every
-length of user-scale data is taken by ``algebra._lengths``, and only the
-weight rule floors its tolerance at 1."""
+length of user-scale data is taken by ``algebra._lengths``, only the
+weight rule floors its tolerance at 1, and no numpy set routine is called."""
 
 import ast
 import inspect
@@ -170,6 +170,14 @@ def test_the_oracle_verdict_has_one_owner():
     for path in sorted(SRC.glob("*.py")):
         assert not private & _imported_from(path, "oracle"), path.name
     assert _imported_from(SRC / "scenario.py", "oracle") == {"verify_frame"}
+
+
+def test_no_numpy_set_routine_is_called():
+    # In numpy 2 each imports numpy.ma, which costs a process ~1 MiB
+    # (test_cold_start.py); group by the Python values instead.
+    routines = {"unique", "unique_all", "unique_counts", "unique_inverse", "unique_values",
+                "isin", "in1d", "union1d", "intersect1d", "setdiff1d", "setxor1d"}
+    assert _sites(_calls_named(routines)) == set()
 
 
 def test_a_rotation_is_checked_without_an_eigendecomposition():

@@ -117,3 +117,59 @@ def test_bench_pairs_verdict(better, parent, change, expected):
 )
 def test_bench_pairs_failed_share_verdict(parent, change, expected):
     assert _bench_pairs().failed_verdict(*parent, *change) == expected
+
+
+def test_bench_pairs_interleaves_one_tiny_run_against_itself(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_pairs.py"), str(ROOT), "--interleave",
+         "--workload", "small_fibers", "--seconds", "0.6", "--size", "tiny"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("# small_fibers: interleaved ops, 2 rounds of 0.3 s")
+    assert lines[1].startswith("# round 1: parent started first, ")
+    assert lines[2].startswith("# round 2: change started first, ")
+    row = re.fullmatch(r"  op_time_ratio +(\S+) +\[(\S+), (\S+)\] +(\S+) +(\w+)", lines[4])
+    ratio, low, high, bias, verdict = row.groups()
+    assert float(bias) == _bench_pairs().BIAS_BOUND
+    assert 0 < float(low) <= float(ratio) <= float(high)
+    assert verdict in ("gain", "worse", "same", "unresolved")
+    assert re.fullmatch(r"  parent failed 0 of [1-9]\d* ops", lines[5])
+    assert re.fullmatch(r"  change failed 0 of [1-9]\d* ops  same", lines[6])
+    assert list(tmp_path.iterdir()) == []
+
+
+def _latencies(ratio: float, count: int, noise: float, seed: int):
+    """Paired op times in ms: a host that switches between speed regimes
+    (15, 28 and 16 ms ops), each side with its own lognormal noise, and
+    the change's ops ``ratio`` times the parent's."""
+    rng = np.random.default_rng(seed)
+    host = np.repeat([15.0, 28.0, 16.0], -(-count // 3))[:count]
+    parent = host * rng.lognormal(0.0, noise, count)
+    change = ratio * host * rng.lognormal(0.0, noise, count)
+    return parent, change
+
+
+@pytest.mark.parametrize("ratio", [0.97, 1.0, 1.031, 1.12])
+def test_the_paired_ratio_recovers_a_known_ratio(ratio):
+    estimate, low, high = _bench_pairs().paired_ratio(*_latencies(ratio, 800, 0.02, seed=5))
+    assert low < ratio < high
+    assert abs(estimate / ratio - 1) < 0.003
+    assert high / low < 1.01  # 800 paired ops resolve a few percent
+
+
+@pytest.mark.parametrize(
+    "ratio, count, noise, expected",
+    [
+        (0.95, 800, 0.02, "gain"),
+        (1.05, 800, 0.02, "worse"),
+        (1.0, 800, 0.02, "same"),
+        (1.0, 20, 0.2, "unresolved"),  # too few ops for their noise
+        (1.01, 800, 0.02, "unresolved"),  # on the bias bound's edge
+    ],
+)
+def test_the_interleaved_verdict(ratio, count, noise, expected):
+    tool = _bench_pairs()
+    _, low, high = tool.paired_ratio(*_latencies(ratio, count, noise, seed=6))
+    assert tool.ratio_verdict(low, high, bias=0.01) == expected

@@ -1,6 +1,8 @@
 """Run the benchmark in pairs: a parent checkout against this one.
 
     python tools/bench_pairs.py PARENT --workload W --pairs N --seconds S [--size tiny] [--seed K]
+    python tools/bench_pairs.py PARENT --interleave --workload W --seconds S [--size tiny]
+                                [--seed K]
 
 Each pair runs ``bench/run.py --trace 0`` once in PARENT and once in the
 checkout that holds this file, each from the root of its own checkout, so
@@ -25,6 +27,20 @@ The failed ops get a verdict of their own: ``worse`` when the change
 failed a larger share of its attempted ops than the parent did, ``same``
 otherwise.
 
+``--interleave`` pairs single ops instead of whole runs, so that the
+host's speed regimes, which last seconds to minutes, fall on both sides
+alike.  Each of ROUNDS rounds starts two long-lived ``tools/pair_worker.py``
+processes, one per checkout, the start order swapped from round to round,
+and runs paired ops for its share of ``--seconds``: both workers get the
+same op index, and which side runs first alternates op by op (ABBA).  The
+estimate is exp(median(log(change/parent))) of the op times over the ops
+both sides passed, pooled over the rounds, with a bootstrap 95 % CI; below
+1 the change is faster.  Its verdict, against the same-code bias
+BIAS_BOUND: ``gain`` when the CI lies wholly below 1/(1 + BIAS_BOUND),
+``worse`` wholly above 1 + BIAS_BOUND, ``same`` wholly between them, and
+``unresolved`` across either edge.  ``setup_s`` and ``peak_rss_mb`` are
+not per-op metrics; they keep the run-level pairs.
+
 It gates nothing: the exit code is 0 when every run completed, 1 when one
 did not.
 """
@@ -33,8 +49,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -101,19 +120,167 @@ def summarize(metrics, parent: list[dict], change: list[dict]) -> list[str]:
     return lines
 
 
+# -- interleaved ops ----------------------------------------------------------
+
+ROUNDS = 2  # worker pairs, the start order swapped from one to the next
+# Round r times ops from index (r + 1) * ROUND_INDICES: rounds see different
+# inputs, and none that a worker warmed up on (the first few indices).
+ROUND_INDICES = 1_000_000
+BOOTSTRAP = 2000  # resamples of the pooled log ratios
+# Same code on both sides reads within this fraction of 1.  Measured HEAD
+# against HEAD, 3 runs of 40 s per gated workload, seed 7, 2 cores: ratios
+# 0.9932-1.0013, and the widest CI reached 0.9863 (cli_scenarios).
+BIAS_BOUND = 0.015
+BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def paired_ratio(parent_ms, change_ms, seed: int = 0) -> tuple[float, float, float]:
+    """exp(median(log(change/parent))) over paired op times, and the 2.5th
+    and 97.5th percentiles of the same median over BOOTSTRAP resamples."""
+    logs = np.log(np.asarray(change_ms, dtype=float) / np.asarray(parent_ms, dtype=float))
+    rng = np.random.default_rng(seed)
+    medians = [np.median(logs[rng.integers(0, logs.size, (100, logs.size))], axis=1)
+               for _ in range(BOOTSTRAP // 100)]  # 100 resamples at a time
+    low, high = np.percentile(np.concatenate(medians), [2.5, 97.5])
+    ratio, low, high = np.exp([np.median(logs), low, high])
+    return float(ratio), float(low), float(high)
+
+
+def ratio_verdict(low: float, high: float, bias: float = BIAS_BOUND) -> str:
+    """``gain``, ``worse``, ``same`` or ``unresolved`` for a change/parent
+    op-time CI (see the module docstring)."""
+    if high < 1.0 / (1.0 + bias):
+        return "gain"
+    if low > 1.0 + bias:
+        return "worse"
+    if 1.0 / (1.0 + bias) <= low and high <= 1.0 + bias:
+        return "same"
+    return "unresolved"
+
+
+class PairWorker:
+    """One running ``tools/pair_worker.py``, for one checkout."""
+
+    def __init__(self, side: str, checkout: Path, args) -> None:
+        self.side = side
+        self.stderr = tempfile.TemporaryFile()
+        command = [
+            sys.executable, str(ROOT / "tools" / "pair_worker.py"), str(checkout),
+            "--workload", args.workload, "--seed", str(args.seed), "--size", args.size,
+        ]
+        self.process = subprocess.Popen(
+            command, cwd=checkout, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=self.stderr, text=True, env={**os.environ, **BLAS_PIN},
+        )
+        if self._line() != "ready":
+            self._fail()
+
+    def _line(self) -> str:
+        line = self.process.stdout.readline()
+        if not line:
+            self._fail()
+        return line.strip()
+
+    def _fail(self):
+        self.process.kill()
+        self.process.wait()
+        self.stderr.seek(0)
+        message = self.stderr.read().decode(errors="replace")
+        self.stderr.close()
+        code = self.process.returncode
+        raise RuntimeError(f"{self.side}: pair_worker.py exited {code}\n{message}")
+
+    def run(self, index: int) -> dict:
+        """Run op ``index``: ``{"ms": ..., "problems": [...]}``."""
+        self.process.stdin.write(f"{index}\n")
+        self.process.stdin.flush()
+        return json.loads(self._line())
+
+    def close(self) -> None:
+        if self.process.poll() is None:
+            self.process.stdin.close()
+            self.process.wait()
+        self.stderr.close()
+
+
+def interleave(args, sides: dict[str, Path]) -> int:
+    """Run ROUNDS rounds of paired ops and print the pooled ratio."""
+    print(f"# {args.workload}: interleaved ops, {ROUNDS} rounds of {args.seconds / ROUNDS:g} s, "
+          f"seed {args.seed}, size {args.size}", flush=True)
+    times: dict[str, list[float]] = {"parent": [], "change": []}
+    failed = {"parent": 0, "change": 0}
+    both_passed = []  # indices into times of the ops both sides passed
+    for round_ in range(ROUNDS):
+        started = ("parent", "change") if round_ % 2 == 0 else ("change", "parent")
+        workers = {}
+        try:
+            for side in started:
+                workers[side] = PairWorker(side, sides[side], args)
+            deadline = time.monotonic() + args.seconds / ROUNDS
+            first = len(times["parent"])
+            op = 0
+            while time.monotonic() < deadline:
+                index = (round_ + 1) * ROUND_INDICES + op
+                order = ("parent", "change") if op % 4 in (0, 3) else ("change", "parent")
+                passed = True
+                for side in order:
+                    out = workers[side].run(index)
+                    times[side].append(out["ms"])
+                    if out["problems"]:
+                        failed[side] += 1
+                        passed = False
+                        print(f"# {side} op {index}: " + "; ".join(out["problems"]),
+                              file=sys.stderr)
+                if passed:
+                    both_passed.append(len(times["parent"]) - 1)
+                op += 1
+        except RuntimeError as exc:
+            print(exc, file=sys.stderr)
+            return 1
+        finally:
+            for worker in workers.values():
+                worker.close()
+        ours = [i for i in both_passed if i >= first]
+        line = f"# round {round_ + 1}: {started[0]} started first, {op} ops a side"
+        if ours:
+            parent, change = (np.take(times[side], ours) for side in ("parent", "change"))
+            line += f", ratio {paired_ratio(parent, change)[0]:.4f}"
+        print(line, flush=True)
+    attempted = len(times["parent"])
+    print(f"# {'metric':<14} {'change/parent':>13} {'95% CI':>18}  bias_bound  verdict")
+    if both_passed:
+        parent, change = (np.take(times[side], both_passed) for side in ("parent", "change"))
+        ratio, low, high = paired_ratio(parent, change, args.seed)
+        print(f"  {'op_time_ratio':<14} {ratio:>13.4f} {f'[{low:.4f}, {high:.4f}]':>18}  "
+              f"{BIAS_BOUND:<10g}  {ratio_verdict(low, high)}")
+    else:
+        print(f"  {'op_time_ratio':<14} {'none':>13} (no op passed on both sides)")
+    print(f"  parent failed {failed['parent']} of {attempted} ops")
+    print(f"  change failed {failed['change']} of {attempted} ops  "
+          f"{failed_verdict(failed['parent'], attempted, failed['change'], attempted)}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="root of the parent commit's checkout")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--pairs", type=int, help="whole-run pairs (not with --interleave)")
+    parser.add_argument("--interleave", action="store_true", help="pair single ops instead")
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    if not (sides["parent"] / "bench" / "workloads.py").is_file():
+        parser.error(f"{args.parent}: not a checkout with bench/workloads.py")
+    if args.interleave:
+        if args.pairs is not None:
+            parser.error("--pairs does not apply to --interleave")
+        return interleave(args, sides)
+    if args.pairs is None or args.pairs < 1:
         parser.error("--pairs must be at least 1")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    sides = {"parent": args.parent.resolve(), "change": ROOT}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     print(f"# {args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, "
           f"seed {args.seed}, size {args.size}", flush=True)
