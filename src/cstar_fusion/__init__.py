@@ -17,6 +17,7 @@ from .algebra import (
     is_central,
     order_leq,
     positivity_class,
+    quaternion_block,
     sqrt_positive,
     star,
 )
@@ -66,7 +67,6 @@ from .oracle import (
     fiber_energies,
     flatten_frame_operator,
     flatten_vector,
-    quaternion_block,
     random_unit_vector,
 )
 from .perturbation import (

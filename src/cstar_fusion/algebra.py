@@ -40,6 +40,13 @@ def _hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
+def quaternion_block(rows) -> np.ndarray:
+    """The exact star-representation chi(q) = [[a, b], [-conj(b), conj(a)]] of (w, x, y, z)
+    rows q = a + b j, a = w + xi, b = y + zi (F. Zhang, Linear Algebra Appl. 251, 1997)."""
+    w, x, y, z = np.moveaxis(np.asarray(rows, dtype=float), -1, 0)
+    return np.stack([w, x, y, z, -y, z, w, -x], axis=-1).view(complex).reshape(w.shape + (2, 2))
+
+
 def _quat_conj(a: np.ndarray) -> np.ndarray:
     out = a.copy()
     out[..., 1:] = -out[..., 1:]

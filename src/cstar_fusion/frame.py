@@ -94,8 +94,7 @@ class FrameOperatorFibers(FiberBlocks):
     def __post_init__(self, fibers) -> None:
         self._store(fibers, matrix=True)
 
-    def apply(self, x: ModuleVector) -> ModuleVector:
-        return _apply_fibers(self, x)
+    apply = _apply_fibers
 
 
 def _assemble_operator(
@@ -279,10 +278,10 @@ def synthesis_adjoint(frame: WeightedFrame, ys: ModuleSequence) -> ModuleVector:
 
 
 def _solve_operator(frame: WeightedFrame, x: ModuleVector) -> ModuleVector:
-    """S^-1 x by one batched LU solve per fiber dimension."""
+    """S^-1 x by batched LU solves; a quaternion row is divided by s (README, bit for bit)."""
     ops = frame.operator_fibers.blocks
     if frame.shape.kind == QUATERNION:
-        return ModuleVector(x.shape, {1: x.blocks[1] / ops[1][:, 0]})
+        return ModuleVector(x.shape, {1: x.blocks[1] / ops[1][:, 0, :1].real})
     blocks = {m: np.linalg.solve(s, x.blocks[m][:, :, None])[:, :, 0] for m, s in ops.items()}
     return ModuleVector(x.shape, blocks)
 

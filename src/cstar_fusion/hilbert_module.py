@@ -9,7 +9,13 @@ length.  The inner product is linear in its first argument.
 Per-fiber data (vectors here, projections, frame-operator fibers and
 rotations elsewhere) is stored as one stacked array per fiber dimension,
 ``{m: (count, ...)}`` in the order of ``ModuleShape.groups``, so that every
-fiberwise operation is one numpy call per dimension.
+fiberwise operation is one numpy call per dimension.  Every fiber operator
+is a complex matrix on the fiber's complex coordinates, whose number
+``ModuleShape.widths`` decides: m for a complex fiber, and two for a
+quaternion line, the pair (w + xi, y + zi), on which a quaternion acts as
+its complex 2x2 image (``algebra.quaternion_block``).  A vector fiber
+holds those coordinates as the algebra holds its scalars: complex, or the
+quaternion's (w, x, y, z) row, their float view.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ class ModuleShape:
 
     kind: str
     dims: tuple[int, ...]
+    # Set by the width rule: complex coordinates per dimension (m, or 2), vector dtype.
+    widths: dict[int, int] = field(init=False, repr=False, compare=False)
+    row_dtype: np.dtype = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -42,8 +51,12 @@ class ModuleShape:
             raise ValueError("a module needs at least one fiber")
         if any(m < 1 for m in self.dims):
             raise ValueError("fiber dimensions must be at least 1")
-        if self.kind == QUATERNION and any(m != 1 for m in self.dims):
+        quaternion = self.kind == QUATERNION
+        if quaternion and any(m != 1 for m in self.dims):
             raise QuaternionUnsupported("quaternion fibers must be one-dimensional")
+        widths = {m: 2 if quaternion else m for m in sorted(set(self.dims))}
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "row_dtype", np.dtype(float if quaternion else complex))
 
     @property
     def fiber_count(self) -> int:
@@ -111,9 +124,10 @@ class FiberBlocks:
 
     The data is given as such a dict, as one array stacked over the fibers
     of a module with a single fiber dimension, or with one entry per fiber.
-    A fiber holds an (m, m) matrix or a vector (length m; quaternion: 4); a
-    per-fiber entry is reshaped to that shape, except that complex matrices
-    must already have it.
+    A fiber holds a complex (w, w) matrix on its w = ``shape.widths[m]``
+    coordinates, or a vector of those coordinates in ``shape.row_dtype``
+    (length m; quaternion: the row of 4).  A per-fiber vector is reshaped
+    to that shape; a matrix must already have it.
     """
 
     shape: ModuleShape
@@ -122,17 +136,16 @@ class FiberBlocks:
 
     def _store(self, fibers, matrix: bool) -> None:
         shape = self.shape
-        dtype = complex if shape.kind == COMPLEX else float
-        vec = 4 if shape.kind == QUATERNION else None
-        tails = {m: (m, m) if matrix else (vec or m,) for m in shape.groups}
+        dtype = complex if matrix else shape.row_dtype
+        tails = {m: (w, w) if matrix else (w if dtype.kind == "c" else 2 * w,)
+                 for m, w in shape.widths.items()}
         if isinstance(fibers, np.ndarray) and [fibers.shape[1:]] == list(tails.values()):
             fibers = {shape.dims[0]: fibers}
         elif not isinstance(fibers, dict):
             if len(fibers) != shape.fiber_count:
                 raise ShapeMismatch(f"expected {shape.fiber_count} fibers, got {len(fibers)}")
-            exact = matrix and shape.kind == COMPLEX
             fibers = {
-                m: [_fiber(fibers[k], k, tails[m], dtype, exact) for k in idx]
+                m: [_fiber(fibers[k], k, tails[m], dtype, matrix) for k in idx]
                 for m, idx in shape.groups.items()
             }
         if fibers.keys() != tails.keys():
@@ -162,7 +175,8 @@ class ModuleVector(FiberBlocks):
     """One vector per fiber; immutable.
 
     Complex fiber k is a complex array of length dims[k]; a quaternion
-    fiber is a single (w, x, y, z) row of length 4.
+    fiber is a single (w, x, y, z) row of length 4, whose complex view is
+    the pair (w + xi, y + zi) every fiber operator acts on.
     """
 
     # field() keeps the inherited ``fibers`` property from becoming a default
@@ -175,8 +189,8 @@ class ModuleVector(FiberBlocks):
 
     @classmethod
     def zeros(cls, shape: ModuleShape) -> "ModuleVector":
-        width = 4 if shape.kind == QUATERNION else None
-        return cls(shape, {m: np.zeros((len(idx), width or m)) for m, idx in shape.groups.items()})
+        rows = {m: np.zeros((len(i), shape.widths[m]), complex) for m, i in shape.groups.items()}
+        return cls(shape, {m: r.view(shape.row_dtype) for m, r in rows.items()})
 
     @_refuses_overflow
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
@@ -204,13 +218,10 @@ class ModuleVector(FiberBlocks):
 
 
 def _apply_fibers(op: FiberBlocks, x: ModuleVector) -> ModuleVector:
-    """Each fiber's matrix of ``op`` applied to that fiber of x; a quaternion
-    fiber's (1, 1) matrix is a real scalar."""
+    """Each fiber's matrix of ``op`` applied to that fiber's complex coordinates in x."""
     op._check_same_shape(x)
-    if op.shape.kind == COMPLEX:
-        blocks = {m: (a @ x.blocks[m][:, :, None])[:, :, 0] for m, a in op.blocks.items()}
-        return ModuleVector(x.shape, blocks)
-    return ModuleVector(x.shape, {1: op.blocks[1][:, 0] * x.blocks[1]})
+    blocks = {m: (a @ x.blocks[m].view(complex)[:, :, None])[:, :, 0] for m, a in op.blocks.items()}
+    return ModuleVector(x.shape, {m: b.view(x.blocks[m].dtype) for m, b in blocks.items()})
 
 
 @_refuses_overflow

@@ -17,27 +17,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import COMPLEX, AlgebraElement, _hamilton, _lengths, _quat_conj, _refuses_overflow
+from .algebra import QUATERNION, AlgebraElement, _lengths, _refuses_overflow, quaternion_block
 from .errors import InvalidMap, NotAFrame, ShapeMismatch
 from .frame import WeightedFrame, WeightSequence, frame_bounds
-from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint, _spectral_defects
+from .hilbert_module import FiberBlocks, ModuleShape, ModuleVector, _adjoint, _apply_fibers
+from .hilbert_module import _spectral_defects, left_action
 from .submodule import _conjugated
 from .tolerance import UNITARY_TOL
 
 
 def identity_rotations(shape: ModuleShape) -> dict[int, np.ndarray]:
-    """Identity rotation blocks: unit matrices, or the unit quaternion rows."""
-    if shape.kind == COMPLEX:
-        return {m: np.tile(np.eye(m), (len(idx), 1, 1)) for m, idx in shape.groups.items()}
-    return {1: np.tile([1.0, 0.0, 0.0, 0.0], (shape.fiber_count, 1))}
+    """Identity rotation blocks, one unit matrix per fiber."""
+    return {m: np.tile(np.eye(w), (len(shape.groups[m]), 1, 1)) for m, w in shape.widths.items()}
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class OrthoMap(FiberBlocks):
     """Per-fiber positive scale and isometry; immutable and invertible.
 
-    ``rotations`` holds read-only per-fiber views into ``blocks``: unitary
-    matrices, or unit quaternion rows (w, x, y, z).
+    ``blocks`` holds one complex matrix per fiber: the unitary, or chi(u)^T
+    for a unit quaternion u.  ``rotations`` holds read-only per-fiber views
+    of the isometries: the unitary matrices, or the unit rows (w, x, y, z).
+    Quaternion rotations are given as those rows, or as a dict of blocks,
+    each read by its first column, u's pair (w + xi, y + zi); a row's
+    defect is | |u| - 1 |, a unitary's ||U^H U - I||_2.
     """
 
     scales: np.ndarray
@@ -50,24 +53,30 @@ class OrthoMap(FiberBlocks):
             raise ShapeMismatch("need one scale per fiber", "scales")
         if not np.all((scale_arr > 0) & (scale_arr < np.inf)):
             raise InvalidMap("scales must be positive and finite", "scales")
+        rotations, rows = self.rotations, None
         try:
-            self._store(self.rotations, matrix=shape.kind == COMPLEX)
+            if shape.kind == QUATERNION:  # unit rows, or chi(u)^T read by its first column
+                self._store(rotations, matrix=isinstance(rotations, dict))
+                given = self.blocks[1]
+                rows = np.ascontiguousarray(given[:, :, 0] if given.ndim > 2 else given).view(float)
+                rows.setflags(write=False)
+                defects = np.abs(_lengths(rows) - 1.0)
+                rotations = {1: np.swapaxes(quaternion_block(rows), 1, 2)}
+            self._store(rotations, matrix=True)
         except ShapeMismatch as exc:
             exc.key = "rotations"
             raise
-        if shape.kind == COMPLEX:
+        if rows is None:
             with np.errstate(over="ignore", invalid="ignore"):
                 gram = {m: _adjoint(u) @ u - np.eye(m) for m, u in self.blocks.items()}
             defects = shape.scatter({m: _spectral_defects(g, UNITARY_TOL) for m, g in gram.items()})
-        else:
-            defects = np.abs(_lengths(self.blocks[1]) - 1.0)
         k = int(np.argmax(defects))
         if not defects[k] <= UNITARY_TOL:
             message = f"fiber {k} rotation is not unitary (defect {defects[k]:.2e})"
             raise InvalidMap(message, "rotations", k)
         scale_arr.setflags(write=False)
         object.__setattr__(self, "scales", scale_arr)
-        object.__setattr__(self, "rotations", self.fibers)
+        object.__setattr__(self, "rotations", self.fibers if rows is None else tuple(rows))
 
     @classmethod
     def identity(cls, shape: ModuleShape) -> "OrthoMap":
@@ -75,25 +84,25 @@ class OrthoMap(FiberBlocks):
 
     @_refuses_overflow
     def apply(self, x: ModuleVector) -> ModuleVector:
-        self._check_same_shape(x)
-        scales = self.shape.gather(self.scales)
-        if self.shape.kind == COMPLEX:
-            blocks = {m: (u @ x.blocks[m][:, :, None])[:, :, 0] for m, u in self.blocks.items()}
-        else:
-            blocks = {1: _hamilton(x.blocks[1], self.blocks[1])}
-        return ModuleVector(x.shape, {m: scales[m][:, None] * b for m, b in blocks.items()})
+        scales = AlgebraElement.from_real(self.scales, self.shape.kind)
+        return left_action(scales, _apply_fibers(self, x))
 
     @_refuses_overflow  # a reciprocal scale past the float range is refused (InvalidMap)
     def inverse(self) -> "OrthoMap":
-        if self.shape.kind == COMPLEX:
-            rotations = {m: _adjoint(u) for m, u in self.blocks.items()}
-        else:
-            rotations = {1: _quat_conj(self.blocks[1])}
+        rotations = {m: _adjoint(u) for m, u in self.blocks.items()}
         return OrthoMap(self.shape, 1.0 / self.scales, rotations)
 
     def nu(self) -> AlgebraElement:
         """The central strictly positive element (c_k^2)."""
         return AlgebraElement.from_real(self.scales**2, self.shape.kind)
+
+
+def _scalar(p: np.ndarray) -> bool:
+    """Whether every fiber of the block is a real multiple of the identity, which
+    U (cI) U^H = cI keeps; a span block mostly fails at once, on fiber 0's (0, 1)."""
+    if p.shape[-1] > 1 and p[0, 0, 1] != 0:
+        return False
+    return np.array_equal(p, p[:, :1, :1].real * np.eye(p.shape[-1]))
 
 
 def transport_frame(mapping: OrthoMap, frame: WeightedFrame) -> WeightedFrame:
@@ -103,12 +112,15 @@ def transport_frame(mapping: OrthoMap, frame: WeightedFrame) -> WeightedFrame:
     scale cancels there); the map's energy scale is carried by the weights,
     which pick up the factor nu^(1/2) = (c_k), so the transported frame
     verifies with optimal bounds exactly nu^(1/2) times the originals.
+    A block of real multiples of the identity is kept as it is (``_scalar``).
     """
     mapping._check_same_shape(frame)
     if not frame_bounds(frame).is_frame:
         raise NotAFrame("transport requires a frame")
-    unitaries = mapping.blocks if frame.shape.kind == COMPLEX else {}
-    new_subs = [_conjugated(sub, unitaries) for sub in frame.submodules]
+    new_subs = [
+        _conjugated(sub, {m: u for m, u in mapping.blocks.items() if not _scalar(sub.blocks[m])})
+        for sub in frame.submodules
+    ]
     with np.errstate(over="ignore"):  # an overflowed weight is refused as not finite
         new_weights = frame.weights.matrix * mapping.scales
     return WeightedFrame(new_subs, WeightSequence(frame.shape.kind, new_weights))

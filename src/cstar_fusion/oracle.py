@@ -1,9 +1,12 @@
 """Dense brute-force reference used to cross-check the fiberwise fast path.
 
 Everything here flattens the module into one complex coordinate space
-(quaternion fibers expand to two complex coordinates) and re-derives frame
+(each fiber has ``ModuleShape.widths`` coordinates: a quaternion fiber two,
+whose operators are already complex 2x2 blocks) and re-derives frame
 quantities by direct dense linear algebra or random sampling, for tests and
 the CLI verification command; the dense dimension is capped at DENSE_CAP.
+The dense energies assume every submodule block is a projection, which
+``verify_frame`` checks (``validate_projection``).
 
 The dense extremes are taken block by block: ``_block_bounds`` splits the
 matrix into the contiguous diagonal blocks its own exact zeros give, checks
@@ -30,11 +33,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import COMPLEX, AlgebraElement, _frexp_exponent, _ldexp
+from .algebra import AlgebraElement, _frexp_exponent, _ldexp
 from .errors import NotFinite, NotHermitian, ShapeMismatch
 from .frame import FrameBounds, WeightedFrame, frame_bounds
 from .hilbert_module import ModuleShape, ModuleVector, _adjoint, _hermitian, _spectral_defects
 from .hilbert_module import inner_product
+from .submodule import validate_projection
 from .tolerance import DENSE_CAP, HERMITIAN_TOL, ORACLE_SLACK, SAMPLE_REDRAW
 
 # Sampled coordinates held at once, so memory stays bounded for any sample count.
@@ -69,19 +73,6 @@ class DenseOperator:
         object.__setattr__(self, "matrix", arr)
 
 
-def quaternion_block(q) -> np.ndarray:
-    """The 2x2 complex block of the row q = (w, x, y, z) = a + b*j:
-    [[a, b], [-conj(b), conj(a)]].
-
-    A faithful star-representation: conjugation becomes the Hermitian
-    adjoint and |q| the operator 2-norm.
-    """
-    w, x, y, z = q
-    a = w + 1j * x
-    b = y + 1j * z
-    return np.array([[a, b], [-np.conj(b), np.conj(a)]])
-
-
 def flatten_vector(x: ModuleVector) -> np.ndarray:
     """Flatten fiber-major into one complex vector; quaternion fibers map
     to (w + xi, y + zi), which preserves the Euclidean fiber norm."""
@@ -90,14 +81,13 @@ def flatten_vector(x: ModuleVector) -> np.ndarray:
 
 def _fiber_offsets(shape: ModuleShape) -> np.ndarray:
     """Where each fiber starts in the flattened coordinates, then the total."""
-    dims = shape.dims if shape.kind == COMPLEX else (2,) * shape.fiber_count
-    return np.concatenate([[0], np.cumsum(dims)])
+    return np.concatenate([[0], np.cumsum([shape.widths[m] for m in shape.dims])])
 
 
 def flatten_frame_operator(frame: WeightedFrame) -> DenseOperator:
     """Assemble the frame operator as one dense block-diagonal matrix.
 
-    Each fiber dimension's blocks are summed on their own (count, m, m)
+    Each fiber dimension's blocks are summed on their own (count, w, w)
     stack, submodule by submodule, symmetrised there, and written into the
     zero matrix once; the matrix itself is neither copied nor transposed.
     """
@@ -109,13 +99,9 @@ def flatten_frame_operator(frame: WeightedFrame) -> DenseOperator:
     out = np.zeros((total, total), dtype=complex)
     wmatrix = frame.weights.matrix
     for m, idx in shape.groups.items():
-        width = m if shape.kind == COMPLEX else 2
-        acc = np.zeros((len(idx), width, width), dtype=complex)
-        for n, sub in enumerate(frame.submodules):
-            # A quaternion selector p acts on its two complex coordinates as p * I_2.
-            block = sub.blocks[m] if shape.kind == COMPLEX else sub.blocks[m] * np.eye(2)
-            acc += (wmatrix[n, idx] ** 2)[:, None, None] * block
-        at = offsets[idx][:, None, None] + np.arange(width)
+        squares = (wmatrix[:, idx] ** 2)[:, :, None, None]
+        acc = sum(w2 * sub.blocks[m] for w2, sub in zip(squares, frame.submodules))
+        at = offsets[idx][:, None, None] + np.arange(acc.shape[-1])
         out[np.swapaxes(at, 1, 2), at] = _hermitian(acc)
     out.setflags(write=False)
     return DenseOperator(out)
@@ -220,9 +206,8 @@ def _unit_samples(shape: ModuleShape, rng: np.random.Generator, count: int) -> n
 def random_unit_vector(shape: ModuleShape, rng: np.random.Generator) -> ModuleVector:
     """A module vector of norm one (largest fiber length is 1)."""
     row = _unit_samples(shape, rng, 1)[0]
-    if shape.kind == COMPLEX:
-        return ModuleVector(shape, np.split(row, _fiber_offsets(shape)[1:-1]))
-    return ModuleVector(shape, row.view(float).reshape(-1, 4))
+    coordinates = np.split(row, _fiber_offsets(shape)[1:-1])
+    return ModuleVector(shape, [c.view(shape.row_dtype) for c in coordinates])
 
 
 def fiber_energies(operator: DenseOperator, shape: ModuleShape, rows: np.ndarray) -> np.ndarray:
@@ -256,7 +241,8 @@ def brute_force_frame_check(
     every sample, each fiber within its ``_agreement_slack`` (the bracket
     within the largest).  The energies are the ``fiber_energies`` of the
     dense frame operator (``flatten_frame_operator`` unless given), which
-    are sum_n w_n^2 |(P_n x_s)_k|^2 since every P_n is a projection.
+    are sum_n w_n^2 |(P_n x_s)_k|^2 when every P_n is a projection, as
+    ``verify_frame`` checks.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -291,10 +277,12 @@ def brute_force_frame_check(
 
 def verify_frame(frame: WeightedFrame, samples: int, rng: np.random.Generator) -> dict:
     """The ``verify-oracle`` verdict, from one dense operator S split and
-    decomposed once.  ``matches_bounds``: each dense block lies in one fiber
-    whose ``per_fiber`` pair is its blocks' extremes, and the fast path's
-    energy <S x, x> at a unit vector drawn after the samples, which checks
-    all of S, is the dense one; each within the fiber's slack."""
+    decomposed once.  ``matches_bounds``: every submodule's blocks are
+    Hermitian and idempotent within PROJECTION_TOL (``validate_projection``),
+    each dense block lies in one fiber whose ``per_fiber`` pair is its
+    blocks' extremes, and the fast path's energy <S x, x> at a unit vector
+    drawn after the samples, which checks all of S, is the dense one; each
+    within the fiber's slack."""
     bounds = frame_bounds(frame)
     operator = flatten_frame_operator(frame)
     eig = eigen_bounds(operator)
@@ -313,7 +301,8 @@ def verify_frame(frame: WeightedFrame, samples: int, rng: np.random.Generator) -
     energy = fiber_energies(operator, frame.shape, flatten_vector(x)[None])[0]
     gap = fast - AlgebraElement.from_real(energy.real, frame.shape.kind)
     matches = (
-        np.all(stop <= offsets[fiber + 1])
+        all(validate_projection(sub) for sub in frame.submodules)
+        and np.all(stop <= offsets[fiber + 1])
         and np.all(np.abs(dense - bounds.per_fiber) <= slack[:, None])
         and np.all(gap.fiber_moduli() <= slack)
         and np.all(np.abs(energy.imag) <= slack)

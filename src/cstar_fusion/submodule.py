@@ -1,8 +1,10 @@
 """Orthogonally complemented submodules as per-fiber orthogonal projections.
 
-Complex fibers carry an arbitrary Hermitian idempotent matrix; quaternion
-fibers are one-dimensional, so a submodule there is a 0/1 selector (the only
-left submodules of a quaternion line are the zero space and the whole line).
+Complex fibers carry an arbitrary Hermitian idempotent matrix.  Quaternion
+fibers are one-dimensional, so a submodule there selects each line or not
+(the only left submodules of a quaternion line are the zero space and the
+whole line); its projection is stored as the complex image p I_2 of the
+selector bit p, like every quaternion fiber operator.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ class Submodule(FiberBlocks):
     """Per-fiber projection data, finite (else NotFinite); immutable.
 
     Complex fiber k stores an (m_k, m_k) complex matrix; a quaternion fiber
-    stores a (1, 1) float matrix whose single entry is the selector bit.
+    stores the complex 2x2 matrix p I_2, p its selector bit.
     """
 
     fibers: InitVar[object] = field()  # see ModuleVector
@@ -91,8 +93,8 @@ def _fiber_flags(n: int, index_set: Iterable[int]) -> np.ndarray:
 def block_submodule(shape: ModuleShape, index_set: Iterable[int]) -> Submodule:
     """Coordinate submodule: identity on the fibers named by the 1-based
     index set, zero elsewhere.  Valid for both scalar kinds."""
-    flags = shape.gather(_fiber_flags(shape.fiber_count, index_set))
-    return Submodule(shape, {m: np.eye(m) * flags[m][:, None, None] for m in shape.groups})
+    flags = shape.gather(_fiber_flags(shape.fiber_count, index_set)[:, None, None])
+    return Submodule(shape, {m: np.eye(w) * flags[m] for m, w in shape.widths.items()})
 
 
 def span_submodule(shape: ModuleShape, fiber_spanning_sets: Sequence[Sequence]) -> Submodule:
@@ -120,12 +122,12 @@ def project(sub: Submodule, x: ModuleVector) -> ModuleVector:
 
 def complement(sub: Submodule) -> Submodule:
     """The orthogonal complement; per fiber the projection I - P."""
-    return Submodule(sub.shape, {m: np.eye(m) - p for m, p in sub.blocks.items()})
+    return Submodule(sub.shape, {m: np.eye(p.shape[-1]) - p for m, p in sub.blocks.items()})
 
 
 def _conjugated(sub: Submodule, unitaries: dict[int, np.ndarray]) -> Submodule:
     """``sub`` with its fibers of each dimension m in ``unitaries`` moved to
-    the Hermitian part of U P U^H, U the (count, m, m) stack unitaries[m]."""
+    the Hermitian part of U P U^H, U the (count, w, w) stack unitaries[m]."""
     moved = {m: _hermitian(u @ sub.blocks[m] @ _adjoint(u)) for m, u in unitaries.items()}
     return Submodule(sub.shape, {**sub.blocks, **moved})
 

@@ -81,8 +81,8 @@ def ref_span_projection(vectors, m):
 
 def ref_operator(frame):
     fibers = []
-    for k, m in enumerate(frame.shape.dims):
-        acc = np.zeros((m, m), dtype=complex)
+    for k in range(frame.shape.fiber_count):
+        acc = np.zeros_like(frame.submodules[0].fibers[k], dtype=complex)
         for n, sub in enumerate(frame.submodules):
             acc += frame.weights.matrix[n, k] ** 2 * sub.fibers[k]
         fibers.append((acc + acc.conj().T) / 2.0)
@@ -262,6 +262,30 @@ class TestFramePipeline:
             ref = [s.real for s in ref_operator(frame)]
             scale = max(abs(float(s[0, 0])) for s in ref)
             assert_fibers_close(frame.operator_fibers.fibers, ref, scale)
+
+    def test_quaternion_operators_are_exact_complex_images(self):
+        # Every quaternion fiber operator is the complex 2x2 image of a real:
+        # p I_2 for a selector bit p, s I_2 for s = sum_n w_n^2 p_n, and the
+        # bounds read s back bit for bit.
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            frame = random_quaternion_frame(rng, max_fibers=8)
+            count = frame.shape.fiber_count
+            bits = []
+            for sub in frame.submodules:
+                block = sub.blocks[1]
+                assert block.dtype == complex and block.shape == (count, 2, 2)
+                p = block[:, 0, 0].real
+                assert set(p.tolist()) <= {0.0, 1.0}
+                np.testing.assert_array_equal(block, p[:, None, None] * np.eye(2))
+                bits.append(p)
+            s = np.zeros(count)
+            for w, p in zip(frame.weights.matrix, bits):
+                s += w**2 * p
+            op = frame.operator_fibers.blocks[1]
+            assert op.dtype == complex and op.shape == (count, 2, 2)
+            assert np.array_equal(op, s[:, None, None] * np.eye(2))
+            assert frame_bounds(frame).per_fiber == tuple((v, v) for v in s.tolist())
 
 
 class TestProjections:

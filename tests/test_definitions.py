@@ -6,7 +6,9 @@ constructor, the oracle's agreement slack in one function, the
 ``verify-oracle`` verdict in one function of ``oracle.py``, and every
 "spectral norm of a defect within a bound" in one function.  Every
 length of user-scale data is taken by ``algebra._lengths``, only the
-weight rule floors its tolerance at 1, and no numpy set routine is called."""
+weight rule floors its tolerance at 1, and no numpy set routine is called.
+Outside the algebra layer and scenario I/O, the scalar kind is tested only
+where the two kinds truly differ: every fiber operator is a complex matrix."""
 
 import ast
 import inspect
@@ -170,6 +172,42 @@ def test_the_oracle_verdict_has_one_owner():
     for path in sorted(SRC.glob("*.py")):
         assert not private & _imported_from(path, "oracle"), path.name
     assert _imported_from(SRC / "scenario.py", "oracle") == {"verify_frame"}
+
+
+def _kind_test(node) -> bool:
+    """A comparison ``== / !=`` against COMPLEX or QUATERNION (or their strings)."""
+    kinds = {"COMPLEX", "QUATERNION", "'complex'", "'quaternion'"}
+    return (
+        isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+        and any(ast.unparse(side) in kinds for side in [node.left, *node.comparators])
+    )
+
+
+# The width rule, the algebra-valued inner product and left action (Hamilton
+# products on (w, x, y, z) rows), the quaternion solve that keeps dividing
+# the row by s bit for bit, a map's unit-row input and the refusal of
+# quaternion spans.  Every other fiber operator is a complex matrix.
+KIND_TESTS = {
+    ("hilbert_module.py", "ModuleShape.__post_init__"),
+    ("hilbert_module.py", "inner_product"),
+    ("hilbert_module.py", "left_action"),
+    ("frame.py", "_solve_operator"),
+    ("morphism.py", "OrthoMap.__post_init__"),
+    ("submodule.py", "span_submodule"),
+}
+
+
+def test_the_scalar_kind_is_tested_only_where_the_kinds_differ():
+    outside = {"algebra.py", "scenario.py", "cli.py"}
+    sites = [site for site in _sites(_kind_test) if site[0] not in outside]
+    assert set(sites) == KIND_TESTS
+    count = sum(
+        _kind_test(node)
+        for path in sorted(SRC.glob("*.py")) if path.name not in outside
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert count == len(KIND_TESTS)
 
 
 def test_no_numpy_set_routine_is_called():

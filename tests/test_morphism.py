@@ -18,6 +18,7 @@ from cstar_fusion import (
     alg_norm,
     assemble_block_frame,
     block_submodule,
+    complement,
     frame_bounds,
     inner_product,
     left_action,
@@ -109,6 +110,25 @@ class TestApplyMap:
         product = mapping.inverse().nu() * mapping.nu()
         np.testing.assert_allclose(product.real_parts(), 1.0, rtol=1e-15)
 
+    def test_quaternion_rotation_is_the_hamilton_product(self):
+        # chi(u)^T on the pair (w + xi, y + zi) is x * u within 2 ulp of |x|,
+        # and the inverse turns back by the conjugate rows exactly.
+        rng = np.random.default_rng(58)
+        shape = ModuleShape(QUATERNION, (1,) * 64)
+        for _ in range(10):
+            mapping = random_ortho_map(rng, shape, scale_range=(1.0, 1.0))
+            rows = rng.standard_normal((64, 4)) * np.exp(rng.uniform(-30.0, 30.0, (64, 1)))
+            x = ModuleVector(shape, rows)
+            u = AlgebraElement.quaternions(np.array(mapping.rotations))
+            want = (AlgebraElement.quaternions(rows) * u).fibers
+            ulp = np.spacing(np.linalg.norm(rows, axis=1))[:, None]
+            assert np.all(np.abs(mapping.apply(x).blocks[1] - want) <= 2 * ulp)
+            inverse = mapping.inverse()
+            assert np.array_equal(inverse.rotations, np.array(mapping.rotations) * [1, -1, -1, -1])
+            assert np.array_equal(inverse.inverse().blocks[1], mapping.blocks[1])
+            back = inverse.apply(mapping.apply(x)).blocks[1]
+            assert np.all(np.abs(back - rows) <= 4 * ulp)
+
     def test_shape_mismatch(self, plane):
         mapping = OrthoMap.identity(plane)
         x = ModuleVector(ModuleShape(COMPLEX, (3,)), [[1, 0, 0]])
@@ -187,7 +207,7 @@ class TestUnitaryGate:
         # Its squared length overflows; the length itself is 1e200.
         shape = ModuleShape(QUATERNION, (1,))
         with pytest.raises(ValueError, match=r"not unitary \(defect 1\.00e\+200\)$"):
-            OrthoMap(shape, [1.0], {1: [[0.0, 1e200, 0.0, 0.0]]})
+            OrthoMap(shape, [1.0], [[0.0, 1e200, 0.0, 0.0]])
 
 
 class TestNu:
@@ -296,6 +316,26 @@ class TestTransport:
             for new, old in zip(moved.submodules, frame.submodules):
                 assert new.blocks.keys() == {1}
                 assert new.blocks[1].tobytes() == old.blocks[1].tobytes()
+
+    def test_complex_coordinate_blocks_come_back_exact(self):
+        # U (cI) U^H = cI: a coordinate block's 0 and I fibers are kept, not
+        # rounded through the product, while a span block still turns.
+        rng = np.random.default_rng(57)
+        shape = ModuleShape(COMPLEX, (2, 3, 1, 3, 2))
+        blocks = block_submodule(shape, {1, 3, 4})
+        span = span_submodule(shape, [[rng.standard_normal(m)] for m in shape.dims])
+        frame = WeightedFrame(
+            [blocks, complement(blocks), span],
+            WeightSequence.from_matrix(COMPLEX, rng.uniform(0.5, 2.0, (3, 5))),
+        )
+        for _ in range(5):
+            mapping = random_ortho_map(rng, shape)
+            moved = transport_frame(mapping, frame)
+            for new, old in zip(moved.submodules[:2], frame.submodules[:2]):
+                for m in old.blocks:
+                    assert new.blocks[m].tobytes() == old.blocks[m].tobytes()
+            for u, p, q in zip(mapping.rotations, span.fibers, moved.submodules[2].fibers):
+                np.testing.assert_allclose(q, u @ p @ u.conj().T, atol=1e-14)
 
     def test_requires_frame(self):
         broken = assemble_block_frame(COMPLEX, [[1]], [[1, 1]])

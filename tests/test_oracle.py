@@ -23,11 +23,13 @@ from cstar_fusion import (
     NotFinite,
     NotHermitian,
     ShapeMismatch,
+    Submodule,
     WeightSequence,
     WeightedFrame,
     assemble_block_frame,
     block_submodule,
     brute_force_frame_check,
+    complement,
     eigen_bounds,
     flatten_frame_operator,
     flatten_vector,
@@ -65,7 +67,7 @@ def ref_flatten_frame_operator(frame) -> np.ndarray:
             if kind == COMPLEX:
                 dense[lo:hi, lo:hi] = np.asarray(p)
             else:
-                dense[lo:hi, lo:hi] = float(p[0, 0]) * np.eye(2)
+                dense[lo:hi, lo:hi] = p[0, 0].real * np.eye(2)
             scale[lo:hi] = wmatrix[n, k] ** 2
         out += scale[:, None] * dense
     return (out + out.conj().T) / 2.0
@@ -836,6 +838,33 @@ class TestOracleIndependence:
         for module in (submodule, frame_module, oracle):
             monkeypatch.setattr(module, "project", wrong, raising=False)
         assert _verify(frame) == want
+
+
+class TestProjectionsAreChecked:
+    """The dense energies equal sum_n w_n^2 |P_n x|^2 only for projections,
+    so ``matches_bounds`` fails on submodule blocks that are not."""
+
+    def test_span_projections_scaled_by_one_and_a_half_fail(self, monkeypatch):
+        spans = submodule._span_projections
+        monkeypatch.setattr(submodule, "_span_projections", lambda v: 1.5 * spans(v))
+        shape = ModuleShape(COMPLEX, (2, 2))
+        frame = WeightedFrame(
+            [span_submodule(shape, [[np.eye(2)[0], np.eye(2)[1]]] * 2)],
+            WeightSequence.from_matrix(COMPLEX, [[1.0, 1.0]]),
+        )
+        assert frame_bounds(frame).per_fiber == ((1.5, 1.5), (1.5, 1.5))
+        out = _verify(frame)
+        assert out["sample_check"] and not out["matches_bounds"]
+
+    def test_a_half_and_its_complement_are_not_a_parseval_frame(self):
+        shape = ModuleShape(COMPLEX, (2, 2))
+        half = Submodule(shape, [np.diag([0.5, 0.0])] * 2)
+        frame = WeightedFrame(
+            [half, complement(half)], WeightSequence.from_matrix(COMPLEX, [[1.0, 1.0]] * 2)
+        )
+        assert frame_bounds(frame).tightness.parseval
+        out = _verify(frame)
+        assert out["sample_check"] and not out["matches_bounds"]
 
 
 def _double(frame) -> None:

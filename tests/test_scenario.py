@@ -191,7 +191,7 @@ class TestMaps:
 
     def test_a_quaternion_map_without_rotations_turns_nothing(self):
         mapping = build_scenario(_doc(QUAT, maps={"m": {"scales": [2.0, 3.0]}})).maps["m"]
-        np.testing.assert_array_equal(mapping.blocks[1], [[1.0, 0.0, 0.0, 0.0]] * 2)
+        np.testing.assert_array_equal(mapping.rotations, [[1.0, 0.0, 0.0, 0.0]] * 2)
         np.testing.assert_array_equal(mapping.nu().real_parts(), [4.0, 9.0])
 
 

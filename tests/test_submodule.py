@@ -269,7 +269,7 @@ class TestValidation:
         with pytest.raises(NotFinite, match="projection entries must be finite"):
             Submodule(shape, [np.array([[1, 0], [0, bad]]), np.eye(1)])
         with pytest.raises(NotFinite):
-            Submodule(ModuleShape(QUATERNION, (1, 1)), [[[1.0]], [[bad]]])
+            Submodule(ModuleShape(QUATERNION, (1, 1)), [np.eye(2), np.diag([bad, bad])])
 
 
 class TestSerialization:
